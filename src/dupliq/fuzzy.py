@@ -53,37 +53,33 @@ def lcs_length(s1: str, s2: str) -> int:
     return len(s1) - v.bit_count()
 
 
-def _indel_fraction(s1: str, s2: str) -> float:
-    total = len(s1) + len(s2)
-    if total == 0:
-        return 1.0
-    return 2.0 * lcs_length(s1, s2) / total
+def _indel_score(lcs: int, total: int) -> int:
+    # 100 * 2 * lcs / total rounded half up, in integers: a float product
+    # can land an exact half just below itself
+    return (400 * lcs + total) // (2 * total)
 
 
 def indel_ratio(s1: str, s2: str) -> int:
     """Normalized indel similarity of two raw strings, 0..100."""
-    return _round_score(100.0 * _indel_fraction(s1, s2))
-
-
-def _partial_fraction(s1: str, s2: str) -> float:
-    a, b = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
-    if not a:
-        return 1.0 if not b else 0.0
-    best = 0.0
-    for start in range(len(b) - len(a) + 1):
-        window = b[start : start + len(a)]
-        frac = _indel_fraction(a, window)
-        if frac > best:
-            best = frac
-            if best == 1.0:
-                break
-    return best
+    total = len(s1) + len(s2)
+    if total == 0:
+        return 100
+    return _indel_score(lcs_length(s1, s2), total)
 
 
 def partial_ratio(s1: str, s2: str) -> int:
     """Best indel score of the shorter string against every equal-length
     window of the longer one."""
-    return _round_score(100.0 * _partial_fraction(s1, s2))
+    a, b = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
+    if not a:
+        return 100 if not b else 0
+    # every window has the length of a, so the best window has the longest LCS
+    best = 0
+    for start in range(len(b) - len(a) + 1):
+        best = max(best, lcs_length(a, b[start : start + len(a)]))
+        if best == len(a):
+            break
+    return _indel_score(best, 2 * len(a))
 
 
 def _sorted_join(s: str) -> str:
@@ -113,9 +109,9 @@ def token_set_ratio(s1: str, s2: str, partial: bool = False) -> int:
     t0 = " ".join(inter)
     t1 = (t0 + " " + " ".join(rest1)).strip()
     t2 = (t0 + " " + " ".join(rest2)).strip()
-    score = _partial_fraction if partial else _indel_fraction
-    best = max(score(t0, t1), score(t0, t2), score(t1, t2))
-    return _round_score(100.0 * best)
+    # rounding is monotone, so the rounded maximum is the maximum rounded
+    score = partial_ratio if partial else indel_ratio
+    return max(score(t0, t1), score(t0, t2), score(t1, t2))
 
 
 def qratio(s1: str, s2: str) -> int:

@@ -199,15 +199,15 @@ def load_model(path: str | Path):
         model = KnnModel(hp, n_features, X, y)
         return model
     if kind == "decision_tree":
-        return DecisionTreeModel(hp, n_features, Tree.from_dict(state["tree"]))
+        return DecisionTreeModel(hp, n_features, Tree.from_dict(state["tree"], n_features))
     if kind in ("random_forest", "extra_trees"):
-        trees = [Tree.from_dict(t) for t in state["trees"]]
+        trees = [Tree.from_dict(t, n_features) for t in state["trees"]]
         return ForestModel(kind, hp, n_features, trees)
     if kind == "adaboost":
-        stumps = [Tree.from_dict(t) for t in state["stumps"]]
+        stumps = [Tree.from_dict(t, n_features) for t in state["stumps"]]
         return AdaBoostModel(hp, n_features, stumps, list(state["alphas"]))
     if kind in ("gbm", "xgb"):
-        trees = [Tree.from_dict(t) for t in state["trees"]]
+        trees = [Tree.from_dict(t, n_features) for t in state["trees"]]
         return BoostedTreesModel(kind, hp, n_features, state["base_margin"], trees)
     raise ValueError(f"unknown classifier kind {kind!r}")
 

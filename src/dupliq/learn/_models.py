@@ -11,15 +11,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._sparse import SparseColumns, grow_tree_sparse, tree_apply_sparse
-from ._tree import (
-    Tree,
-    gini_is_pure,
-    gini_score,
-    grow_tree_dense,
-    make_grad_score,
-    tree_apply_dense,
-)
+from ._sparse import SparseColumns, grow_tree_sparse
+from ._tree import Tree, TreePack, gini_is_pure, gini_score, make_grad_score
 
 KINDS = (
     "knn",
@@ -91,18 +84,6 @@ def _validate_training_input(X, y):
     if not np.all(np.isfinite(data)):
         raise ValueError("training features contain NaN or infinity")
     return y.astype(np.int64)
-
-
-def _grow(X, sc, **kwargs):
-    if sc is not None:
-        return grow_tree_sparse(sc, **kwargs)
-    return grow_tree_dense(X, **kwargs)
-
-
-def _apply(tree: Tree, X) -> np.ndarray:
-    if _is_sparse(X):
-        return tree_apply_sparse(tree, X)
-    return tree_apply_dense(tree, np.asarray(X, dtype=np.float64))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -221,6 +202,7 @@ class DecisionTreeModel(_BaseModel):
     def __init__(self, hyperparameters, n_features, tree: Tree):
         super().__init__(hyperparameters, n_features)
         self.tree = tree
+        self._pack = TreePack([tree])
 
     @classmethod
     def train(cls, hp, X, y, sc):
@@ -229,8 +211,7 @@ class DecisionTreeModel(_BaseModel):
         b = np.ones(n)
         counts = np.ones(n, dtype=np.int64)
         rng = np.random.default_rng(hp["seed"])
-        tree = _grow(
-            X if sc is None else None,
+        tree, _ = grow_tree_sparse(
             sc,
             a=a,
             b=b,
@@ -248,7 +229,7 @@ class DecisionTreeModel(_BaseModel):
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_width(X)
-        return _apply(self.tree, X)
+        return self._pack.leaf_values(X)[:, 0]
 
     def native_importance(self) -> np.ndarray:
         return _normalized_gains([self.tree], self.n_features)
@@ -266,6 +247,7 @@ class ForestModel(_BaseModel):
         super().__init__(hyperparameters, n_features)
         self.kind = kind
         self.trees = trees
+        self._pack = TreePack(trees)
 
     @classmethod
     def train(cls, kind, hp, X, y, sc):
@@ -285,31 +267,29 @@ class ForestModel(_BaseModel):
             w = counts.astype(np.float64)
             a = w * y
             leaf_fn = _weighted_mean_leaf(y, w)
-            trees.append(
-                _grow(
-                    X if sc is None else None,
-                    sc,
-                    a=a,
-                    b=w,
-                    counts=counts,
-                    score_fn=gini_score,
-                    leaf_value_fn=leaf_fn,
-                    max_depth=hp["max_depth"],
-                    min_samples_leaf=hp["min_samples_leaf"],
-                    max_features=max_features,
-                    rng=rng,
-                    random_thresholds=random_thresholds,
-                    min_gain=-np.inf,
-                    purity_fn=gini_is_pure,
-                )
+            tree, _ = grow_tree_sparse(
+                sc,
+                a=a,
+                b=w,
+                counts=counts,
+                score_fn=gini_score,
+                leaf_value_fn=leaf_fn,
+                max_depth=hp["max_depth"],
+                min_samples_leaf=hp["min_samples_leaf"],
+                max_features=max_features,
+                rng=rng,
+                random_thresholds=random_thresholds,
+                min_gain=-np.inf,
+                purity_fn=gini_is_pure,
             )
+            trees.append(tree)
         return cls(kind, hp, n_features, trees)
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_width(X)
         total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += _apply(tree, X)
+        for leaf in self._pack.leaf_values(X).T:
+            total += leaf
         return total / len(self.trees)
 
     def native_importance(self) -> np.ndarray:
@@ -336,6 +316,7 @@ class AdaBoostModel(_BaseModel):
         super().__init__(hyperparameters, n_features)
         self.stumps = stumps
         self.alphas = alphas
+        self._pack = TreePack(stumps)
 
     @classmethod
     def train(cls, hp, X, y, sc):
@@ -346,8 +327,7 @@ class AdaBoostModel(_BaseModel):
         stumps: list[Tree] = []
         alphas: list[float] = []
         for _ in range(hp["n_estimators"]):
-            stump = _grow(
-                X if sc is None else None,
+            stump, leaf = grow_tree_sparse(
                 sc,
                 a=w * y,
                 b=w.copy(),
@@ -361,8 +341,7 @@ class AdaBoostModel(_BaseModel):
                 min_gain=-np.inf,
                 purity_fn=gini_is_pure,
             )
-            pred = (_apply(stump, X) >= 0.5).astype(np.int64)
-            miss = pred != y
+            miss = (leaf >= 0.5) != y
             err = float(w[miss].sum())
             if err <= 0.0:
                 stumps.append(stump)
@@ -383,8 +362,8 @@ class AdaBoostModel(_BaseModel):
     def predict_proba(self, X) -> np.ndarray:
         self._check_width(X)
         votes = np.zeros(X.shape[0])
-        for stump, alpha in zip(self.stumps, self.alphas):
-            votes += alpha * (_apply(stump, X) >= 0.5)
+        for leaf, alpha in zip(self._pack.leaf_values(X).T, self.alphas):
+            votes += alpha * (leaf >= 0.5)
         total = sum(self.alphas)
         return votes / total if total > 0 else np.full(X.shape[0], 0.5)
 
@@ -410,6 +389,7 @@ class BoostedTreesModel(_BaseModel):
         self.kind = kind
         self.base_margin = base_margin
         self.trees = trees
+        self._pack = TreePack(trees)
 
     @classmethod
     def train(cls, kind, hp, X, y, sc):
@@ -444,8 +424,7 @@ class BoostedTreesModel(_BaseModel):
                 h = p * (1.0 - p) * csel
                 leaf_fn = _gbm_leaf(r, h)
                 a, b = r, csel
-            tree = _grow(
-                X if sc is None else None,
+            tree, leaf = grow_tree_sparse(
                 sc,
                 a=a,
                 b=b,
@@ -461,16 +440,18 @@ class BoostedTreesModel(_BaseModel):
             )
             trees.append(tree)
             if lr != 0.0:
-                margin = margin + lr * _apply(tree, X)
+                if np.isnan(leaf).any():  # subsampled rows took no part in growing
+                    leaf = TreePack([tree]).leaf_values(X)[:, 0]
+                margin = margin + lr * leaf
         return cls(kind, hp, X.shape[1], base_margin, trees)
 
     def decision_margin(self, X, n_trees: int | None = None) -> np.ndarray:
         self._check_width(X)
         margin = np.full(X.shape[0], self.base_margin)
         lr = float(self.hyperparameters["learning_rate"])
-        use = self.trees if n_trees is None else self.trees[:n_trees]
-        for tree in use:
-            margin += lr * _apply(tree, X)
+        leaves = self._pack.leaf_values(X)
+        for t in range(len(self.trees[:n_trees])):
+            margin += lr * leaves[:, t]
         return margin
 
     def predict_proba(self, X, n_trees: int | None = None) -> np.ndarray:
@@ -507,9 +488,9 @@ def train_model(kind: str, hyperparameters: dict, X, y) -> _BaseModel:
     y = _validate_training_input(X, y)
     hp = dict(DEFAULT_HYPERPARAMETERS[kind])
     hp.update(hyperparameters)
-    sc = SparseColumns(X) if _is_sparse(X) and kind != "knn" else None
     if kind == "knn":
         return KnnModel(hp, X.shape[1], X, y)
+    sc = SparseColumns(X)
     if kind == "decision_tree":
         return DecisionTreeModel.train(hp, X, y, sc)
     if kind in ("random_forest", "extra_trees"):

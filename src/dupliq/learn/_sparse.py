@@ -1,17 +1,36 @@
-"""Level-wise tree growing over sparse nonnegative feature matrices.
+"""The tree builder: level-wise exact greedy search over presorted entries.
 
-Implicit zeros are real zero values: for any positive threshold they fall
-on the left side of a split.  Columns are pre-sorted by value once, then
-each tree level makes a single vectorized pass over the stored entries,
-grouping them by (node, column) and scanning cumulative stats, so the work
-per level is proportional to the number of nonzeros rather than to
-nodes x columns.
+Every tree of every classifier is grown here, from dense or sparse input,
+in the presorted, level-wise style of XGBoost's exact greedy algorithm
+(Chen & Guestrin 2016, arXiv:1603.02754).  The matrix becomes entry arrays
+sorted once by (column, value, row) (``SparseColumns``):
 
-Criterion conventions (stat channels a/b, score_fn, score_scale,
-gain_penalty) are shared with the dense builder in ``_tree``; candidate
-order is the same (ascending column, ascending threshold, zero boundary
-first), so both builders pick identical splits apart from float summation
-order.
+* from a sparse matrix only the stored entries are kept; the others are
+  implicit zeros, which for any positive threshold fall on the left side
+  of a split, so values must be nonnegative;
+* from a dense matrix every entry is explicit, so there are no implicit
+  zeros and signed values are fine.
+
+The entries and the rows stay partitioned by node: each node owns one
+contiguous block of each, in the (column, value, row) order, and a split
+moves every block's left part before its right part without reordering
+either.  One tree level then takes one vectorized pass over the entries
+of its open nodes, grouped by (node, column), plus one call of
+``leaf_value_fn`` per new leaf.
+
+Candidates of a (node, column) group: the midpoints between consecutive
+distinct values, and for sparse input the zero boundary (zeros left,
+stored values right) at half the smallest stored value.  The choice
+among candidates follows the tie rule of ``_tree``, so it does not depend
+on float summation order.
+
+A node is open, and searched, when it is above ``max_depth``, holds at
+least two rows with a positive count, and is not pure.  Random draws come
+level by level: one column sample per open node (when ``max_features`` is
+below the column count), in node order, then one threshold per (open
+node, sampled column) pair whose values in the node are not all equal
+(extra trees), in (node, column) order.  Criterion conventions are in
+``_tree``.
 """
 
 from __future__ import annotations
@@ -19,33 +38,35 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._tree import MIN_GAIN, Tree, _TreeBuilder
+from ._tree import MIN_GAIN, TIE_RTOL, Tree
 
 
 class SparseColumns:
-    """A CSC matrix re-indexed as entry arrays sorted by (column, value)."""
+    """A feature matrix as entry arrays sorted by (column, value, row):
+    the stored entries of a sparse matrix, whose values must then be
+    nonnegative, or every entry of a dense one.  Row and column indices
+    are stored as int32."""
 
     def __init__(self, X):
-        X = sp.csc_matrix(X, copy=True)
-        X.eliminate_zeros()
-        if X.data.size and X.data.min() < 0:
-            raise ValueError("sparse feature values must be nonnegative")
+        if sp.issparse(X):
+            X = sp.csc_matrix(X, copy=True)
+            X.sum_duplicates()
+            X.eliminate_zeros()
+            if X.data.size and X.data.min() < 0:
+                raise ValueError("sparse feature values must be nonnegative")
+            cols = np.repeat(np.arange(X.shape[1]), np.diff(X.indptr))
+            order = np.lexsort((X.data, cols))
+            rows, cols, values = X.indices[order], cols[order], X.data[order]
+        else:
+            X = np.asarray(X, dtype=np.float64)
+            order = np.argsort(X, axis=0, kind="stable")
+            rows = order.T.ravel()
+            cols = np.repeat(np.arange(X.shape[1]), X.shape[0])
+            values = np.take_along_axis(X, order, axis=0).T.ravel()
         self.n_rows, self.n_cols = X.shape
-        col_ids = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(X.indptr))
-        order = np.lexsort((X.data, col_ids))
-        self.ecol = col_ids[order]
-        self.erow = X.indices[order].astype(np.int64)
-        self.evals = X.data[order].astype(np.float64)
-        self.csc = X
-
-    def column_values(self, rows: np.ndarray, col: int, buf: np.ndarray) -> np.ndarray:
-        """Values of one column at the given rows via a scratch buffer."""
-        start, end = self.csc.indptr[col], self.csc.indptr[col + 1]
-        touched = self.csc.indices[start:end]
-        buf[touched] = self.csc.data[start:end]
-        out = buf[rows].copy()
-        buf[touched] = 0.0
-        return out
+        self.erow = rows.astype(np.int32)
+        self.ecol = cols.astype(np.int32)
+        self.evals = values.astype(np.float64)
 
 
 def grow_tree_sparse(
@@ -64,278 +85,197 @@ def grow_tree_sparse(
     gain_penalty: float = 0.0,
     min_gain: float = MIN_GAIN,
     purity_fn=None,
-) -> Tree:
-    n_rows, n_cols = sc.n_rows, sc.n_cols
-    builder = _TreeBuilder()
-    node_of_row = np.where(counts > 0, 0, -1).astype(np.int64)
+) -> tuple[Tree, np.ndarray]:
+    """Grow one tree; returns it with each training row's leaf value (NaN
+    for rows whose count is 0, which take no part in the growing).
 
-    # per active node: (node id, total a, total b, total count)
-    active = [(0, float(a[counts > 0].sum()), float(b[counts > 0].sum()),
-               int(counts.sum()))]
-    buf = np.zeros(n_rows)
+    ``min_gain`` is the strict lower bound a recorded gain must exceed; the
+    impurity criteria pass -inf so impure nodes always split when a valid
+    candidate exists (``purity_fn`` stops the pure ones), while the
+    boosting criteria demand strictly positive gain.  Each child must hold
+    a count of at least ``max(min_samples_leaf, 1)``."""
+    min_leaf = max(int(min_samples_leaf), 1)
+    counts = np.asarray(counts, dtype=np.int64)
+    sample_cols = max_features is not None and max_features < sc.n_cols
+    rows = np.flatnonzero(counts > 0)
+    # working copies index with intp, which numpy gathers fastest
+    keep = np.flatnonzero(counts.take(sc.erow) > 0)
+    erow, ecol, evals = sc.erow.take(keep).astype(np.intp), sc.ecol.take(keep), sc.evals.take(keep)
+    row_len = np.array([len(rows)])
+    ent_len = np.array([len(erow)])
+    row_value = np.full(sc.n_rows, np.nan)
+    levels = []
+    n_done = 0
     depth = 0
-    while active:
-        for nid, _, _, cnt in active:
-            builder.n_node[nid] = cnt
-        rows_of = _group_rows_by_node(node_of_row)
+    while True:
+        k = len(row_len)
+        rstart = np.cumsum(row_len) - row_len
+        tot_a = np.add.reduceat(a.take(rows), rstart)
+        tot_b = np.add.reduceat(b.take(rows), rstart)
+        tot_c = np.add.reduceat(counts.take(rows), rstart)
+        open_ = row_len >= 2
         if max_depth is not None and depth >= max_depth:
-            break
-        splits = _find_level_splits(
-            sc, node_of_row, active, a, b, counts, score_fn, min_samples_leaf,
-            max_features, rng, random_thresholds, score_scale, gain_penalty,
-            len(builder.feature), min_gain,
-        )
-        next_active = []
-        for local, (nid, node_a, node_b, _) in enumerate(active):
-            rows = rows_of[nid]
-            if purity_fn is not None and purity_fn(node_a, node_b):
-                splits[local] = None
-            if splits[local] is None:
-                builder.value[nid] = float(leaf_value_fn(rows))
-                node_of_row[rows] = -1
-                continue
-            feature, threshold, gain, left_stats, right_stats = splits[local]
-            v = sc.column_values(rows, feature, buf)
-            mask = v < threshold
-            left_id = builder.new_node()
-            right_id = builder.new_node()
-            builder.set_split(nid, feature, threshold, gain, left_id, right_id)
-            node_of_row[rows[mask]] = left_id
-            node_of_row[rows[~mask]] = right_id
-            next_active.append((left_id, *left_stats))
-            next_active.append((right_id, *right_stats))
-        active = next_active
+            open_[:] = False
+        if purity_fn is not None:
+            open_ &= ~purity_fn(tot_a, tot_b)
+
+        feature = np.full(k, -1, dtype=np.int64)
+        threshold = np.zeros(k)
+        gain = np.zeros(k)
+        if open_.any():
+            e_node = np.repeat(np.arange(k), ent_len)
+            node, col, val, row = e_node, ecol, evals, erow
+            if sample_cols or not open_.all():
+                sel = open_[e_node]
+                if sample_cols:
+                    sampled = np.zeros((k, sc.n_cols), dtype=bool)
+                    for i in np.flatnonzero(open_):
+                        sampled[i, rng.choice(sc.n_cols, size=max_features, replace=False)] = True
+                    sel &= sampled[e_node, ecol]
+                idx = np.flatnonzero(sel)
+                node, col, val, row = e_node.take(idx), ecol.take(idx), evals.take(idx), erow.take(idx)
+            nodes, f, t, g = _best_splits(
+                node, col, val, row, a, b, counts, tot_a, tot_b, tot_c,
+                score_fn(tot_a, tot_b), score_fn, min_leaf, rng,
+                random_thresholds, score_scale, gain_penalty, min_gain,
+            )
+            feature[nodes], threshold[nodes], gain[nodes] = f, t, g
+        split = feature >= 0
+
+        value = np.zeros(k)
+        for i in np.flatnonzero(~split):
+            leaf_rows = rows[rstart[i] : rstart[i] + row_len[i]]
+            value[i] = leaf_value_fn(leaf_rows)
+            row_value[leaf_rows] = value[i]
+        left = np.full(k, -1, dtype=np.int64)
+        left[split] = n_done + k + 2 * np.arange(split.sum())
+        right = np.where(split, left + 1, -1)
+        levels.append((feature, threshold, left, right, value, gain, tot_c))
+        n_done += k
         depth += 1
-    # depth limit reached: everything still active becomes a leaf
-    for nid, _, _, _ in active:
-        builder.value[nid] = float(leaf_value_fn(rows_of[nid]))
-    return builder.finish()
+        if not split.any():
+            break
+
+        # route the rows of split nodes; rows without a stored entry in the
+        # split column hold an implicit zero
+        row_left = np.zeros(sc.n_rows, dtype=bool)
+        row_left[rows] = np.repeat(threshold > 0.0, row_len)
+        on = np.flatnonzero(ecol == feature.take(e_node))
+        row_left[erow.take(on)] = evals.take(on) < threshold.take(e_node.take(on))
+        if not split.all():
+            rows = rows.take(np.flatnonzero(np.repeat(split, row_len)))
+            e_keep = np.flatnonzero(np.repeat(split, ent_len))
+            erow, ecol, evals = erow.take(e_keep), ecol.take(e_keep), evals.take(e_keep)
+        order, row_len = _left_first(row_left.take(rows), row_len[split])
+        rows = rows.take(order)
+        if max_depth is not None and depth >= max_depth:
+            # the children are leaves: only their rows are needed
+            erow, ecol, evals = erow[:0], ecol[:0], evals[:0]
+            ent_len = np.zeros_like(row_len)
+        else:
+            order, ent_len = _left_first(row_left.take(erow), ent_len[split])
+            erow, ecol, evals = erow.take(order), ecol.take(order), evals.take(order)
+
+    feature, threshold, left, right, value, gain, n_node = (np.concatenate(c) for c in zip(*levels))
+    tree = Tree(feature=feature, threshold=threshold, left=left, right=right, value=value, gain=gain, n_node=n_node)
+    return tree, row_value
 
 
-def _group_rows_by_node(node_of_row: np.ndarray) -> dict[int, np.ndarray]:
-    act = np.flatnonzero(node_of_row >= 0)
-    order = np.argsort(node_of_row[act], kind="stable")
-    act = act[order]
-    nodes, starts = np.unique(node_of_row[act], return_index=True)
-    bounds = np.append(starts[1:], len(act))
-    return {int(n): act[s:e] for n, s, e in zip(nodes, starts, bounds)}
+def _left_first(go_left: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order that moves each block's left elements before its right
+    ones (blocks are consecutive and ``lens`` long), and the lengths of the
+    resulting halves: left and right of block 0, then of block 1, ..."""
+    n_keys = 2 * len(lens)
+    # 16-bit keys let numpy's stable sort run as a radix sort
+    dtype = np.uint16 if n_keys <= 1 << 16 else np.int64
+    key = np.repeat(np.arange(0, n_keys, 2, dtype=dtype), lens)
+    key += ~go_left
+    return np.argsort(key, kind="stable"), np.bincount(key, minlength=n_keys)
 
 
-def _find_level_splits(
-    sc,
-    node_of_row,
-    active,
-    a,
-    b,
-    counts,
-    score_fn,
-    min_samples_leaf,
-    max_features,
-    rng,
-    random_thresholds,
-    score_scale,
-    gain_penalty,
-    n_tree_nodes,
-    min_gain,
+def _best_splits(
+    node, col, val, row, a, b, counts, tot_a, tot_b, tot_c, parent_score,
+    score_fn, min_leaf, rng, random_thresholds, score_scale, gain_penalty, min_gain,
 ):
-    """Best split per active node, or None.  One vectorized pass."""
-    k = len(active)
-    node_ids = np.array([nid for nid, *_ in active], dtype=np.int64)
-    tot_a = np.array([s[1] for s in active])
-    tot_b = np.array([s[2] for s in active])
-    tot_c = np.array([s[3] for s in active], dtype=np.int64)
-    parent_score = score_fn(tot_a, tot_b)
+    """Best split per node from entries sorted by (node, column, value).
 
-    local_map = np.full(n_tree_nodes, -1, dtype=np.int64)
-    local_map[node_ids] = np.arange(k)
+    Returns (nodes, columns, thresholds, gains) for the nodes that split."""
+    m = len(node)
+    if m == 0:  # no entries to split on
+        return node, col, val, val
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(col[1:], col[:-1], out=first[1:])
+    first[1:] |= node[1:] != node[:-1]
+    gstart = np.flatnonzero(first)
+    glen = np.diff(gstart, append=m)
+    glast = gstart + glen - 1
+    gnode = node.take(gstart)
 
-    e_node = node_of_row[sc.erow]
-    keep = e_node >= 0
-    e_local = np.full(len(e_node), -1, dtype=np.int64)
-    e_local[keep] = local_map[e_node[keep]]
-    keep &= e_local >= 0
-
-    sampled_cols = None
-    if max_features is not None and max_features < sc.n_cols:
-        sampled_cols = np.zeros((k, sc.n_cols), dtype=bool)
-        for i in range(k):
-            sampled_cols[i, rng.choice(sc.n_cols, size=max_features, replace=False)] = True
-        keep &= np.where(keep, sampled_cols[np.maximum(e_local, 0), sc.ecol], False)
-
-    idx = np.flatnonzero(keep)
-    if len(idx) == 0:
-        return [None] * k
-
-    g_node = e_local[idx]
-    order = np.argsort(g_node, kind="stable")
-    idx = idx[order]
-    g_node = g_node[order]
-    g_col = sc.ecol[idx]
-    g_val = sc.evals[idx]
-    g_row = sc.erow[idx]
-    g_a = a[g_row]
-    g_b = b[g_row]
-    g_c = counts[g_row].astype(np.int64)
-    m = len(idx)
-
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (g_node[1:] != g_node[:-1]) | (g_col[1:] != g_col[:-1])
-    grp = np.cumsum(new_group) - 1
-    gstart = np.flatnonzero(new_group)
-    gend = np.append(gstart[1:], m) - 1
-
-    ca = np.cumsum(g_a)
-    cb = np.cumsum(g_b)
-    cc = np.cumsum(g_c)
-    base_a = (ca[gstart] - g_a[gstart])[grp]
-    base_b = (cb[gstart] - g_b[gstart])[grp]
-    base_c = (cc[gstart] - g_c[gstart])[grp]
-    ca -= base_a
-    cb -= base_b
-    cc -= base_c
-
-    grp_node = g_node[gstart]
-    grp_col = g_col[gstart]
-    # stats of the implicit zeros of each (node, column) group
-    zero_a = tot_a[grp_node] - ca[gend]
-    zero_b = tot_b[grp_node] - cb[gend]
-    zero_c = tot_c[grp_node] - cc[gend]
+    # running sums over the whole level; a group's own sums are differences
+    ga, gb, gc = a.take(row), b.take(row), counts.take(row)
+    ca, cb = np.cumsum(ga), np.cumsum(gb)
+    before_a, before_b = ca[gstart] - ga[gstart], cb[gstart] - gb[gstart]
+    # stats of each group's implicit zeros (none for dense input)
+    zero_c = tot_c[gnode] - np.add.reduceat(gc, gstart)
+    has_zero = zero_c > 0
+    zero_a = np.where(has_zero, tot_a[gnode] - (ca[glast] - before_a), 0.0)
+    zero_b = np.where(has_zero, tot_b[gnode] - (cb[glast] - before_b), 0.0)
 
     if random_thresholds:
-        return _random_threshold_splits(
-            k, grp, gstart, gend, grp_node, grp_col, g_val, g_a, g_b, g_c,
-            zero_a, zero_b, zero_c, tot_a, tot_b, tot_c, parent_score,
-            score_fn, min_samples_leaf, rng, score_scale, gain_penalty, min_gain,
-        )
-
-    # candidates between consecutive entries of the same group
-    is_last = np.zeros(m, dtype=bool)
-    is_last[gend] = True
-    left_a = zero_a[grp] + ca
-    left_b = zero_b[grp] + cb
-    left_c = zero_c[grp] + cc
-    right_c = tot_c[g_node] - left_c
-    valid = (~is_last) & (left_c >= min_samples_leaf) & (right_c >= min_samples_leaf)
-    nxt = np.minimum(np.arange(m) + 1, m - 1)
-    valid &= g_val < g_val[nxt]
-
-    raw = (
-        score_fn(left_a, left_b)
-        + score_fn(tot_a[g_node] - left_a, tot_b[g_node] - left_b)
-        - parent_score[g_node]
-    )
-    gains = np.where(valid, score_scale * raw - gain_penalty, -np.inf)
-    thresholds = 0.5 * (g_val + g_val[nxt])
-
-    # the zero-boundary candidate per group: zeros go left, nonzeros right
-    zb_valid = (
-        (zero_c >= max(min_samples_leaf, 1))
-        & (tot_c[grp_node] - zero_c >= min_samples_leaf)
-    )
-    zb_raw = (
-        score_fn(zero_a, zero_b)
-        + score_fn(tot_a[grp_node] - zero_a, tot_b[grp_node] - zero_b)
-        - parent_score[grp_node]
-    )
-    zb_gains = np.where(zb_valid, score_scale * zb_raw - gain_penalty, -np.inf)
-    zb_thresholds = 0.5 * g_val[gstart]
-
-    # merge both candidate sets; order (node, -gain, col, threshold) puts the
-    # winner of every node first with the dense builder's tie-break
-    all_node = np.concatenate([g_node, grp_node])
-    all_col = np.concatenate([g_col, grp_col])
-    all_gain = np.concatenate([gains, zb_gains])
-    all_thr = np.concatenate([thresholds, zb_thresholds])
-    all_la = np.concatenate([left_a, zero_a])
-    all_lb = np.concatenate([left_b, zero_b])
-    all_lc = np.concatenate([left_c, zero_c])
-
-    return _pick_best(
-        k, all_node, all_col, all_gain, all_thr, all_la, all_lb, all_lc,
-        tot_a, tot_b, tot_c, min_gain,
-    )
+        lo = np.where(has_zero, 0.0, val[gstart])
+        hi = val[glast]
+        ok = hi > lo
+        thr = np.zeros(len(gstart))
+        thr[ok] = rng.uniform(lo[ok], hi[ok])
+        zeros_left = has_zero & (thr > 0.0)
+        is_left = val < np.repeat(thr, glen)
+        grp = np.repeat(np.arange(len(gstart)), glen)
+        la = zero_a * zeros_left + np.bincount(grp, ga * is_left, len(gstart))
+        lb = zero_b * zeros_left + np.bincount(grp, gb * is_left, len(gstart))
+        lc = zero_c * zeros_left + np.bincount(grp, gc * is_left, len(gstart)).astype(np.int64)
+        ok &= (lc >= min_leaf) & (tot_c[gnode] - lc >= min_leaf)
+        cnode, ccol = gnode, col.take(gstart)
+        node_a, node_b, node_score = tot_a[cnode], tot_b[cnode], parent_score[cnode]
+    else:
+        # one candidate just below each entry: the zeros and the group's
+        # earlier entries go left, at the midpoint with the previous value
+        # (0 for a group's first entry, valid only if the group has zeros);
+        # the candidates are then in (node, column, threshold) order
+        prev = np.empty(m)
+        prev[1:] = val[:-1]
+        prev[gstart] = 0.0
+        ok = prev < val
+        ok[gstart] &= has_zero
+        la = ca - ga + np.repeat(zero_a - before_a, glen)
+        lb = cb - gb + np.repeat(zero_b - before_b, glen)
+        cnode, ccol = node, col
+        node_len = np.bincount(gnode, glen, len(tot_a)).astype(np.int64)
+        node_a, node_b, node_score = (np.repeat(x, node_len) for x in (tot_a, tot_b, parent_score))
+        # with min_leaf 1 every such candidate leaves a row on each side
+        if min_leaf > 1:
+            cc = np.cumsum(gc)
+            lc = cc - gc + np.repeat(zero_c - (cc[gstart] - gc[gstart]), glen)
+            ok &= lc >= min_leaf
+            ok &= np.repeat(tot_c, node_len) - lc >= min_leaf
+    raw = score_fn(la, lb) + score_fn(node_a - la, node_b - lb) - node_score
+    gains = score_scale * raw - gain_penalty
+    ok &= gains > min_gain
+    pick = _pick_best(cnode, gains, np.flatnonzero(ok), parent_score)
+    if not random_thresholds:
+        thr = 0.5 * (prev + val)
+    return cnode[pick], ccol[pick], thr[pick], gains[pick]
 
 
-def _random_threshold_splits(
-    k, grp, gstart, gend, grp_node, grp_col, g_val, g_a, g_b, g_c,
-    zero_a, zero_b, zero_c, tot_a, tot_b, tot_c, parent_score,
-    score_fn, min_samples_leaf, rng, score_scale, gain_penalty, min_gain,
-):
-    lo = np.where(zero_c > 0, 0.0, g_val[gstart])
-    hi = g_val[gend]
-    spread = hi > lo
-    t = np.where(spread, rng.uniform(lo, np.where(spread, hi, lo + 1.0)), np.nan)
-
-    is_left = g_val < t[grp]
-    n_groups = len(gstart)
-    left_a = zero_a + np.bincount(grp, weights=np.where(is_left, g_a, 0.0), minlength=n_groups)
-    left_b = zero_b + np.bincount(grp, weights=np.where(is_left, g_b, 0.0), minlength=n_groups)
-    left_c = zero_c + np.bincount(grp, weights=np.where(is_left, g_c, 0.0), minlength=n_groups).astype(np.int64)
-    valid = (
-        spread
-        & (left_c >= min_samples_leaf)
-        & (tot_c[grp_node] - left_c >= min_samples_leaf)
-    )
-    raw = (
-        score_fn(left_a, left_b)
-        + score_fn(tot_a[grp_node] - left_a, tot_b[grp_node] - left_b)
-        - parent_score[grp_node]
-    )
-    gains = np.where(valid, score_scale * raw - gain_penalty, -np.inf)
-    return _pick_best(
-        k, grp_node, grp_col, gains, np.where(spread, t, 0.0),
-        left_a, left_b, left_c, tot_a, tot_b, tot_c, min_gain,
-    )
-
-
-def _pick_best(k, node, col, gain, thr, la, lb, lc, tot_a, tot_b, tot_c, min_gain):
-    splits = [None] * k
-    finite = gain > min_gain
-    if not finite.any():
-        return splits
-    node, col, gain, thr = node[finite], col[finite], gain[finite], thr[finite]
-    la, lb, lc = la[finite], lb[finite], lc[finite]
-    order = np.lexsort((thr, col, -gain, node))
-    node_sorted = node[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = node_sorted[1:] != node_sorted[:-1]
-    for pos in np.flatnonzero(first):
-        i = order[pos]
-        n = node[i]
-        left_stats = (float(la[i]), float(lb[i]), int(lc[i]))
-        right_stats = (
-            float(tot_a[n] - la[i]),
-            float(tot_b[n] - lb[i]),
-            int(tot_c[n] - lc[i]),
-        )
-        splits[n] = (int(col[i]), float(thr[i]), float(gain[i]), left_stats, right_stats)
-    return splits
-
-
-def tree_apply_sparse(tree: Tree, X) -> np.ndarray:
-    """Route rows of a CSC/CSR matrix through a tree; returns leaf values."""
-    X = sp.csc_matrix(X)
-    n = X.shape[0]
-    cur = np.zeros(n, dtype=np.int64)
-    buf = np.zeros(n)
-    while True:
-        feat = tree.feature[cur]
-        internal = feat >= 0
-        if not internal.any():
-            break
-        idx = np.flatnonzero(internal)
-        order = np.argsort(cur[idx], kind="stable")
-        idx = idx[order]
-        nodes, starts = np.unique(cur[idx], return_index=True)
-        bounds = np.append(starts[1:], len(idx))
-        for node, s, e in zip(nodes, starts, bounds):
-            rows = idx[s:e]
-            f = int(tree.feature[node])
-            colstart, colend = X.indptr[f], X.indptr[f + 1]
-            touched = X.indices[colstart:colend]
-            buf[touched] = X.data[colstart:colend]
-            go_left = buf[rows] < tree.threshold[node]
-            buf[touched] = 0.0
-            cur[rows] = np.where(go_left, tree.left[node], tree.right[node])
-    return tree.value[cur]
+def _pick_best(node, gain, ok, parent_score):
+    """Index of each node's winner under the tie rule; ``ok`` indexes the
+    valid candidates, which are sorted by (node, column, threshold)."""
+    if not len(ok):
+        return ok
+    cnode, cgain = node.take(ok), gain.take(ok)
+    starts = np.flatnonzero(np.r_[True, cnode[1:] != cnode[:-1]])
+    best = np.maximum.reduceat(cgain, starts)
+    floor = best - TIE_RTOL * (np.abs(best) + np.abs(parent_score[cnode[starts]]))
+    tied = np.flatnonzero(cgain >= np.repeat(floor, np.diff(starts, append=len(ok))))
+    first = tied[np.r_[True, cnode[tied[1:]] != cnode[tied[:-1]]]]
+    return ok[first]

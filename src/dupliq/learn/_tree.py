@@ -1,7 +1,8 @@
-"""Dense CART-style tree growing shared by every tree-based classifier.
+"""Trees, split criteria and batch routing shared by every tree-based classifier.
 
-One engine serves all split criteria through two per-row stat channels
-``a`` and ``b`` plus an integer occurrence count:
+One builder (``_sparse.grow_tree_sparse``) grows every tree; it serves all
+split criteria through two per-row stat channels ``a`` and ``b`` plus an
+integer occurrence count:
 
 * Gini trees use a = weight * label, b = weight; the per-side score is
   ``-a (b - a) / b`` (negative weighted impurity), so maximizing
@@ -11,13 +12,23 @@ One engine serves all split criteria through two per-row stat channels
   hessians and lambda 0 (variance reduction on residuals).
 
 Recorded split gain is ``score_scale * raw_gain - gain_penalty`` (0.5 and
-gamma for the regularized booster, 1 and 0 otherwise) and a split is kept
-only when that value is positive.
+gamma for the regularized booster, 1 and 0 otherwise) and a candidate
+counts only when that value exceeds ``min_gain``.
 
-Candidate features are visited in ascending index order and candidate
-thresholds in ascending value order; the first strictly best gain wins.
-The sparse builder mirrors the same ordering so both produce the same
-trees on ties.
+Tie rule.  Among a node's candidates, ``best`` is the largest gain; every
+candidate with ``gain >= best - TIE_RTOL * (|best| + |parent score|)`` is
+tied, and the tied candidate with the lowest column, then the lowest
+threshold, wins.  Candidates whose gains are mathematically equal (two
+columns inducing the same partition, for instance) thus never depend on
+the order in which floats were summed.
+
+Node numbering is level order: the root is 0, and the children of the
+split nodes of one depth are numbered after that whole depth, left before
+right, in the order of their parents.  Routing only needs every child
+index to exceed its parent's, which preorder numbering (used by models
+saved before the builder became level-wise) satisfies as well, so such
+models still load and predict the same.  ``Tree.from_dict`` enforces it,
+so a corrupt model cannot make routing loop.
 """
 
 from __future__ import annotations
@@ -25,8 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 MIN_GAIN = 1e-12
+TIE_RTOL = 1e-9
+# (row, tree) pairs routed per pass; bounds the routing temporaries
+ROUTE_PAIRS = 1 << 14
 
 
 @dataclass
@@ -55,8 +70,11 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
+    def from_dict(cls, d: dict, n_features: int) -> "Tree":
+        """Rebuild a saved tree; raises ValueError unless every array has
+        one entry per node, every feature id is in [-1, n_features) and
+        every internal node's children come after it."""
+        tree = cls(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=np.float64),
             left=np.asarray(d["left"], dtype=np.int64),
@@ -65,6 +83,17 @@ class Tree:
             gain=np.asarray(d["gain"], dtype=np.float64),
             n_node=np.asarray(d["n_node"], dtype=np.int64),
         )
+        n = tree.n_nodes
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.gain, tree.n_node)
+        if n == 0 or any(arr.shape != (n,) for arr in arrays):
+            raise ValueError("corrupt tree: node arrays are empty or differ in length")
+        if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+            raise ValueError(f"corrupt tree: feature id outside [-1, {n_features})")
+        internal = np.flatnonzero(tree.feature >= 0)
+        for child in (tree.left[internal], tree.right[internal]):
+            if ((child <= internal) | (child >= n)).any():
+                raise ValueError("corrupt tree: a child index does not follow its parent")
+        return tree
 
     def feature_gains(self, n_features: int) -> np.ndarray:
         out = np.zeros(n_features)
@@ -79,8 +108,8 @@ def gini_score(a, b):
     return -(a * (b - a)) / np.maximum(b, 1e-300)
 
 
-def gini_is_pure(a, b) -> bool:
-    return a == 0.0 or a == b
+def gini_is_pure(a, b):
+    return (a == 0.0) | (a == b)
 
 
 def make_grad_score(lam: float):
@@ -91,202 +120,62 @@ def make_grad_score(lam: float):
     return grad_score
 
 
-class _TreeBuilder:
-    def __init__(self):
-        self.feature = [np.int64(-1)]
-        self.threshold = [0.0]
-        self.left = [np.int64(-1)]
-        self.right = [np.int64(-1)]
-        self.value = [0.0]
-        self.gain = [0.0]
-        self.n_node = [0]
+class TreePack:
+    """Several trees as one set of node arrays (child indices offset per
+    tree), so that all (row, tree) pairs are routed together, one
+    vectorized step per depth."""
 
-    def new_node(self) -> int:
-        self.feature.append(np.int64(-1))
-        self.threshold.append(0.0)
-        self.left.append(np.int64(-1))
-        self.right.append(np.int64(-1))
-        self.value.append(0.0)
-        self.gain.append(0.0)
-        self.n_node.append(0)
-        return len(self.feature) - 1
+    def __init__(self, trees: list[Tree]):
+        sizes = [t.n_nodes for t in trees]
+        offsets = np.cumsum([0] + sizes)
+        self.roots = offsets[:-1]
+        self.feature = np.concatenate([t.feature for t in trees] + [np.empty(0, np.int64)])
+        self.threshold = np.concatenate([t.threshold for t in trees] + [np.empty(0)])
+        self.value = np.concatenate([t.value for t in trees] + [np.empty(0)])
+        self.left = np.concatenate([t.left + o for t, o in zip(trees, offsets)] + [np.empty(0, np.int64)])
+        self.right = np.concatenate([t.right + o for t, o in zip(trees, offsets)] + [np.empty(0, np.int64)])
 
-    def set_split(self, node, feature, threshold, gain, left, right):
-        self.feature[node] = np.int64(feature)
-        self.threshold[node] = float(threshold)
-        self.gain[node] = float(gain)
-        self.left[node] = np.int64(left)
-        self.right[node] = np.int64(right)
-
-    def finish(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=np.float64),
-            gain=np.asarray(self.gain, dtype=np.float64),
-            n_node=np.asarray(self.n_node, dtype=np.int64),
-        )
-
-
-def grow_tree_dense(
-    X: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    counts: np.ndarray,
-    score_fn,
-    leaf_value_fn,
-    max_depth: int | None,
-    min_samples_leaf: int,
-    max_features: int | None,
-    rng: np.random.Generator,
-    random_thresholds: bool = False,
-    score_scale: float = 1.0,
-    gain_penalty: float = 0.0,
-    min_gain: float = MIN_GAIN,
-    purity_fn=None,
-) -> Tree:
-    """Grow one tree on a dense matrix; see the module docstring for the
-    criterion conventions.
-
-    ``min_gain`` is the strict lower bound a recorded gain must exceed; the
-    impurity criteria pass -inf so impure nodes always split when a valid
-    candidate exists (``purity_fn`` stops the pure ones), while the boosting
-    criteria demand strictly positive gain."""
-    n_rows, n_features = X.shape
-    builder = _TreeBuilder()
-    rows0 = np.flatnonzero(counts > 0)
-    stack = [(0, rows0, 0)]  # node id, row indices, depth
-    while stack:
-        node, rows, depth = stack.pop()
-        builder.n_node[node] = int(counts[rows].sum())
-        split = None
-        expandable = (max_depth is None or depth < max_depth) and len(rows) >= 2
-        if expandable and purity_fn is not None:
-            expandable = not purity_fn(float(a[rows].sum()), float(b[rows].sum()))
-        if expandable:
-            split = _best_split_dense(
-                X,
-                rows,
-                a,
-                b,
-                counts,
-                score_fn,
-                min_samples_leaf,
-                max_features,
-                rng,
-                random_thresholds,
-                score_scale,
-                gain_penalty,
-                min_gain,
-            )
-        if split is None:
-            builder.value[node] = float(leaf_value_fn(rows))
-            continue
-        feature, threshold, gain = split
-        mask = X[rows, feature] < threshold
-        left_id = builder.new_node()
-        right_id = builder.new_node()
-        builder.set_split(node, feature, threshold, gain, left_id, right_id)
-        # push right first so the left subtree is numbered next (preorder)
-        stack.append((right_id, rows[~mask], depth + 1))
-        stack.append((left_id, rows[mask], depth + 1))
-    return builder.finish()
+    def leaf_values(self, X) -> np.ndarray:
+        """Leaf value of every row in every tree, shape (n_rows, n_trees)."""
+        n, n_trees = X.shape[0], len(self.roots)
+        out = np.empty((n, n_trees))
+        if n == 0 or n_trees == 0:
+            return out
+        value_at = _value_lookup(X)
+        step = max(1, ROUTE_PAIRS // n_trees)
+        for start in range(0, n, step):
+            stop = min(n, start + step)
+            pair_row = np.repeat(np.arange(start, stop), n_trees)
+            cur = np.tile(self.roots, stop - start)
+            live = np.flatnonzero(self.feature[cur] >= 0)
+            while live.size:
+                node = cur[live]
+                go_left = value_at(pair_row[live], self.feature[node]) < self.threshold[node]
+                node = np.where(go_left, self.left[node], self.right[node])
+                cur[live] = node
+                live = live[self.feature[node] >= 0]
+            out[start:stop] = self.value[cur].reshape(stop - start, n_trees)
+        return out
 
 
-def _best_split_dense(
-    X,
-    rows,
-    a,
-    b,
-    counts,
-    score_fn,
-    min_samples_leaf,
-    max_features,
-    rng,
-    random_thresholds,
-    score_scale,
-    gain_penalty,
-    min_gain,
-):
-    n_features = X.shape[1]
-    if max_features is not None and max_features < n_features:
-        candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-    else:
-        candidates = np.arange(n_features)
+def _value_lookup(X):
+    """A function (rows, cols) -> X[rows, cols] for a dense or sparse X."""
+    if not sp.issparse(X):
+        X = np.asarray(X, dtype=np.float64)
+        return lambda rows, cols: X[rows, cols]
+    X = sp.csr_matrix(X)
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    n_cols = X.shape[1]
+    keys = np.repeat(np.arange(X.shape[0], dtype=np.int64), np.diff(X.indptr)) * n_cols + X.indices
+    data = X.data.astype(np.float64)
 
-    ra = a[rows]
-    rb = b[rows]
-    rc = counts[rows]
-    total_a = ra.sum()
-    total_b = rb.sum()
-    total_c = rc.sum()
-    parent_score = score_fn(total_a, total_b)
+    def value_at(rows, cols):
+        want = rows.astype(np.int64) * n_cols + cols
+        if not len(keys):
+            return np.zeros(len(want))
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, data[pos], 0.0)
 
-    best = None  # (gain, feature, threshold)
-    for f in candidates:
-        v = X[rows, f]
-        if random_thresholds:
-            lo = v.min()
-            hi = v.max()
-            if lo == hi:
-                continue
-            t = rng.uniform(lo, hi)
-            mask = v < t
-            lc = rc[mask].sum()
-            if lc < min_samples_leaf or total_c - lc < min_samples_leaf:
-                continue
-            la = ra[mask].sum()
-            lb = rb[mask].sum()
-            raw = score_fn(la, lb) + score_fn(total_a - la, total_b - lb) - parent_score
-            gain = score_scale * raw - gain_penalty
-            if gain > min_gain and (best is None or gain > best[0]):
-                best = (gain, f, t)
-            continue
-
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        ca = np.cumsum(ra[order])[:-1]
-        cb = np.cumsum(rb[order])[:-1]
-        cc = np.cumsum(rc[order])[:-1]
-        valid = (
-            (sv[:-1] < sv[1:])
-            & (cc >= min_samples_leaf)
-            & (total_c - cc >= min_samples_leaf)
-        )
-        if not valid.any():
-            continue
-        idx = np.flatnonzero(valid)
-        raw = (
-            score_fn(ca[idx], cb[idx])
-            + score_fn(total_a - ca[idx], total_b - cb[idx])
-            - parent_score
-        )
-        gains = score_scale * raw - gain_penalty
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if gain > min_gain and (best is None or gain > best[0]):
-            cut = idx[pos]
-            threshold = 0.5 * (sv[cut] + sv[cut + 1])
-            best = (gain, f, float(threshold))
-    if best is None:
-        return None
-    gain, feature, threshold = best
-    return int(feature), float(threshold), float(gain)
-
-
-def tree_apply_dense(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Route every row to its leaf and return the leaf values."""
-    n = X.shape[0]
-    cur = np.zeros(n, dtype=np.int64)
-    while True:
-        feat = tree.feature[cur]
-        internal = feat >= 0
-        if not internal.any():
-            break
-        idx = np.flatnonzero(internal)
-        f = feat[idx]
-        go_left = X[idx, f] < tree.threshold[cur[idx]]
-        cur[idx] = np.where(go_left, tree.left[cur[idx]], tree.right[cur[idx]])
-    return tree.value[cur]
+    return value_at

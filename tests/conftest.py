@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dupliq.embed import EmbeddingTable
+
+# Property tests replay the same examples on every run, so the suite stays
+# deterministic and its time bounded.
+settings.register_profile("dupliq", derandomize=True, max_examples=25, deadline=None, database=None)
+settings.load_profile("dupliq")
 
 
 @pytest.fixture

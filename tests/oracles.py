@@ -2,15 +2,20 @@
 
 Each oracle is deliberately the slow, obviously-correct formulation:
 full-matrix dynamic programming for subsequence length, exhaustive window
-scans, spanning-tree vertex enumeration for transport, and straight-line
-per-formula loops for distances and moments.  None of them share code with
-the library implementations they check.
+scans, spanning-tree vertex enumeration for transport, straight-line
+per-formula loops for distances and moments, and node-by-node,
+column-by-column tree growing and row-by-row routing.  None of them share
+code with the library implementations they check; the tree oracle only
+borrows the library's ``Tree`` container and its two tie constants.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
+
+import numpy as np
 
 
 def lcs_dp(s1: str, s2: str) -> int:
@@ -26,28 +31,26 @@ def lcs_dp(s1: str, s2: str) -> int:
     return table[m][n]
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def round_half_up(x) -> int:
+    """Round a float or an exact Fraction half up."""
+    return int(math.floor(x + Fraction(1, 2)))
+
+
+def indel_fraction_oracle(s1: str, s2: str) -> Fraction:
+    total = len(s1) + len(s2)
+    if total == 0:
+        return Fraction(1)
+    return Fraction(2 * lcs_dp(s1, s2), total)
 
 
 def indel_oracle(s1: str, s2: str) -> int:
-    total = len(s1) + len(s2)
-    if total == 0:
-        return 100
-    return round_half_up(100.0 * 2.0 * lcs_dp(s1, s2) / total)
+    return round_half_up(100 * indel_fraction_oracle(s1, s2))
 
 
-def indel_fraction_oracle(s1: str, s2: str) -> float:
-    total = len(s1) + len(s2)
-    if total == 0:
-        return 1.0
-    return 2.0 * lcs_dp(s1, s2) / total
-
-
-def partial_fraction_oracle(s1: str, s2: str) -> float:
+def partial_fraction_oracle(s1: str, s2: str) -> Fraction:
     a, b = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
     if not a:
-        return 1.0 if not b else 0.0
+        return Fraction(1 if not b else 0)
     return max(
         indel_fraction_oracle(a, b[i : i + len(a)])
         for i in range(len(b) - len(a) + 1)
@@ -55,7 +58,7 @@ def partial_fraction_oracle(s1: str, s2: str) -> float:
 
 
 def partial_oracle(s1: str, s2: str) -> int:
-    return round_half_up(100.0 * partial_fraction_oracle(s1, s2))
+    return round_half_up(100 * partial_fraction_oracle(s1, s2))
 
 
 def _normalize(text: str) -> str:
@@ -82,7 +85,7 @@ def token_set_oracle(s1: str, s2: str, partial: bool = False) -> int:
     t1 = (t0 + " " + " ".join(sorted(set1 - set2))).strip()
     t2 = (t0 + " " + " ".join(sorted(set2 - set1))).strip()
     frac = partial_fraction_oracle if partial else indel_fraction_oracle
-    return round_half_up(100.0 * max(frac(t0, t1), frac(t0, t2), frac(t1, t2)))
+    return round_half_up(100 * max(frac(t0, t1), frac(t0, t2), frac(t1, t2)))
 
 
 def transport_oracle(weights1, weights2, costs) -> float:
@@ -236,3 +239,141 @@ def best_stump_accuracy(x, y) -> float:
                 )
                 best = max(best, correct / n)
     return best
+
+
+def grow_tree_dense(
+    X,
+    a,
+    b,
+    counts,
+    score_fn,
+    leaf_value_fn,
+    max_depth,
+    min_samples_leaf,
+    max_features,
+    rng,
+    random_thresholds=False,
+    score_scale=1.0,
+    gain_penalty=0.0,
+    min_gain=None,
+    purity_fn=None,
+):
+    """Tree growing on a dense matrix, one node and one column at a time.
+
+    It follows the documented contract of the library builder, so both
+    give the same tree: level-order node numbering; a node is open when
+    above ``max_depth``, holding at least two rows with a positive count,
+    and not pure; per level, one column sample per open node, then one
+    random threshold per (open node, sampled column) whose values are not
+    all equal; candidates are midpoints between consecutive distinct
+    values (or one uniform draw), and the choice among candidates follows
+    the TIE_RTOL tie rule: lowest column, then lowest threshold, among
+    the gains within tolerance of the best.  Returns the tree only."""
+    from dupliq.learn._tree import MIN_GAIN, Tree
+
+    if min_gain is None:
+        min_gain = MIN_GAIN
+    X = np.asarray(X, dtype=np.float64)
+    n_features = X.shape[1]
+    min_leaf = max(min_samples_leaf, 1)
+    nodes = []  # per node: [feature, threshold, left, right, value, gain, count]
+    level = [np.flatnonzero(counts > 0)]
+    depth = 0
+    while level:
+        is_open = []
+        for rows in level:
+            ok = (max_depth is None or depth < max_depth) and len(rows) >= 2
+            if ok and purity_fn is not None:
+                ok = not purity_fn(a[rows].sum(), b[rows].sum())
+            is_open.append(ok)
+        columns = {}
+        for i, rows in enumerate(level):
+            if is_open[i]:
+                if max_features is not None and max_features < n_features:
+                    columns[i] = np.sort(rng.choice(n_features, size=max_features, replace=False))
+                else:
+                    columns[i] = np.arange(n_features)
+        base = len(nodes) + len(level)
+        next_level = []
+        for i, rows in enumerate(level):
+            split = None
+            if is_open[i]:
+                split = _oracle_best_split(
+                    X, rows, a, b, counts, columns[i], score_fn, min_leaf, rng,
+                    random_thresholds, score_scale, gain_penalty, min_gain,
+                )
+            count = int(counts[rows].sum())
+            if split is None:
+                nodes.append([-1, 0.0, -1, -1, float(leaf_value_fn(rows)), 0.0, count])
+                continue
+            feature, threshold, gain = split
+            left_id = base + len(next_level)
+            nodes.append([feature, threshold, left_id, left_id + 1, 0.0, gain, count])
+            mask = X[rows, feature] < threshold
+            next_level += [rows[mask], rows[~mask]]
+        level = next_level
+        depth += 1
+    f, t, left, right, v, g, c = (np.array(col) for col in zip(*nodes))
+    return Tree(
+        feature=f.astype(np.int64), threshold=t.astype(np.float64), left=left.astype(np.int64),
+        right=right.astype(np.int64), value=v.astype(np.float64), gain=g.astype(np.float64),
+        n_node=c.astype(np.int64),
+    )
+
+
+def _oracle_best_split(
+    X, rows, a, b, counts, columns, score_fn, min_leaf, rng,
+    random_thresholds, score_scale, gain_penalty, min_gain,
+):
+    from dupliq.learn._tree import TIE_RTOL
+
+    ra, rb, rc = a[rows], b[rows], counts[rows]
+    total_a, total_b, total_c = ra.sum(), rb.sum(), rc.sum()
+    parent_score = score_fn(total_a, total_b)
+    gains, features, thresholds = [], [], []  # in (feature, threshold) order
+    for f in columns:
+        v = X[rows, f]
+        if random_thresholds:
+            if not v.min() < v.max():
+                continue
+            t = rng.uniform(v.min(), v.max())
+            mask = v < t
+            la, lb, lc = ra[mask].sum(), rb[mask].sum(), rc[mask].sum()
+            t = np.array([t])
+        else:
+            order = np.argsort(v, kind="stable")
+            sv = v[order]
+            cut = np.flatnonzero(sv[:-1] < sv[1:])
+            la = np.cumsum(ra[order])[cut]
+            lb = np.cumsum(rb[order])[cut]
+            lc = np.cumsum(rc[order])[cut]
+            t = 0.5 * (sv[cut] + sv[cut + 1])
+        raw = score_fn(la, lb) + score_fn(total_a - la, total_b - lb) - parent_score
+        gain = np.where(
+            (lc >= min_leaf) & (total_c - lc >= min_leaf), score_scale * raw - gain_penalty, -np.inf
+        )
+        gains.append(np.atleast_1d(gain))
+        features.append(np.full(len(t), f))
+        thresholds.append(t)
+    if not gains:
+        return None
+    gains, features, thresholds = (np.concatenate(x) for x in (gains, features, thresholds))
+    ok = gains > min_gain
+    if not ok.any():
+        return None
+    best = gains[ok].max()
+    i = np.flatnonzero(ok & (gains >= best - TIE_RTOL * (abs(best) + abs(parent_score))))[0]
+    return int(features[i]), float(thresholds[i]), float(gains[i])
+
+
+def tree_apply_dense(tree, X):
+    """Route every row down one tree, one row at a time; leaf values."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0])
+    for r in range(X.shape[0]):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = X[r, tree.feature[node]] < tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[r] = tree.value[node]
+    return out

@@ -157,6 +157,28 @@ def test_knn_model_roundtrip(workspace):
     ]) == 0
 
 
+def test_corrupt_tree_model_exit_code_1(workspace, capsys):
+    tmp, tsv, glove = workspace
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "tree.json"
+    assert run([
+        "train", "--model", "decision_tree", "--features", features, "-o", model,
+        "--report", tmp / "t.json",
+    ]) == 0
+    doc = json.loads(model.read_text())
+    tree = doc["state"]["tree"]
+    assert tree["feature"][0] >= 0
+    # the root's left child points back at the root: routing would never end
+    tree["left"][0] = 0
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--features", features, "--report", tmp / "e.json"]) == 1
+    err = capsys.readouterr().err
+    assert "corrupt tree" in err
+    assert "Traceback" not in err
+
+
 def test_tfidf_pipeline(workspace):
     tmp, tsv, _ = workspace
     model = tmp / "tfidf.json"

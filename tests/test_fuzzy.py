@@ -145,3 +145,17 @@ def test_token_set_dominates_intersection_comparison():
         t1 = (t0 + " " + " ".join(sorted(set1 - set2))).strip()
         t2 = (t0 + " " + " ".join(sorted(set2 - set1))).strip()
         assert fuzzy.token_set_ratio(s1, s2) >= fuzzy.indel_ratio(t1, t2)
+
+
+def test_exact_half_rounds_up():
+    # sorted joins "about can fuse gecubu how i in mudubis suko with" and
+    # "about can hizoko how i suko vami" share 23 characters: 46 / 80 = 57.5
+    q1 = "How can I gecubu with suko in fuse about mudubis?"
+    q2 = "How can I hizoko suko about vami?"
+    assert fuzzy.token_sort_ratio(q1, q2) == 58
+    assert token_sort_oracle(q1, q2) == 58
+    # 23 common characters over 40 + 40 again, through the partial scan and
+    # the token-set maximum
+    s1, s2 = "a" * 23 + "b" * 17, "a" * 23 + "c" * 17
+    assert fuzzy.partial_ratio(s1, s2) == partial_oracle(s1, s2) == 58
+    assert fuzzy.token_set_ratio(s1, s2) == token_set_oracle(s1, s2) == 58

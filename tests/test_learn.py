@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from dupliq.learn import (
     train,
 )
 
-from oracles import best_stump_accuracy
+from dupliq.learn._tree import Tree, TreePack
+
+from oracles import best_stump_accuracy, tree_apply_dense
 
 
 def separable_data(n=60, seed=0):
@@ -239,6 +242,22 @@ def test_duplicated_column_gain_conserved_xgb():
     )
     assert w_dup["a1"] + w_dup["a2"] == pytest.approx(w_single["a"], abs=1e-9)
     assert w_dup["b"] == pytest.approx(w_single["b"], abs=1e-9)
+    # tied gains go to the lowest column, so the copy is never chosen
+    assert w_dup["a2"] == 0.0
+
+
+def test_duplicated_column_never_split_on():
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(120, 4))
+    y = (X[:, 0] + 0.5 * X[:, 2] + 0.3 * rng.normal(size=120) > 0).astype(int)
+    X_dup = np.column_stack([X, X[:, 0]])
+    for kind in ("decision_tree", "adaboost", "gbm", "xgb"):
+        hp = {} if kind == "decision_tree" else {"n_estimators": 20}
+        model = train(spec_for(kind, **hp), X_dup, y)
+        trees = getattr(model, "trees", None) or getattr(model, "stumps", None) or [model.tree]
+        assert all((t.feature != 4).all() for t in trees), kind
+        plain = train(spec_for(kind, **hp), X, y)
+        assert np.array_equal(plain.predict_proba(X), model.predict_proba(X_dup)), kind
 
 
 def test_native_weights_sum_to_one():
@@ -337,6 +356,65 @@ def test_save_load_roundtrip_tree_kinds(tmp_path):
         save_model(model, path)
         loaded = load_model(path)
         assert np.allclose(loaded.predict_proba(X), model.predict_proba(X)), kind
+
+
+def test_load_rejects_corrupt_trees(tmp_path):
+    X, y = separable_data(50, seed=14)
+    model = train(spec_for("decision_tree", max_depth=3, min_samples_leaf=1), X, y)
+    path = tmp_path / "tree.json"
+    save_model(model, path)
+    good = path.read_text()
+    internal = int(np.flatnonzero(model.tree.feature >= 0)[-1])
+
+    def corrupt(edit):
+        doc = json.loads(good)
+        edit(doc["state"]["tree"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="corrupt tree"):
+            load_model(path)
+
+    corrupt(lambda t: t["value"].pop())
+    corrupt(lambda t: t["feature"].__setitem__(0, 2))
+    corrupt(lambda t: t["feature"].__setitem__(0, -2))
+    corrupt(lambda t: t["right"].__setitem__(internal, internal))
+    corrupt(lambda t: t["left"].__setitem__(0, len(t["left"])))
+
+
+def test_preorder_numbered_tree_routes_the_same():
+    # node ids of a builder that numbered depth-first: 0 -> (1, 4), 1 -> (2, 3)
+    tree = Tree.from_dict(
+        {
+            "feature": [0, 1, -1, -1, -1],
+            "threshold": [0.5, 0.25, 0.0, 0.0, 0.0],
+            "left": [1, 2, -1, -1, -1],
+            "right": [4, 3, -1, -1, -1],
+            "value": [0.0, 0.0, 0.1, 0.2, 0.3],
+            "gain": [1.0, 0.5, 0.0, 0.0, 0.0],
+            "n_node": [4, 3, 1, 2, 1],
+        },
+        n_features=2,
+    )
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.2, 0.3]])
+    assert np.array_equal(TreePack([tree]).leaf_values(X)[:, 0], [0.1, 0.2, 0.3, 0.2])
+    assert np.array_equal(tree_apply_dense(tree, X), [0.1, 0.2, 0.3, 0.2])
+
+
+def test_packed_predict_matches_tree_by_tree():
+    X, y = separable_data(80, seed=15)
+    y = (np.sin(4 * X.sum(axis=1)) > 0).astype(int)
+    for kind in ("random_forest", "adaboost", "gbm", "xgb"):
+        model = train(spec_for(kind, n_estimators=15), X, y)
+        trees = getattr(model, "trees", None) or model.stumps
+        leaves = np.column_stack([tree_apply_dense(t, X) for t in trees])
+        if kind in ("gbm", "xgb"):
+            want = np.full(len(X), model.base_margin)
+            for t in range(len(trees)):
+                want += model.hyperparameters["learning_rate"] * leaves[:, t]
+            assert np.array_equal(model.decision_margin(X), want), kind
+        else:
+            assert np.array_equal(TreePack(trees).leaf_values(X), leaves), kind
+        one_by_one = [model.predict_proba(X[i : i + 1])[0] for i in range(len(X))]
+        assert np.array_equal(one_by_one, model.predict_proba(X)), kind
 
 
 def test_save_load_knn_reference(tmp_path):

@@ -3,21 +3,19 @@ import pytest
 import scipy.sparse as sp
 
 from dupliq.learn import ClassifierSpec, evaluate, train
-from dupliq.learn._sparse import SparseColumns, grow_tree_sparse, tree_apply_sparse
-from dupliq.learn._tree import (
-    gini_is_pure,
-    gini_score,
-    grow_tree_dense,
-    make_grad_score,
-    tree_apply_dense,
-)
+from dupliq.learn._sparse import SparseColumns, grow_tree_sparse
+from dupliq.learn._tree import TreePack, gini_is_pure, gini_score, make_grad_score
+
+from oracles import grow_tree_dense, tree_apply_dense
+
+
+def tree_apply(tree, X):
+    return TreePack([tree]).leaf_values(X)[:, 0]
 
 
 def sparse_dataset(n=120, d=15, density=0.3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.random((n, d)) * (rng.random((n, d)) < density)
-    # quantize so split gains are well separated across float summation orders
-    X = np.round(X * 8) / 8.0
     y = (X[:, 0] + X[:, 1] * 0.5 + 0.2 * rng.random(n) > 0.35).astype(np.int64)
     if len(np.unique(y)) < 2:
         y[:2] = [0, 1]
@@ -51,11 +49,12 @@ def grow_both(X, y, criterion, max_depth, min_samples_leaf=1, lam=1.0):
         max_depth=max_depth, min_samples_leaf=min_samples_leaf,
         max_features=None, rng=np.random.default_rng(0), **kwargs,
     )
-    sparse = grow_tree_sparse(
+    sparse, leaves = grow_tree_sparse(
         SparseColumns(sp.csr_matrix(X)), a=a, b=b, counts=counts,
         max_depth=max_depth, min_samples_leaf=min_samples_leaf,
         max_features=None, rng=np.random.default_rng(0), **kwargs,
     )
+    assert np.array_equal(leaves, tree_apply(sparse, X))
     return dense, sparse
 
 
@@ -65,20 +64,18 @@ def test_sparse_builder_matches_dense(criterion, depth):
     X, y = sparse_dataset()
     dense, sparse = grow_both(X, y, criterion, max_depth=depth)
     dense_pred = tree_apply_dense(dense, X)
-    sparse_pred = tree_apply_sparse(sparse, sp.csr_matrix(X))
-    assert np.allclose(dense_pred, sparse_pred, atol=1e-12)
-    # same number of leaves
-    assert (dense.feature < 0).sum() == (sparse.feature < 0).sum()
+    sparse_pred = tree_apply(sparse, sp.csr_matrix(X))
+    assert np.array_equal(dense_pred, sparse_pred)
+    assert dense.n_nodes == sparse.n_nodes
 
 
 def test_sparse_apply_matches_dense_apply():
     X, y = sparse_dataset(seed=5)
     dense, _ = grow_both(X, y, "gini", max_depth=5)
     X2, _ = sparse_dataset(seed=6)
-    assert np.allclose(
-        tree_apply_dense(dense, X2),
-        tree_apply_sparse(dense, sp.csr_matrix(X2)),
-    )
+    want = tree_apply_dense(dense, X2)
+    assert np.array_equal(want, tree_apply(dense, sp.csr_matrix(X2)))
+    assert np.array_equal(want, tree_apply(dense, X2))
 
 
 def test_sparse_rejects_negative_values():
@@ -116,7 +113,7 @@ def test_sparse_dense_same_predictions_decision_tree():
     spec = ClassifierSpec("decision_tree", {"max_depth": 6, "min_samples_leaf": 2})
     dense_model = train(spec, X, y)
     sparse_model = train(spec, sp.csr_matrix(X), y)
-    assert np.allclose(
+    assert np.array_equal(
         dense_model.predict_proba(X), sparse_model.predict_proba(sp.csr_matrix(X))
     )
 
@@ -127,10 +124,9 @@ def test_sparse_dense_same_predictions_boosters():
         spec = ClassifierSpec(kind, {"n_estimators": 12, "max_depth": 3})
         dense_model = train(spec, X, y)
         sparse_model = train(spec, sp.csr_matrix(X), y)
-        assert np.allclose(
+        assert np.array_equal(
             dense_model.predict_proba(X),
             sparse_model.predict_proba(sp.csr_matrix(X)),
-            atol=1e-9,
         ), kind
 
 
