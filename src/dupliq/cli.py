@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -98,10 +97,7 @@ def _describe_version() -> str:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("DUPLIQ_THREADS")
-    return int(env) if env else 1
+    return getattr(args, "threads", None) or 1
 
 
 def _json_ready(value):

@@ -1,8 +1,11 @@
 """Pre-trained word vectors and the embedding-based pair features.
 
 Covers loading GloVe text and word2vec binary files (gzip handled
-transparently for both), mean sentence vectors, the word-mover transport
-distance, seven vector distances, and component skewness/kurtosis.
+transparently for both), the per-question bag of in-vocabulary words
+(:func:`question_bag`, built once per question and shared by every
+embedding feature), the word-mover transport distance between two bags,
+seven distances between their mean vectors, and component
+skewness/kurtosis.
 
 Degenerate inputs are imputed so the downstream feature matrix stays
 finite: a transport distance with an empty side is ``WMD_EMPTY_SENTINEL``,
@@ -156,12 +159,6 @@ def load_word2vec_binary(
     return EmbeddingTable(dim=dim, vocab=vocab)
 
 
-@dataclass
-class SentenceVector:
-    values: np.ndarray
-    token_count: int
-
-
 def corpus_vocabulary(table) -> set[str]:
     """Token forms a pair table can look up: raw scrubbed and lowercased.
 
@@ -177,53 +174,44 @@ def corpus_vocabulary(table) -> set[str]:
     return words
 
 
-def embedding_tokens(text: str, table: EmbeddingTable) -> list[str]:
-    """Tokens of a question prepared for embedding features.
+@dataclass(frozen=True)
+class QuestionBag:
+    """Sorted distinct vocabulary keys of a question's tokens, their
+    normalized counts and word vectors, and the mean vector of its tokens
+    in token order (zeros when none is in the vocabulary)."""
+
+    words: list[str]
+    weights: np.ndarray
+    vectors: np.ndarray
+    mean: np.ndarray
+
+
+def question_bag(text: str, table: EmbeddingTable) -> QuestionBag:
+    """Bag of in-vocabulary words of one question.
 
     Punctuation is stripped with case preserved (the reference binary
-    vocabulary is cased), stop words are removed, and tokens missing from
-    the vocabulary are dropped.
+    vocabulary is cased) and stop words are removed.  A token resolves to
+    its exact vocabulary key, else to its lowercased form, else is dropped.
     """
-    tokens = remove_stopwords(tokenize(scrub_text(text)))
-    return [t for t in tokens if table.lookup(t) is not None]
-
-
-def sentence_vector(
-    tokens: list[str], table: EmbeddingTable, normalize_words: bool = False
-) -> SentenceVector:
-    """Mean of the word vectors of in-vocabulary tokens.
-
-    With ``normalize_words`` each word vector is L2-normalized before
-    averaging.  No in-vocabulary tokens gives the zero vector.
-    """
+    counts: dict[str, int] = {}
     found = []
-    for t in tokens:
-        vec = table.lookup(t)
+    for t in remove_stopwords(tokenize(scrub_text(text))):
+        key = t if t in table.vocab else t.lower()
+        vec = table.vocab.get(key)
         if vec is None:
             continue
-        if normalize_words:
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
+        counts[key] = counts.get(key, 0) + 1
         found.append(vec)
     if not found:
-        return SentenceVector(np.zeros(table.dim), 0)
-    return SentenceVector(np.mean(found, axis=0), len(found))
-
-
-def _bag_of_words(tokens: list[str], table: EmbeddingTable):
-    counts: dict[str, int] = {}
-    for t in tokens:
-        vec = table.lookup(t)
-        if vec is None:
-            continue
-        key = t if t in table.vocab else t.lower()
-        counts[key] = counts.get(key, 0) + 1
+        return QuestionBag([], np.zeros(0), np.zeros((0, table.dim)), np.zeros(table.dim))
     words = sorted(counts)
     weights = np.array([counts[w] for w in words], dtype=np.float64)
-    if words:
-        weights = weights / weights.sum()
-    return words, weights
+    return QuestionBag(
+        words=words,
+        weights=weights / weights.sum(),
+        vectors=np.stack([table.vocab[w] for w in words]),
+        mean=np.mean(found, axis=0),
+    )
 
 
 def solve_transport(
@@ -249,46 +237,31 @@ def solve_transport(
     return float(res.fun)
 
 
-def wmd(
-    tokens1: list[str],
-    tokens2: list[str],
-    table: EmbeddingTable,
-    normalize_words: bool = False,
-) -> float:
-    """Word-mover distance between two token lists.
+def wmd(bag1: QuestionBag, bag2: QuestionBag, normalize_words: bool = False) -> float:
+    """Word-mover distance between two question bags.
 
     Exact optimal transport between the bag-of-words distributions with
     euclidean ground costs between word vectors (unit-normalized first when
-    ``normalize_words`` is set).  Out-of-vocabulary tokens are dropped; an
-    empty side after filtering returns ``WMD_EMPTY_SENTINEL``.
+    ``normalize_words`` is set).  An empty side returns
+    ``WMD_EMPTY_SENTINEL``.
     """
-    words1, w1 = _bag_of_words(tokens1, table)
-    words2, w2 = _bag_of_words(tokens2, table)
-    if not words1 or not words2:
+    if not bag1.words or not bag2.words:
         return WMD_EMPTY_SENTINEL
-    if words1 == words2 and np.array_equal(w1, w2):
+    if bag1.words == bag2.words and np.array_equal(bag1.weights, bag2.weights):
         return 0.0
-    v1 = np.stack([table.vocab[w] for w in words1])
-    v2 = np.stack([table.vocab[w] for w in words2])
+    v1, v2 = bag1.vectors, bag2.vectors
     if normalize_words:
         v1 = v1 / np.maximum(np.linalg.norm(v1, axis=1, keepdims=True), 1e-300)
         v2 = v2 / np.maximum(np.linalg.norm(v2, axis=1, keepdims=True), 1e-300)
     diff = v1[:, None, :] - v2[None, :, :]
     costs = np.sqrt((diff * diff).sum(axis=2))
-    return solve_transport(w1, w2, costs)
-
-
-def _values(u) -> np.ndarray:
-    return u.values if isinstance(u, SentenceVector) else np.asarray(u, dtype=float)
+    return solve_transport(bag1.weights, bag2.weights, costs)
 
 
 def distance(u, v, metric: str) -> float:
-    """One of the seven component-wise vector distances.
-
-    Accepts SentenceVector or plain arrays of equal dimension.
-    """
-    x = _values(u)
-    y = _values(v)
+    """One of the seven component-wise distances of two equal-length vectors."""
+    x = np.asarray(u, dtype=float)
+    y = np.asarray(v, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if metric == "cosine":
@@ -335,7 +308,7 @@ def moments(u) -> Moments:
     Central-moment definitions: skew = m3 / m2^1.5, kurtosis = m4 / m2^2 - 3.
     A constant vector (m2 = 0) is imputed to (0, 0).
     """
-    x = _values(u)
+    x = np.asarray(u, dtype=float)
     if x.size < 2:
         raise ValueError("moments need at least 2 components")
     centered = x - x.mean()

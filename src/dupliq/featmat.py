@@ -3,7 +3,9 @@
 The canonical column order is fixed by ``FEATURE_NAMES`` and versioned via
 the CSV header; model files and golden tests depend on it.  The default
 drop list (``DEFAULT_DROP_LIST``) removes the eight lowest-importance
-columns, leaving the twenty retained by the reference study.
+columns, leaving the twenty retained by the reference study.  A row takes
+one embedding bag per question (``embed.question_bag``) and one fuzzy pass
+per pair (``fuzzy.fuzzy_features``).
 """
 
 from __future__ import annotations
@@ -86,17 +88,14 @@ class FeatureMatrix:
 
 
 def extract_row(pair: QuestionPair, table: EmbeddingTable) -> FeatureRow:
-    """Compute all 28 features for one cleaned question pair."""
+    """Compute all 28 features for one cleaned question pair: both transport
+    columns, the distances and the moments share one bag per question."""
     q1, q2 = pair.question1, pair.question2
     basic = textops.basic_features(q1, q2)
     fz = fuzzy.fuzzy_features(q1, q2)
-
-    tokens1 = embed.embedding_tokens(q1, table)
-    tokens2 = embed.embedding_tokens(q2, table)
-    wmd_plain = embed.wmd(tokens1, tokens2, table, normalize_words=False)
-    wmd_norm = embed.wmd(tokens1, tokens2, table, normalize_words=True)
-    u1 = embed.sentence_vector(tokens1, table)
-    u2 = embed.sentence_vector(tokens2, table)
+    bag1 = embed.question_bag(q1, table)
+    bag2 = embed.question_bag(q2, table)
+    u1, u2 = bag1.mean, bag2.mean
     mom1 = embed.moments(u1)
     mom2 = embed.moments(u2)
 
@@ -117,8 +116,8 @@ def extract_row(pair: QuestionPair, table: EmbeddingTable) -> FeatureRow:
             fz.token_sort_ratio,
             fz.partial_token_set_ratio,
             fz.partial_token_sort_ratio,
-            wmd_plain,
-            wmd_norm,
+            embed.wmd(bag1, bag2),
+            embed.wmd(bag1, bag2, normalize_words=True),
             embed.distance(u1, u2, "cosine"),
             embed.distance(u1, u2, "minkowski3"),
             embed.distance(u1, u2, "cityblock"),

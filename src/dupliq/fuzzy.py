@@ -82,41 +82,78 @@ def partial_ratio(s1: str, s2: str) -> int:
     return _indel_score(best, 2 * len(a))
 
 
-def _sorted_join(s: str) -> str:
-    return " ".join(sorted(tokenize(normalize_text(s))))
+def _sorted_join(tokens: list[str]) -> str:
+    return " ".join(sorted(tokens))
 
 
 def token_sort_ratio(s1: str, s2: str, partial: bool = False) -> int:
     """Score after normalizing, sorting tokens alphabetically and rejoining."""
-    t1 = _sorted_join(s1)
-    t2 = _sorted_join(s2)
+    t1 = _sorted_join(tokenize(normalize_text(s1)))
+    t2 = _sorted_join(tokenize(normalize_text(s2)))
     if partial:
         return partial_ratio(t1, t2)
     return indel_ratio(t1, t2)
+
+
+def _token_set_score(set1: set[str], set2: set[str], score) -> int:
+    if not set1 and not set2:
+        return 100
+    if not set1 or not set2:
+        return 0
+    t0 = " ".join(sorted(set1 & set2))
+    t1 = (t0 + " " + " ".join(sorted(set1 - set2))).strip()
+    t2 = (t0 + " " + " ".join(sorted(set2 - set1))).strip()
+    # rounding is monotone, so the rounded maximum is the maximum rounded
+    return max(score(t0, t1), score(t0, t2), score(t1, t2))
 
 
 def token_set_ratio(s1: str, s2: str, partial: bool = False) -> int:
     """Three-way comparison of sorted intersection and sorted remainders."""
     set1 = set(tokenize(normalize_text(s1)))
     set2 = set(tokenize(normalize_text(s2)))
-    if not set1 and not set2:
-        return 100
-    if not set1 or not set2:
-        return 0
-    inter = sorted(set1 & set2)
-    rest1 = sorted(set1 - set2)
-    rest2 = sorted(set2 - set1)
-    t0 = " ".join(inter)
-    t1 = (t0 + " " + " ".join(rest1)).strip()
-    t2 = (t0 + " " + " ".join(rest2)).strip()
-    # rounding is monotone, so the rounded maximum is the maximum rounded
-    score = partial_ratio if partial else indel_ratio
-    return max(score(t0, t1), score(t0, t2), score(t1, t2))
+    return _token_set_score(set1, set2, partial_ratio if partial else indel_ratio)
 
 
 def qratio(s1: str, s2: str) -> int:
     """Quick ratio: indel similarity of the normalized strings."""
     return indel_ratio(normalize_text(s1), normalize_text(s2))
+
+
+def _normalized_scores(n1: str, n2: str) -> dict[str, int]:
+    """The plain and the four token scores of two normalized strings, by
+    feature name (normalizing is idempotent)."""
+    tokens1, tokens2 = tokenize(n1), tokenize(n2)
+    sort1, sort2 = _sorted_join(tokens1), _sorted_join(tokens2)
+    set1, set2 = set(tokens1), set(tokens2)
+    return {
+        "qratio": indel_ratio(n1, n2),
+        "token_sort_ratio": indel_ratio(sort1, sort2),
+        "token_set_ratio": _token_set_score(set1, set2, indel_ratio),
+        "partial_token_sort_ratio": partial_ratio(sort1, sort2),
+        "partial_token_set_ratio": _token_set_score(set1, set2, partial_ratio),
+    }
+
+
+def _wratio(n1: str, n2: str, scores: dict[str, int]) -> int:
+    if not n1 or not n2:
+        return 100 if n1 == n2 else 0
+    base = float(scores["qratio"])
+    len_ratio = max(len(n1), len(n2)) / min(len(n1), len(n2))
+    if len_ratio < WRATIO_TRY_PARTIAL_RATIO:
+        best = max(
+            base,
+            WRATIO_UNBASE_SCALE * scores["token_sort_ratio"],
+            WRATIO_UNBASE_SCALE * scores["token_set_ratio"],
+        )
+    else:
+        ps = WRATIO_LONG_PARTIAL_SCALE if len_ratio > WRATIO_LONG_RATIO else WRATIO_PARTIAL_SCALE
+        best = max(
+            base,
+            ps * partial_ratio(n1, n2),
+            0.9 * ps * scores["partial_token_sort_ratio"],
+            0.9 * ps * scores["partial_token_set_ratio"],
+        )
+    return _round_score(best)
 
 
 def wratio(s1: str, s2: str) -> int:
@@ -129,31 +166,7 @@ def wratio(s1: str, s2: str) -> int:
     """
     n1 = normalize_text(s1)
     n2 = normalize_text(s2)
-    if not n1 and not n2:
-        return 100
-    if not n1 or not n2:
-        return 0
-    base = float(indel_ratio(n1, n2))
-    len_ratio = max(len(n1), len(n2)) / min(len(n1), len(n2))
-    if len_ratio < WRATIO_TRY_PARTIAL_RATIO:
-        best = max(
-            base,
-            WRATIO_UNBASE_SCALE * token_sort_ratio(n1, n2),
-            WRATIO_UNBASE_SCALE * token_set_ratio(n1, n2),
-        )
-    else:
-        ps = (
-            WRATIO_LONG_PARTIAL_SCALE
-            if len_ratio > WRATIO_LONG_RATIO
-            else WRATIO_PARTIAL_SCALE
-        )
-        best = max(
-            base,
-            ps * partial_ratio(n1, n2),
-            0.9 * ps * token_sort_ratio(n1, n2, partial=True),
-            0.9 * ps * token_set_ratio(n1, n2, partial=True),
-        )
-    return _round_score(best)
+    return _wratio(n1, n2, _normalized_scores(n1, n2))
 
 
 @dataclass(frozen=True)
@@ -168,13 +181,11 @@ class FuzzyFeatures:
 
 
 def fuzzy_features(q1: str, q2: str) -> FuzzyFeatures:
-    """The seven fuzzy-match scores for a question pair."""
+    """The seven fuzzy-match scores for a question pair, each computed once:
+    the weighted ratio reuses the plain and token scores."""
+    n1 = normalize_text(q1)
+    n2 = normalize_text(q2)
+    scores = _normalized_scores(n1, n2)
     return FuzzyFeatures(
-        qratio=qratio(q1, q2),
-        wratio=wratio(q1, q2),
-        partial_ratio=partial_ratio(q1, q2),
-        token_set_ratio=token_set_ratio(q1, q2),
-        token_sort_ratio=token_sort_ratio(q1, q2),
-        partial_token_set_ratio=token_set_ratio(q1, q2, partial=True),
-        partial_token_sort_ratio=token_sort_ratio(q1, q2, partial=True),
+        wratio=_wratio(n1, n2, scores), partial_ratio=partial_ratio(q1, q2), **scores
     )

@@ -186,18 +186,27 @@ def save_model(model, path: str | Path, train_data_path: str | None = None) -> N
 
 
 def load_model(path: str | Path):
+    """Rebuild a model saved by :func:`save_model`; a document that is not a
+    valid model raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+    if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format")
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: cannot load model: {detail}") from None
+
+
+def _model_from_doc(doc: dict):
     kind = doc["kind"]
     hp = doc["hyperparameters"]
     n_features = doc["n_features"]
     state = doc["state"]
     if kind == "knn":
         X, y = _load_training_features(state["train_data"])
-        model = KnnModel(hp, n_features, X, y)
-        return model
+        return KnnModel(hp, n_features, X, y)
     if kind == "decision_tree":
         return DecisionTreeModel(hp, n_features, Tree.from_dict(state["tree"], n_features))
     if kind in ("random_forest", "extra_trees"):

@@ -80,10 +80,13 @@ def _validate_training_input(X, y):
         raise ValueError("labels must be 0 or 1")
     if len(classes) < 2:
         raise ValueError("training labels contain a single class")
-    data = X.data if _is_sparse(X) else X
-    if not np.all(np.isfinite(data)):
-        raise ValueError("training features contain NaN or infinity")
+    _check_finite(X, "training")
     return y.astype(np.int64)
+
+
+def _check_finite(X, what: str) -> None:
+    if not np.all(np.isfinite(X.data if _is_sparse(X) else X)):
+        raise ValueError(f"{what} features contain NaN or infinity")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -102,11 +105,12 @@ class _BaseModel:
         self.hyperparameters = hyperparameters
         self.n_features = n_features
 
-    def _check_width(self, X):
+    def _check_input(self, X):
         if X.shape[1] != self.n_features:
             raise ValueError(
                 f"input has {X.shape[1]} features, model expects {self.n_features}"
             )
+        _check_finite(X, "input")
 
     def predict_proba(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -160,7 +164,7 @@ class KnnModel(_BaseModel):
         self.y = np.asarray(y, dtype=np.int64)
 
     def predict_proba(self, X) -> np.ndarray:
-        self._check_width(X)
+        self._check_input(X)
         k = min(self.k, len(self.y))
         out = np.empty(X.shape[0])
         # bound the dense distance block to ~2M floats
@@ -228,7 +232,7 @@ class DecisionTreeModel(_BaseModel):
         return cls(hp, X.shape[1], tree)
 
     def predict_proba(self, X) -> np.ndarray:
-        self._check_width(X)
+        self._check_input(X)
         return self._pack.leaf_values(X)[:, 0]
 
     def native_importance(self) -> np.ndarray:
@@ -286,7 +290,7 @@ class ForestModel(_BaseModel):
         return cls(kind, hp, n_features, trees)
 
     def predict_proba(self, X) -> np.ndarray:
-        self._check_width(X)
+        self._check_input(X)
         total = np.zeros(X.shape[0])
         for leaf in self._pack.leaf_values(X).T:
             total += leaf
@@ -360,7 +364,7 @@ class AdaBoostModel(_BaseModel):
         return cls(hp, X.shape[1], stumps, alphas)
 
     def predict_proba(self, X) -> np.ndarray:
-        self._check_width(X)
+        self._check_input(X)
         votes = np.zeros(X.shape[0])
         for leaf, alpha in zip(self._pack.leaf_values(X).T, self.alphas):
             votes += alpha * (leaf >= 0.5)
@@ -446,7 +450,7 @@ class BoostedTreesModel(_BaseModel):
         return cls(kind, hp, X.shape[1], base_margin, trees)
 
     def decision_margin(self, X, n_trees: int | None = None) -> np.ndarray:
-        self._check_width(X)
+        self._check_input(X)
         margin = np.full(X.shape[0], self.base_margin)
         lr = float(self.hyperparameters["learning_rate"])
         leaves = self._pack.leaf_values(X)

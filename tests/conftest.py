@@ -17,14 +17,15 @@ settings.load_profile("dupliq")
 
 @pytest.fixture
 def tiny_table() -> EmbeddingTable:
-    """Hand-built 2-d embedding table used across embedding tests."""
+    """Hand-built 2-d embedding table used across embedding tests; its
+    words are not stop words, so a question made of them keeps them all."""
     return EmbeddingTable(
         dim=2,
         vocab={
-            "a": np.array([3.0, 4.0]),
-            "b": np.array([1.0, 0.0]),
-            "c": np.array([0.0, 2.0]),
-            "d": np.array([-1.0, 1.0]),
+            "ant": np.array([3.0, 4.0]),
+            "bee": np.array([1.0, 0.0]),
+            "cat": np.array([0.0, 2.0]),
+            "dog": np.array([-1.0, 1.0]),
         },
     )
 

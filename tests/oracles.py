@@ -88,6 +88,30 @@ def token_set_oracle(s1: str, s2: str, partial: bool = False) -> int:
     return round_half_up(100 * max(frac(t0, t1), frac(t0, t2), frac(t1, t2)))
 
 
+def qratio_oracle(s1: str, s2: str) -> int:
+    return indel_oracle(_normalize(s1), _normalize(s2))
+
+
+def wratio_oracle(s1: str, s2: str) -> int:
+    """The weighted-ratio cascade spelled out over the oracle scores."""
+    n1, n2 = _normalize(s1), _normalize(s2)
+    if not n1 or not n2:
+        return 100 if n1 == n2 else 0
+    base = indel_oracle(n1, n2)
+    len_ratio = max(len(n1), len(n2)) / min(len(n1), len(n2))
+    if len_ratio < 1.5:
+        best = max(base, 0.95 * token_sort_oracle(n1, n2), 0.95 * token_set_oracle(n1, n2))
+    else:
+        scale = 0.6 if len_ratio > 8.0 else 0.9
+        best = max(
+            base,
+            scale * partial_oracle(n1, n2),
+            0.9 * scale * token_sort_oracle(n1, n2, partial=True),
+            0.9 * scale * token_set_oracle(n1, n2, partial=True),
+        )
+    return round_half_up(best)
+
+
 def transport_oracle(weights1, weights2, costs) -> float:
     """Minimum transport cost by enumerating basic feasible solutions.
 

@@ -179,6 +179,35 @@ def test_corrupt_tree_model_exit_code_1(workspace, capsys):
     assert "Traceback" not in err
 
 
+def test_malformed_model_and_nan_features_exit_code_1(workspace, capsys):
+    tmp, tsv, glove = workspace
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "tree.json"
+    assert run([
+        "train", "--model", "decision_tree", "--features", features, "-o", model,
+        "--report", tmp / "t.json",
+    ]) == 0
+    good = model.read_text()
+    # a cell of the feature file reads nan
+    lines = features.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "nan"
+    lines[1] = ",".join(cells)
+    (tmp / "nan.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--features", tmp / "nan.csv", "--report", tmp / "e.json"]) == 1
+    assert "NaN" in capsys.readouterr().err
+
+    doc = json.loads(good)
+    del doc["state"]["tree"]["gain"]
+    model.write_text(json.dumps(doc))
+    assert run(["eval", "--model", model, "--features", features, "--report", tmp / "e.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(model) in err and "gain" in err
+    assert "Traceback" not in err
+
+
 def test_tfidf_pipeline(workspace):
     tmp, tsv, _ = workspace
     model = tmp / "tfidf.json"
@@ -275,6 +304,16 @@ def test_reproduce_table7_runs_both_analyzers(workspace):
     ]) == 0
     doc = json.loads(report.read_text())
     assert set(doc["results"]["results"]) == {"word", "char"}
+
+
+def test_threads_come_from_the_flag_or_the_config_only(monkeypatch):
+    from dupliq.cli import _threads, build_parser
+
+    argv = ["featurize", "pairs.tsv", "-o", "features.csv"]
+    monkeypatch.setenv("DUPLIQ_THREADS", "2")  # no longer read
+    assert _threads(build_parser().parse_args(argv)) == 1
+    assert _threads(build_parser().parse_args(argv + ["--threads", "2"])) == 2
+    assert _threads(build_parser({"threads": 2}).parse_args(argv)) == 2
 
 
 def test_config_file_defaults_with_flag_override(workspace):

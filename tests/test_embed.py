@@ -11,8 +11,8 @@ from dupliq.embed import (
     load_glove_text,
     load_word2vec_binary,
     moments,
+    question_bag,
     read_word2vec_header,
-    sentence_vector,
     solve_transport,
     wmd,
 )
@@ -106,46 +106,63 @@ def test_word2vec_bad_header(tmp_path):
         load_word2vec_binary(path)
 
 
-# ------------------------------------------------------- sentence vectors
+# ---------------------------------------------------------- question bags
+
+def bag(words, table):
+    return question_bag(" ".join(words), table)
+
 
 def test_sentence_vector(tiny_table):
-    sv = sentence_vector(["a"], tiny_table)
-    assert np.allclose(sv.values, [3.0, 4.0])
-    assert sv.token_count == 1
+    b = question_bag("ant", tiny_table)
+    assert b.words == ["ant"]
+    assert b.weights.tolist() == [1.0]
+    assert np.allclose(b.mean, [3.0, 4.0])
 
-    sv_norm = sentence_vector(["a"], tiny_table, normalize_words=True)
-    assert np.allclose(sv_norm.values, [0.6, 0.8])
+    # stop words and punctuation go; repeats weigh in the bag and the mean
+    b = question_bag("The bee, an ant... and the ant?", tiny_table)
+    assert b.words == ["ant", "bee"]
+    assert np.allclose(b.weights, [2 / 3, 1 / 3])
+    assert np.array_equal(b.vectors, np.stack([tiny_table.vocab["ant"], tiny_table.vocab["bee"]]))
+    assert np.allclose(b.mean, (2 * np.array([3.0, 4.0]) + np.array([1.0, 0.0])) / 3)
 
-    sv_oov = sentence_vector(["zzz", "yyy"], tiny_table)
-    assert sv_oov.token_count == 0
-    assert np.all(sv_oov.values == 0.0)
+    oov = question_bag("zzz yyy", tiny_table)
+    assert oov.words == []
+    assert oov.vectors.shape == (0, 2)
+    assert oov.mean.shape == (2,) and np.all(oov.mean == 0.0)
 
 
-def test_sentence_vector_case_fallback(tiny_table):
-    sv = sentence_vector(["A"], tiny_table)
-    assert sv.token_count == 1
-    assert np.allclose(sv.values, [3.0, 4.0])
+def test_sentence_vector_case_fallback(tiny_table, word_table):
+    b = question_bag("ANT Ant", tiny_table)
+    assert b.words == ["ant"]
+    assert b.weights.tolist() == [1.0]
+    assert np.allclose(b.mean, [3.0, 4.0])
+    # an exact key wins over the lowercased one
+    assert question_bag("Python python", word_table).words == ["Python", "python"]
+    assert question_bag("PYTHON", word_table).words == ["python"]
 
 
 # ----------------------------------------------------------------- wmd
 
 def test_wmd_identical_and_single(tiny_table):
-    assert wmd(["a", "b"], ["b", "a"], tiny_table) == 0.0
-    d = wmd(["a"], ["b"], tiny_table)
+    assert wmd(bag(["ant", "bee"], tiny_table), bag(["bee", "ant"], tiny_table)) == 0.0
+    d = wmd(bag(["ant"], tiny_table), bag(["bee"], tiny_table))
     assert d == pytest.approx(np.linalg.norm([3.0 - 1.0, 4.0 - 0.0]), abs=1e-9)
 
 
 def test_wmd_empty_sentinel(tiny_table):
-    assert wmd([], ["a"], tiny_table) == embed.WMD_EMPTY_SENTINEL
-    assert wmd(["zzz"], ["a"], tiny_table) == embed.WMD_EMPTY_SENTINEL
+    ant = bag(["ant"], tiny_table)
+    assert wmd(bag([], tiny_table), ant) == embed.WMD_EMPTY_SENTINEL
+    assert wmd(bag(["zzz"], tiny_table), ant) == embed.WMD_EMPTY_SENTINEL
+    assert wmd(ant, question_bag("the of and", tiny_table)) == embed.WMD_EMPTY_SENTINEL
+    assert wmd(bag([], tiny_table), bag([], tiny_table), normalize_words=True) == embed.WMD_EMPTY_SENTINEL
 
 
 def test_wmd_2x2_matches_enumeration(tiny_table):
-    got = wmd(["a", "b"], ["c", "d"], tiny_table)
+    got = wmd(bag(["ant", "bee"], tiny_table), bag(["cat", "dog"], tiny_table))
     w = [0.5, 0.5]
     costs = [
-        [np.linalg.norm(tiny_table.vocab[u] - tiny_table.vocab[v]) for v in ("c", "d")]
-        for u in ("a", "b")
+        [np.linalg.norm(tiny_table.vocab[u] - tiny_table.vocab[v]) for v in ("cat", "dog")]
+        for u in ("ant", "bee")
     ]
     assert got == pytest.approx(transport_oracle(w, w, costs), abs=1e-9)
 
@@ -156,7 +173,7 @@ def test_wmd_matches_oracle_up_to_4_words(tiny_table):
     for _ in range(40):
         t1 = list(rng.choice(words, size=rng.integers(1, 5)))
         t2 = list(rng.choice(words, size=rng.integers(1, 5)))
-        got = wmd(t1, t2, tiny_table)
+        got = wmd(bag(t1, tiny_table), bag(t2, tiny_table))
         w1, f1 = np.unique(t1, return_counts=True)
         w2, f2 = np.unique(t2, return_counts=True)
         costs = [
@@ -171,23 +188,22 @@ def test_wmd_symmetry_and_norm_flag(tiny_table):
     rng = np.random.default_rng(9)
     words = list(tiny_table.vocab)
     for _ in range(20):
-        t1 = list(rng.choice(words, size=rng.integers(1, 4)))
-        t2 = list(rng.choice(words, size=rng.integers(1, 4)))
-        assert wmd(t1, t2, tiny_table) == pytest.approx(
-            wmd(t2, t1, tiny_table), abs=1e-9
-        )
-        assert wmd(t1, t2, tiny_table) >= 0.0
+        b1 = bag(rng.choice(words, size=rng.integers(1, 4)), tiny_table)
+        b2 = bag(rng.choice(words, size=rng.integers(1, 4)), tiny_table)
+        assert wmd(b1, b2) == pytest.approx(wmd(b2, b1), abs=1e-9)
+        assert wmd(b1, b2) >= 0.0
     # with unit-length word vectors the normalize flag changes nothing
     unit = EmbeddingTable(
         2, {w: v / np.linalg.norm(v) for w, v in tiny_table.vocab.items() if np.linalg.norm(v) > 0}
     )
     words_u = list(unit.vocab)
     for _ in range(10):
-        t1 = list(rng.choice(words_u, size=2))
-        t2 = list(rng.choice(words_u, size=2))
-        assert wmd(t1, t2, unit) == pytest.approx(
-            wmd(t1, t2, unit, normalize_words=True), abs=1e-9
-        )
+        b1 = bag(rng.choice(words_u, size=2), unit)
+        b2 = bag(rng.choice(words_u, size=2), unit)
+        assert wmd(b1, b2) == pytest.approx(wmd(b1, b2, normalize_words=True), abs=1e-9)
+    # on the raw table it rescales every word to unit length first
+    got = wmd(bag(["ant"], tiny_table), bag(["bee"], tiny_table), normalize_words=True)
+    assert got == pytest.approx(np.linalg.norm([0.6 - 1.0, 0.8 - 0.0]), abs=1e-9)
 
 
 def test_solve_transport_direct():

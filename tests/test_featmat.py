@@ -78,10 +78,9 @@ def test_extract_row_against_per_feature_oracle(word_table):
     fz = fuzzy.fuzzy_features(q1, q2)
     assert row["token_set_ratio"] == fz.token_set_ratio
 
-    t1 = embed.embedding_tokens(q1, word_table)
-    t2 = embed.embedding_tokens(q2, word_table)
-    u1 = embed.sentence_vector(t1, word_table).values
-    u2 = embed.sentence_vector(t2, word_table).values
+    bag1 = embed.question_bag(q1, word_table)
+    bag2 = embed.question_bag(q2, word_table)
+    u1, u2 = bag1.mean, bag2.mean
     for metric, oracle in DISTANCE_ORACLES.items():
         name = metric if metric != "minkowski" else "minkowski3"
         assert row[name] == pytest.approx(oracle(list(u1), list(u2)), rel=1e-12)
@@ -89,9 +88,9 @@ def test_extract_row_against_per_feature_oracle(word_table):
     assert row["skew_q1"] == pytest.approx(skew1, rel=1e-12)
     assert row["kurt_q1"] == pytest.approx(kurt1, rel=1e-12)
 
-    assert row["wmd"] == pytest.approx(
-        embed.wmd(t1, t2, word_table, normalize_words=False), abs=1e-12
-    )
+    assert row["wmd"] == embed.wmd(bag1, bag2)
+    assert row["norm_wmd"] == embed.wmd(bag1, bag2, normalize_words=True)
+    assert row["wratio"] == fuzzy.wratio(q1, q2)
 
 
 def test_extract_row_deterministic(word_table):

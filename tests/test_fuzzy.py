@@ -1,15 +1,19 @@
 import random
 import string
 
-import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dupliq import fuzzy
+from dupliq.textops import normalize_text
 
 from oracles import (
     indel_oracle,
     partial_oracle,
+    qratio_oracle,
     token_set_oracle,
     token_sort_oracle,
+    wratio_oracle,
 )
 
 
@@ -159,3 +163,56 @@ def test_exact_half_rounds_up():
     s1, s2 = "a" * 23 + "b" * 17, "a" * 23 + "c" * 17
     assert fuzzy.partial_ratio(s1, s2) == partial_oracle(s1, s2) == 58
     assert fuzzy.token_set_ratio(s1, s2) == token_set_oracle(s1, s2) == 58
+
+
+# Questions from a small pool of words, so tokens repeat, with case
+# variants and punctuation that normalizing must remove.
+_TOKENS = st.tuples(
+    st.sampled_from(["how", "How", "can", "I", "learn", "python", "PYTHON", "in", "a", "zz", "e"]),
+    st.sampled_from(["", "", "?", ",", "'s", "..."]),
+).map("".join)
+
+
+def _question(min_size, max_size):
+    return st.lists(_TOKENS, min_size=min_size, max_size=max_size).map(" ".join)
+
+
+def _length_ratio(q1, q2):
+    n1, n2 = normalize_text(q1), normalize_text(q2)
+    return max(len(n1), len(n2)) / max(1, min(len(n1), len(n2)))
+
+
+def _assert_features_match_oracles(q1, q2):
+    got = vars(fuzzy.fuzzy_features(q1, q2))
+    one_by_one = {
+        "qratio": fuzzy.qratio(q1, q2),
+        "wratio": fuzzy.wratio(q1, q2),
+        "partial_ratio": fuzzy.partial_ratio(q1, q2),
+        "token_set_ratio": fuzzy.token_set_ratio(q1, q2),
+        "token_sort_ratio": fuzzy.token_sort_ratio(q1, q2),
+        "partial_token_set_ratio": fuzzy.token_set_ratio(q1, q2, partial=True),
+        "partial_token_sort_ratio": fuzzy.token_sort_ratio(q1, q2, partial=True),
+    }
+    oracle = {
+        "qratio": qratio_oracle(q1, q2),
+        "wratio": wratio_oracle(q1, q2),
+        "partial_ratio": partial_oracle(q1, q2),
+        "token_set_ratio": token_set_oracle(q1, q2),
+        "token_sort_ratio": token_sort_oracle(q1, q2),
+        "partial_token_set_ratio": token_set_oracle(q1, q2, partial=True),
+        "partial_token_sort_ratio": token_sort_oracle(q1, q2, partial=True),
+    }
+    assert got == one_by_one == oracle, (q1, q2)
+
+
+@given(_question(0, 6), _question(1, 6))
+def test_fuzzy_features_match_oracles(q1, q2):
+    _assert_features_match_oracles(q1, q2)
+
+
+@given(_question(1, 2), _question(4, 10))
+def test_fuzzy_features_match_oracles_long_against_short(short, long):
+    # the partial branch of the weighted ratio, 0.9 and 0.6 scales alike
+    assume(_length_ratio(short, long) >= fuzzy.WRATIO_TRY_PARTIAL_RATIO)
+    _assert_features_match_oracles(short, long)
+    _assert_features_match_oracles(long, short)

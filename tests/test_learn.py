@@ -380,6 +380,46 @@ def test_load_rejects_corrupt_trees(tmp_path):
     corrupt(lambda t: t["left"].__setitem__(0, len(t["left"])))
 
 
+def test_load_rejects_malformed_documents(tmp_path):
+    X, y = separable_data(30, seed=15)
+    model = train(spec_for("decision_tree", max_depth=2), X, y)
+    path = tmp_path / "tree.json"
+    save_model(model, path)
+    good = path.read_text()
+
+    def malformed(edit, match):
+        doc = json.loads(good)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    malformed(lambda d: d["state"]["tree"].pop("gain"), "gain")
+    malformed(lambda d: d.pop("n_features"), "n_features")
+    malformed(lambda d: d.update(state=[]), "malformed")
+    malformed(lambda d: d["state"]["tree"].update(value={"a": 1}), "cannot load model")
+    malformed(lambda d: d["state"]["tree"]["value"].pop(), "corrupt tree")
+    path.write_text(json.dumps([json.loads(good)]))
+    with pytest.raises(ValueError, match="unsupported model format"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_predict_rejects_nan_and_inf(kind):
+    X, y = separable_data(40, seed=16)
+    Xs = sp.csr_matrix(np.abs(X))
+    for train_X in (X, Xs):
+        model = train(spec_for(kind), train_X, y)
+        for bad_value in (np.nan, np.inf, -np.inf):
+            bad = np.abs(X[:3]).copy()
+            bad[1, 0] = bad_value
+            for given in (bad, sp.csr_matrix(bad)):
+                with pytest.raises(ValueError, match="NaN or infinity"):
+                    model.predict_proba(given)
+        assert model.predict_proba(train_X[:3]).shape == (3,)
+
+
 def test_preorder_numbered_tree_routes_the_same():
     # node ids of a builder that numbered depth-first: 0 -> (1, 4), 1 -> (2, 3)
     tree = Tree.from_dict(
