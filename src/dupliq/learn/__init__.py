@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..corpus import stratified_indices
 from ._models import (
@@ -112,21 +113,17 @@ def feature_importance(
 
 
 def _permutation_importance(model, X, y, n_repeats, seed) -> np.ndarray:
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(seed)
     baseline = float(np.mean(model.predict(X) == y))
-    n_features = X.shape[1]
-    sparse = sp.issparse(X)
+    n_rows, n_features = X.shape
+    if sp.issparse(X):
+        X = sp.csc_matrix(X)
     drops = np.zeros(n_features)
     for f in range(n_features):
         for _ in range(n_repeats):
-            perm = rng.permutation(X.shape[0])
-            if sparse:
-                shuffled = sp.lil_matrix(X.tocsr(), copy=True)
-                col = X.tocsc()[:, f].toarray().ravel()
-                shuffled[:, f] = col[perm][:, None]
-                shuffled = shuffled.tocsr()
+            perm = rng.permutation(n_rows)
+            if sp.issparse(X):
+                shuffled = _permute_sparse_column(X, f, perm)
             else:
                 shuffled = np.array(X, copy=True)
                 shuffled[:, f] = shuffled[perm, f]
@@ -135,6 +132,20 @@ def _permutation_importance(model, X, y, n_repeats, seed) -> np.ndarray:
     drops = np.maximum(drops / n_repeats, 0.0)
     total = drops.sum()
     return drops / total if total > 0 else drops
+
+
+def _permute_sparse_column(X, f: int, perm: np.ndarray):
+    """CSR copy of the CSC matrix X whose row r of column f holds
+    ``X[perm[r], f]``: the column's entries move to the inverse-permuted
+    rows, and every other entry stays where it is.  The column's row
+    indices need no re-sorting, since the conversion to CSR emits each
+    row's entries in column order."""
+    lo, hi = X.indptr[f], X.indptr[f + 1]
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm))
+    indices = X.indices.copy()
+    indices[lo:hi] = inverse[indices[lo:hi]]
+    return sp.csc_matrix((X.data, indices, X.indptr), shape=X.shape).tocsr()
 
 
 def grid_search(

@@ -7,6 +7,7 @@ model's training-data reference.
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,19 @@ def save_sparse_features(path: str | Path, X, labels) -> None:
 
 
 def load_sparse_features(path: str | Path) -> tuple[sp.csr_matrix, np.ndarray]:
-    with np.load(path) as blob:
-        X = sp.csr_matrix(
-            (blob["data"], blob["indices"], blob["indptr"]),
-            shape=tuple(blob["shape"]),
-        )
-        labels = blob["labels"]
+    """Read a file written by :func:`save_sparse_features`; one that is not
+    such an archive (truncated, an array missing, CSR arrays that disagree
+    with each other or with the labels) raises ValueError naming the file."""
+    try:
+        with np.load(path) as blob:
+            X = sp.csr_matrix(
+                (blob["data"], blob["indices"], blob["indptr"]),
+                shape=tuple(blob["shape"]),
+            )
+            labels = blob["labels"]
+        X.check_format(full_check=True)
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a readable sparse feature file: {exc}") from None
+    if labels.shape != (X.shape[0],):
+        raise ValueError(f"{path}: {labels.size} labels for {X.shape[0]} rows")
     return X, labels

@@ -232,6 +232,40 @@ def test_tfidf_pipeline(workspace):
     assert acc >= 0.8
 
 
+def test_truncated_sparse_file_exit_code_1(workspace, capsys):
+    tmp, tsv, _ = workspace
+    model = tmp / "tfidf.json"
+    vectors = tmp / "vectors.npz"
+    run(["tfidf-fit", tsv, "--analyzer", "word", "-o", model, "--report", tmp / "tf.json"])
+    run(["tfidf-featurize", tsv, "--model", model, "-o", vectors, "--report", tmp / "tv.json"])
+    blob = vectors.read_bytes()
+    cut = tmp / "cut.npz"
+    cut.write_bytes(blob[: len(blob) // 2])
+    capsys.readouterr()
+    assert run([
+        "train", "--model", "knn", "--sparse", cut, "-o", tmp / "knn-cut.json",
+        "--report", tmp / "t.json",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert str(cut) in err
+    assert "Traceback" not in err
+
+    # a knn model re-reads its training file on load
+    knn = tmp / "knn.json"
+    assert run([
+        "train", "--model", "knn", "--sparse", vectors, "-o", knn, "--report", tmp / "t.json",
+    ]) == 0
+    (tmp / "input.npz").write_bytes(blob)
+    vectors.write_bytes(blob[: len(blob) // 2])
+    capsys.readouterr()
+    assert run([
+        "eval", "--model", knn, "--sparse", tmp / "input.npz", "--report", tmp / "e.json",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert str(vectors) in err
+    assert "Traceback" not in err
+
+
 def test_grid_command(workspace):
     tmp = workspace[0]
     # xor-patterned features: a stump cannot win, a deeper tree can

@@ -1,8 +1,11 @@
 import gzip
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dupliq import embed
 from dupliq.embed import (
@@ -18,6 +21,9 @@ from dupliq.embed import (
 )
 
 from oracles import DISTANCE_ORACLES, moments_oracle, transport_oracle
+
+# The spanning-tree transport oracle enumerates C(m*n, m+n-1) bases.
+ORACLE_MAX_CELLS = 12
 
 
 # ---------------------------------------------------------------- loaders
@@ -149,6 +155,11 @@ def test_wmd_identical_and_single(tiny_table):
     assert d == pytest.approx(np.linalg.norm([3.0 - 1.0, 4.0 - 0.0]), abs=1e-9)
 
 
+def test_wmd_equal_proportions_skip_the_solver(tiny_table, monkeypatch):
+    monkeypatch.setattr(embed, "solve_transport", lambda *a: pytest.fail("solver called"))
+    assert wmd(bag(["ant", "bee"], tiny_table), bag(["bee", "ant", "ant", "bee"], tiny_table)) == 0.0
+
+
 def test_wmd_empty_sentinel(tiny_table):
     ant = bag(["ant"], tiny_table)
     assert wmd(bag([], tiny_table), ant) == embed.WMD_EMPTY_SENTINEL
@@ -209,8 +220,82 @@ def test_wmd_symmetry_and_norm_flag(tiny_table):
 def test_solve_transport_direct():
     # moving half the mass a unit distance costs half a unit
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = solve_transport(np.array([1.0, 0.0]), np.array([0.5, 0.5]), cost)
+    got = solve_transport(np.array([2, 0]), np.array([1, 1]), cost)
     assert got == pytest.approx(0.5, abs=1e-12)
+
+
+def test_solve_transport_rejects_bad_masses():
+    cost = np.ones((2, 2))
+    for c1, c2 in (([0, 0], [1, 1]), ([1, 1], [0, 0]), ([2, -1], [1, 1])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_transport(np.array(c1), np.array(c2), cost)
+    # proportions are not counts: truncating them would give a wrong value
+    with pytest.raises(ValueError, match="integer"):
+        solve_transport(np.array([0.6, 1.4]), np.array([1, 1]), cost)
+
+
+@st.composite
+def transport_problems(draw, max_count=6, min_words=1):
+    """Integer masses with positive totals (zero entries allowed) and
+    nonnegative costs on at most ORACLE_MAX_CELLS cells."""
+    m = draw(st.integers(min_words, 4))
+    n = draw(st.integers(min_words, ORACLE_MAX_CELLS // m))
+    side = lambda k: st.lists(st.integers(0, max_count), min_size=k, max_size=k).filter(any)
+    c1 = np.array(draw(side(m)), dtype=np.int64)
+    c2 = np.array(draw(side(n)), dtype=np.int64)
+    cells = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    costs = np.array(draw(st.lists(cells, min_size=m * n, max_size=m * n))).reshape(m, n)
+    return c1, c2, costs
+
+
+def _oracle(c1, c2, costs):
+    return transport_oracle(c1 / c1.sum(), c2 / c2.sum(), costs.tolist())
+
+
+@given(transport_problems())
+def test_solve_transport_matches_oracle(problem):
+    c1, c2, costs = problem
+    want = _oracle(c1, c2, costs)
+    assert solve_transport(c1, c2, costs) == pytest.approx(want, rel=1e-9, abs=1e-9)
+    if len(c1) == 1:
+        assert want == pytest.approx(costs[0] @ (c2 / c2.sum()), rel=1e-9, abs=1e-9)
+
+
+@given(transport_problems(max_count=3, min_words=2))
+def test_solve_transport_linear_program_branch(problem):
+    # the token totals are coprime, so lcm(N1, N2) = N1 * N2 exceeds the cap;
+    # small counts keep N1 * N2 in the low thousands
+    c1, c2, costs = problem
+    c1[0] += embed.ASSIGNMENT_MAX_TOKENS
+    while np.gcd(c1.sum(), c2.sum()) != 1:
+        c2[-1] += 1
+    assert math.lcm(int(c1.sum()), int(c2.sum())) > embed.ASSIGNMENT_MAX_TOKENS
+    want = _oracle(c1, c2, costs)
+    assert solve_transport(c1, c2, costs) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_solve_transport_branches(monkeypatch):
+    # each size runs the solver its docstring names
+    calls = []
+    monkeypatch.setattr(embed, "_transport_lp", lambda *a: calls.append("lp") or 0.0)
+    monkeypatch.setattr(
+        embed, "linear_sum_assignment", lambda a: calls.append("assign") or ([0], [0])
+    )
+    cost = np.ones((2, 2))
+    solve_transport(np.array([1, 1]), np.array([1, 2]), cost)
+    solve_transport(np.array([1, 128]), np.array([1, 2]), cost)
+    assert calls == ["assign", "lp"]
+
+
+QUESTION_WORDS = st.lists(st.sampled_from(["ant", "bee", "cat", "dog", "zzz"]), max_size=6)
+
+
+# the fixture is read, never changed, so sharing it across examples is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(QUESTION_WORDS, QUESTION_WORDS, st.booleans())
+def test_wmd_symmetric(tiny_table, words1, words2, normalize):
+    b1, b2 = bag(words1, tiny_table), bag(words2, tiny_table)
+    assert wmd(b1, b2, normalize) == pytest.approx(wmd(b2, b1, normalize), rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------------------- distances

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from dupliq.learn import (
     KINDS,
     ClassifierSpec,
+    _permute_sparse_column,
     compute_metrics,
     evaluate,
     feature_importance,
@@ -226,6 +227,27 @@ def test_noise_feature_permutation_near_zero():
     weights = dict(report.ranked)
     assert weights["signal"] > 0.5
     assert weights["noise"] < 0.15
+
+
+def test_sparse_permutation_importance_equals_dense():
+    rng = np.random.default_rng(6)
+    X = sp.random(40, 7, density=0.35, format="csr", random_state=6)
+    y = (X[:, 0].toarray().ravel() + X[:, 3].toarray().ravel() > 0.4).astype(np.int64)
+    model = train(spec_for("knn", k=3), X, y)
+    dense = feature_importance(model, X.toarray(), y, n_repeats=4, seed=2)
+    sparse = feature_importance(model, X, y, n_repeats=4, seed=2)
+    assert sparse.ranked == dense.ranked
+    assert sparse.ranked[0][1] > 0.0
+
+    # the permuted column lands in the inverse-permuted rows, the rest stays
+    Xc = X.tocsc()
+    for f in range(X.shape[1]):
+        perm = rng.permutation(X.shape[0])
+        want = X.toarray()
+        want[:, f] = want[perm, f]
+        got = _permute_sparse_column(Xc, f, perm)
+        assert got.format == "csr" and got.has_sorted_indices
+        assert np.array_equal(got.toarray(), want)
 
 
 def test_duplicated_column_gain_conserved_xgb():

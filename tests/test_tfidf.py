@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dupliq.sparse_io import load_sparse_features, save_sparse_features
 from dupliq.tfidf import (
     SparseVec,
     analyze,
@@ -157,3 +159,35 @@ def test_model_roundtrip(tmp_path):
     assert loaded.ngram_range == model.ngram_range
     text = "the dog sat"
     assert transform(loaded, text).entries == transform(model, text).entries
+
+
+def test_sparse_features_roundtrip_and_corrupt_files(tmp_path):
+    X = sp.random(6, 5, density=0.4, format="csr", random_state=3)
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    path = tmp_path / "x.npz"
+    save_sparse_features(path, X, labels)
+    got, got_labels = load_sparse_features(path)
+    assert (got != X).nnz == 0
+    assert got_labels.tolist() == labels.tolist()
+
+    arrays = {
+        "data": X.data, "indices": X.indices, "indptr": X.indptr,
+        "shape": np.array(X.shape), "labels": labels,
+    }
+    bad_indices = X.indices.copy()
+    bad_indices[0] = 5
+    broken = {
+        "cut.npz": None,
+        "missing.npz": {k: v for k, v in arrays.items() if k != "indptr"},
+        "column.npz": {**arrays, "indices": bad_indices},
+        "indptr.npz": {**arrays, "indptr": X.indptr[:-2]},
+        "labels.npz": {**arrays, "labels": labels[:-1]},
+    }
+    for name, blob in broken.items():
+        bad = tmp_path / name
+        if blob is None:
+            bad.write_bytes(path.read_bytes()[:-20])
+        else:
+            np.savez(bad, **blob)
+        with pytest.raises(ValueError, match=name):
+            load_sparse_features(bad)
