@@ -265,11 +265,18 @@ def cmd_tfidf_fit(args):
     return 0
 
 
+def _pair_vectors(model, table):
+    return tfidf.pair_vectors(
+        model, [r.question1 for r in table], [r.question2 for r in table]
+    )
+
+
 def cmd_tfidf_featurize(args):
     table = corpus.load_pairs(args.tsv)
     model = tfidf.load_model(args.model)
-    vectors = [tfidf.pair_vector(model, r.question1, r.question2) for r in table]
-    X = tfidf.stack(vectors)
+    if not len(table):
+        raise CliError(f"{args.tsv}: no pairs to vectorize")
+    X = _pair_vectors(model, table)
     sparse_io.save_sparse_features(args.output, X, table.labels)
     print(f"wrote {X.shape[0]} x {X.shape[1]} sparse pair vectors")
     _write_report(
@@ -375,8 +382,10 @@ def _toy_embedding(dim: int, vocab_size: int, seed: int):
     return EmbeddingTable(dim=dim, vocab=vocab), index
 
 
-def _build_net(args):
-    from .neural import build_architecture, build_vocab, embedding_matrix_from_table
+def _build_net(args, vocab_index=None):
+    """The architecture of ``args``; without ``--toy`` its frozen branches
+    hold the embedding rows of ``vocab_index``'s words."""
+    from .neural import build_architecture
 
     if args.toy:
         vocab_size = args.vocab_size or 31
@@ -391,16 +400,12 @@ def _build_net(args):
         )
     if args.vocab_size is None:
         raise CliError("--vocab-size is required without --toy")
-    embedding = None
-    index = None
-    if args.arch >= 2:
-        embedding = _load_embeddings(args)
-        index = {}
+    embedding = _load_embeddings(args) if args.arch >= 2 else None
     return build_architecture(
         args.arch,
         args.vocab_size,
         embedding=embedding,
-        vocab_index=index,
+        vocab_index=vocab_index,
         seed=args.seed,
     )
 
@@ -437,23 +442,26 @@ def cmd_nn_train(args):
         train_network,
     )
 
-    net = _build_net(args)
     if args.toy:
+        net = _build_net(args)
         x1, x2, y = make_toy_pairs(
             args.samples, vocab_size=net.vocab_size, seq_len=net.seq_len, seed=args.seed
         )
     else:
         if not args.pairs:
             raise CliError("pass --pairs TSV or use --toy")
+        if args.vocab_size is None:
+            raise CliError("--vocab-size is required without --toy")
         table = corpus.load_pairs(args.pairs)
         rows = table.rows[: args.samples]
         vocab = build_vocab(
             [r.question1 for r in rows] + [r.question2 for r in rows]
         )
-        if len(vocab) + 1 > net.vocab_size:
+        if len(vocab) + 1 > args.vocab_size:
             raise CliError(
-                f"--vocab-size {net.vocab_size} too small for {len(vocab)} tokens"
+                f"--vocab-size {args.vocab_size} too small for {len(vocab)} tokens"
             )
+        net = _build_net(args, vocab)
         x1 = encode([r.question1 for r in rows], vocab, net.seq_len)
         x2 = encode([r.question2 for r in rows], vocab, net.seq_len)
         y = np.array([r.is_duplicate for r in rows])
@@ -562,12 +570,8 @@ def cmd_reproduce(args):
                 ngram_range=ngram_range,
                 max_features=args.max_features,
             )
-            X_train = tfidf.stack(
-                [tfidf.pair_vector(model, r.question1, r.question2) for r in train_t]
-            )
-            X_test = tfidf.stack(
-                [tfidf.pair_vector(model, r.question1, r.question2) for r in test_t]
-            )
+            X_train = _pair_vectors(model, train_t)
+            X_test = _pair_vectors(model, test_t)
             rows = _run_kinds(kinds, X_train, train_t.labels, X_test, test_t.labels, args.seed)
             print(f"\n{analyzer}-level tf-idf")
             print(_metrics_table(rows, REFERENCE_RESULTS["table7"][analyzer]))

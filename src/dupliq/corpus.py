@@ -9,7 +9,6 @@ may contain tabs and newlines).
 from __future__ import annotations
 
 import csv
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,15 +116,6 @@ def save_pairs(table: PairTable, path: str | Path) -> None:
             writer.writerow(
                 [r.row_id, r.qid1, r.qid2, r.question1, r.question2, r.is_duplicate]
             )
-
-
-def pairs_from_text(text: str) -> PairTable:
-    """Parse TSV content from a string (test and fixture convenience)."""
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter="\t", quotechar='"')
-    header = next(reader)
-    if header != EXPECTED_HEADER:
-        raise ValueError(f"unexpected header {header!r}")
-    return PairTable(tuple(_parse_row(row, reader.line_num) for row in reader))
 
 
 def clean(table: PairTable) -> PairTable:

@@ -114,12 +114,6 @@ def load_glove_text(path: str | Path, vocab_filter: set[str] | None = None) -> E
     return EmbeddingTable(dim=dim, vocab=vocab)
 
 
-def read_word2vec_header(path: str | Path) -> tuple[int, int]:
-    """Read just the (vocab_size, dim) header of a word2vec binary file."""
-    with _open_maybe_gzip(path, "rb") as fh:
-        return _parse_w2v_header(fh, path)
-
-
 def _parse_w2v_header(fh, path) -> tuple[int, int]:
     header = b""
     while not header.endswith(b"\n"):

@@ -86,15 +86,6 @@ def _sorted_join(tokens: list[str]) -> str:
     return " ".join(sorted(tokens))
 
 
-def token_sort_ratio(s1: str, s2: str, partial: bool = False) -> int:
-    """Score after normalizing, sorting tokens alphabetically and rejoining."""
-    t1 = _sorted_join(tokenize(normalize_text(s1)))
-    t2 = _sorted_join(tokenize(normalize_text(s2)))
-    if partial:
-        return partial_ratio(t1, t2)
-    return indel_ratio(t1, t2)
-
-
 def _token_set_score(set1: set[str], set2: set[str], score) -> int:
     if not set1 and not set2:
         return 100
@@ -107,21 +98,9 @@ def _token_set_score(set1: set[str], set2: set[str], score) -> int:
     return max(score(t0, t1), score(t0, t2), score(t1, t2))
 
 
-def token_set_ratio(s1: str, s2: str, partial: bool = False) -> int:
-    """Three-way comparison of sorted intersection and sorted remainders."""
-    set1 = set(tokenize(normalize_text(s1)))
-    set2 = set(tokenize(normalize_text(s2)))
-    return _token_set_score(set1, set2, partial_ratio if partial else indel_ratio)
-
-
-def qratio(s1: str, s2: str) -> int:
-    """Quick ratio: indel similarity of the normalized strings."""
-    return indel_ratio(normalize_text(s1), normalize_text(s2))
-
-
 def _normalized_scores(n1: str, n2: str) -> dict[str, int]:
     """The plain and the four token scores of two normalized strings, by
-    feature name (normalizing is idempotent)."""
+    feature name."""
     tokens1, tokens2 = tokenize(n1), tokenize(n2)
     sort1, sort2 = _sorted_join(tokens1), _sorted_join(tokens2)
     set1, set2 = set(tokens1), set(tokens2)
@@ -135,6 +114,14 @@ def _normalized_scores(n1: str, n2: str) -> dict[str, int]:
 
 
 def _wratio(n1: str, n2: str, scores: dict[str, int]) -> int:
+    """Weighted ratio of two normalized strings: the best of several scaled
+    scores.
+
+    When the length ratio is below 1.5 the cascade compares the plain ratio
+    against 0.95-scaled token sort/set ratios; otherwise it brings in the
+    partial variants, scaled by 0.9 (0.6 when one string is more than 8x the
+    other) and an extra 0.9 for the token forms.
+    """
     if not n1 or not n2:
         return 100 if n1 == n2 else 0
     base = float(scores["qratio"])
@@ -154,19 +141,6 @@ def _wratio(n1: str, n2: str, scores: dict[str, int]) -> int:
             0.9 * ps * scores["partial_token_set_ratio"],
         )
     return _round_score(best)
-
-
-def wratio(s1: str, s2: str) -> int:
-    """Weighted ratio: the best of several scaled scores.
-
-    On normalized strings: when the length ratio is below 1.5 the cascade
-    compares the plain ratio against 0.95-scaled token sort/set ratios;
-    otherwise it brings in the partial variants, scaled by 0.9 (0.6 when one
-    string is more than 8x the other) and an extra 0.9 for the token forms.
-    """
-    n1 = normalize_text(s1)
-    n2 = normalize_text(s2)
-    return _wratio(n1, n2, _normalized_scores(n1, n2))
 
 
 @dataclass(frozen=True)

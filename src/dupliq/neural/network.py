@@ -184,6 +184,7 @@ def build_architecture(
         branch_inputs.append(which)
 
     if arch >= 2:
+        # one frozen matrix shared by every pre-trained branch
         frozen = embedding_matrix_from_table(vocab_index or {}, embedding, vocab_size)
         for which in (0, 1):
             name = f"branch{len(branches)}"
@@ -206,7 +207,6 @@ def build_architecture(
             branch_inputs.append(which)
 
     if arch == 4:
-        frozen = embedding_matrix_from_table(vocab_index or {}, embedding, vocab_size)
         filters = dims["conv_filters"]
         kernel = dims["conv_kernel"]
         for which in (0, 1):

@@ -1,10 +1,17 @@
-"""Word- and character-level TF-IDF vectorization and pair vectors.
+"""Word- and character-level TF-IDF vectorization and pair matrices.
 
 Terms are word n-grams over normalized text (word analyzer) or raw
 lowercased character n-grams including spaces (char analyzer).  Document
 frequency is counted once per document, idf(t) = ln((1+N)/(1+df(t))) + 1,
 and transformed vectors are L2-normalized raw counts times idf.  The
 vocabulary cap keeps the highest-df terms, ties broken lexicographically.
+
+:func:`transform` turns a list of texts into one CSR matrix in a single
+pass: the column ids of every known term go into one array, CSR's
+duplicate summing counts them, and the weights and row norms are applied
+to the data array in place.  :func:`pair_vectors` transforms the two
+questions of each pair as adjacent rows and reads the pair matrix off the
+same arrays, the second question's columns shifted by the vocabulary size.
 
 A fitted model is expected to be trained on the deduplicated union of the
 training split's question texts; that preparation is the caller's job
@@ -23,22 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 
 FORMAT_VERSION = 1
-
-
-@dataclass
-class SparseVec:
-    dim: int
-    indices: np.ndarray  # strictly increasing int positions
-    values: np.ndarray  # nonzero floats aligned with indices
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.indices, self.values)]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
 
 
 @dataclass
@@ -122,49 +113,57 @@ def fit(
     )
 
 
-def transform(model: TfidfModel, text: str) -> SparseVec:
-    """Text to an L2-normalized tf-idf vector; unknown terms are ignored."""
-    counts: Counter = Counter(analyze(text, model.analyzer, model.ngram_range))
-    indices = []
-    values = []
-    for term, count in counts.items():
-        col = model.vocabulary.get(term)
-        if col is not None:
-            indices.append(col)
-            values.append(count * model.idf[col])
-    if not indices:
-        return SparseVec(model.dim, np.empty(0, dtype=np.int64), np.empty(0))
-    order = np.argsort(indices)
-    idx = np.asarray(indices, dtype=np.int64)[order]
-    val = np.asarray(values, dtype=np.float64)[order]
-    val /= np.linalg.norm(val)
-    return SparseVec(model.dim, idx, val)
+def transform(model: TfidfModel, texts: list[str]) -> sp.csr_matrix:
+    """Texts to the rows of an L2-normalized tf-idf matrix, in one pass.
+
+    Each text is analyzed once; unknown terms are ignored, and a text with
+    no known term gives an empty row.
+    """
+    vocabulary = model.vocabulary
+    cols: list[int] = []
+    indptr = [0]
+    for text in texts:
+        for term in analyze(text, model.analyzer, model.ngram_range):
+            col = vocabulary.get(term)
+            if col is not None:
+                cols.append(col)
+        indptr.append(len(cols))
+    X = sp.csr_matrix(
+        (np.ones(len(cols)), np.asarray(cols, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(texts), model.dim),
+    )
+    X.sum_duplicates()  # sorts each row's columns and sums the term counts
+    X.data *= model.idf[X.indices]
+    # np.linalg.norm of each row slice, as for a row on its own: a vectorized
+    # sum of squares (np.add.reduceat) can round the norm differently
+    for start, end in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist()):
+        if end > start:
+            X.data[start:end] /= np.linalg.norm(X.data[start:end])
+    return X
 
 
-def pair_vector(model: TfidfModel, q1: str, q2: str) -> SparseVec:
-    """Concatenate the two question vectors into one of width 2 * dim."""
-    v1 = transform(model, q1)
-    v2 = transform(model, q2)
-    return SparseVec(
-        dim=2 * model.dim,
-        indices=np.concatenate([v1.indices, v2.indices + model.dim]),
-        values=np.concatenate([v1.values, v2.values]),
+def pair_vectors(model: TfidfModel, q1s: list[str], q2s: list[str]) -> sp.csr_matrix:
+    """Row i is the vector of ``q1s[i]`` followed by that of ``q2s[i]``
+    shifted by ``dim``: a matrix of width 2 * dim for the classifiers."""
+    if len(q1s) != len(q2s):
+        raise ValueError(f"{len(q1s)} first questions against {len(q2s)} second ones")
+    X = transform(model, [q for pair in zip(q1s, q2s) for q in pair])
+    # rows 2i and 2i+1 hold pair i's halves, already adjacent in the arrays
+    second = np.repeat(np.arange(X.shape[0]) % 2, np.diff(X.indptr))
+    return sp.csr_matrix(
+        (X.data, X.indices + model.dim * second, X.indptr[::2]),
+        shape=(len(q1s), 2 * model.dim),
     )
 
 
-def stack(vectors: list[SparseVec]) -> sp.csr_matrix:
-    """Stack sparse vectors into a CSR matrix for the classifiers."""
-    if not vectors:
-        raise ValueError("no vectors to stack")
-    dim = vectors[0].dim
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        if v.dim != dim:
-            raise ValueError("inconsistent vector widths")
-        indptr[i + 1] = indptr[i] + len(v.indices)
-    indices = np.concatenate([v.indices for v in vectors]) if vectors else []
-    data = np.concatenate([v.values for v in vectors]) if vectors else []
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
+def pair_vector(model: TfidfModel, q1: str, q2: str) -> sp.csr_matrix:
+    """One pair as a one-row matrix (``pair_vectors`` of one pair)."""
+    return pair_vectors(model, [q1], [q2])
+
+
+def stack(rows: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """Stack one-row pair matrices into one CSR matrix."""
+    return sp.vstack(rows, format="csr")
 
 
 def save_model(model: TfidfModel, path: str | Path) -> None:

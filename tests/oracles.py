@@ -3,7 +3,7 @@
 Each oracle is deliberately the slow, obviously-correct formulation:
 full-matrix dynamic programming for subsequence length, exhaustive window
 scans, spanning-tree vertex enumeration for transport, straight-line
-per-formula loops for distances and moments, and node-by-node,
+per-formula loops for distances, moments and TF-IDF vectors, and node-by-node,
 column-by-column tree growing and row-by-row routing.  None of them share
 code with the library implementations they check; the tree oracle only
 borrows the library's ``Tree`` container and its two tie constants.
@@ -110,6 +110,40 @@ def wratio_oracle(s1: str, s2: str) -> int:
             0.9 * scale * token_set_oracle(n1, n2, partial=True),
         )
     return round_half_up(best)
+
+
+def fuzzy_features_oracle(s1: str, s2: str) -> dict[str, int]:
+    """The seven fuzzy feature scores of a pair by name, each by its oracle."""
+    return {
+        "qratio": qratio_oracle(s1, s2),
+        "wratio": wratio_oracle(s1, s2),
+        "partial_ratio": partial_oracle(s1, s2),
+        "token_set_ratio": token_set_oracle(s1, s2),
+        "token_sort_ratio": token_sort_oracle(s1, s2),
+        "partial_token_set_ratio": token_set_oracle(s1, s2, partial=True),
+        "partial_token_sort_ratio": token_sort_oracle(s1, s2, partial=True),
+    }
+
+
+def tfidf_oracle(text: str, analyzer: str, ngram_range, vocabulary, idf) -> dict[int, float]:
+    """One text's TF-IDF vector as ``{column: weight}``, straight-line.
+
+    Terms are word n-grams of the normalized tokens or character n-grams of
+    the lowercased text; each in-vocabulary term's count is multiplied by
+    its idf and the vector divided by its L2 norm (``math.fsum``).
+    """
+    lo, hi = ngram_range
+    units = _normalize(text).split() if analyzer == "word" else list(text.lower())
+    sep = " " if analyzer == "word" else ""
+    counts: dict[int, int] = {}
+    for n in range(lo, hi + 1):
+        for i in range(len(units) - n + 1):
+            col = vocabulary.get(sep.join(units[i : i + n]))
+            if col is not None:
+                counts[col] = counts.get(col, 0) + 1
+    raw = {col: count * float(idf[col]) for col, count in counts.items()}
+    norm = math.sqrt(math.fsum(v * v for v in raw.values()))
+    return {col: v / norm for col, v in raw.items()}
 
 
 def transport_oracle(weights1, weights2, costs) -> float:

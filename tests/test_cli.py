@@ -312,6 +312,48 @@ def test_nn_commands(workspace):
     assert worst <= 1e-4
 
 
+def test_nn_train_frozen_rows_hold_glove_vectors(workspace):
+    from dupliq.embed import load_glove_text
+    from dupliq.neural import build_vocab
+
+    tmp, tsv, glove = workspace
+    samples = 4
+    assert run([
+        "nn-train", "--arch", "2", "--pairs", tsv, "--glove", glove,
+        "--vocab-size", len(WORDS) + 1, "--samples", samples, "--epochs", "1",
+        "--batch-size", samples, "-o", tmp / "arch2", "--report", tmp / "tr.json",
+    ]) == 0
+    with open(tsv, newline="") as fh:
+        rows = list(csv.reader(fh, delimiter="\t"))[1 : samples + 1]
+    vocab = build_vocab([r[3] for r in rows] + [r[4] for r in rows])
+    vectors = load_glove_text(glove).vocab
+    manifest = json.loads((tmp / "arch2.json").read_text())
+    blob = np.fromfile(tmp / "arch2.bin", dtype="<f8")
+    offset, frozen = 0, 0
+    for param in manifest["params"]:
+        size = int(np.prod(param["shape"]))
+        if param["name"].endswith(".embedding.w") and not param["trainable"]:
+            frozen += 1
+            w = blob[offset : offset + size].reshape(param["shape"])
+            assert not w[0].any()  # the padding row
+            for word, i in vocab.items():
+                assert np.array_equal(w[i], vectors[word]), (param["name"], word)
+        offset += size
+    assert frozen == 2
+
+
+def test_tfidf_featurize_without_pairs_exit_code_1(workspace, capsys):
+    tmp, tsv, _ = workspace
+    model = tmp / "tfidf.json"
+    empty = tmp / "empty.tsv"
+    empty.write_text(tsv.read_text().splitlines(keepends=True)[0])
+    assert run(["tfidf-fit", tsv, "-o", model, "--report", tmp / "tf.json"]) == 0
+    capsys.readouterr()
+    assert run(["tfidf-featurize", empty, "--model", model, "-o", tmp / "v.npz"]) == 1
+    err = capsys.readouterr().err
+    assert str(empty) in err and "Traceback" not in err
+
+
 def test_reproduce_table5_subset_and_determinism(workspace):
     tmp, tsv, glove = workspace
     r1 = tmp / "rep1.json"

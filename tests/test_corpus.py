@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dupliq.corpus import (
     PairTable,
@@ -8,7 +10,6 @@ from dupliq.corpus import (
     clean,
     corpus_stats,
     load_pairs,
-    pairs_from_text,
     save_pairs,
     stratified_split,
 )
@@ -154,8 +155,29 @@ def test_split_errors():
         stratified_split(table, 1.0, seed=0)
 
 
-def test_pairs_from_text_matches_load(tmp_path):
-    text = HEADER + "0\t1\t2\tabc def\tghi jkl\t0\n"
-    path = tmp_path / "t.tsv"
-    path.write_text(text)
-    assert pairs_from_text(text).rows == load_pairs(path).rows
+# Question text with the characters the TSV quoting must carry: quotes,
+# tabs, both newline conventions and code points outside the BMP.
+_FIELD = st.lists(
+    st.one_of(
+        st.sampled_from(['"', '""', "\t", "\n", "\r\n", "\r", " ", "\U0001f600", "\U00020000"]),
+        st.text(max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+_PAIR = st.builds(
+    QuestionPair,
+    st.integers(0, 10**9),
+    st.integers(0, 10**9),
+    st.integers(0, 10**9),
+    _FIELD,
+    _FIELD,
+    st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_PAIR, max_size=5))
+def test_save_load_pairs_roundtrip_property(tmp_path, rows):
+    path = tmp_path / "round.tsv"
+    save_pairs(PairTable(tuple(rows)), path)
+    assert load_pairs(path).rows == tuple(rows)

@@ -15,7 +15,6 @@ from dupliq.embed import (
     load_word2vec_binary,
     moments,
     question_bag,
-    read_word2vec_header,
     solve_transport,
     wmd,
 )
@@ -92,8 +91,9 @@ def test_word2vec_gzip_and_header(tmp_path):
     vecs = [("a", [1.0, 2.0])]
     path = tmp_path / "vectors.bin.gz"
     path.write_bytes(gzip.compress(_w2v_bytes(vecs, dim=2)))
-    assert read_word2vec_header(path) == (1, 2)
-    assert load_word2vec_binary(path).dim == 2
+    table = load_word2vec_binary(path)
+    assert (len(table.vocab), table.dim) == (1, 2)
+    assert np.array_equal(table.vocab["a"], [1.0, 2.0])
 
 
 def test_word2vec_truncated(tmp_path):

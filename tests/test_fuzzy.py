@@ -8,9 +8,9 @@ from dupliq import fuzzy
 from dupliq.textops import normalize_text
 
 from oracles import (
+    fuzzy_features_oracle,
     indel_oracle,
     partial_oracle,
-    qratio_oracle,
     token_set_oracle,
     token_sort_oracle,
     wratio_oracle,
@@ -33,33 +33,42 @@ def test_partial_examples():
 
 
 def test_token_sort_examples():
-    assert fuzzy.token_sort_ratio("world hello", "hello world") == 100
+    assert fuzzy.fuzzy_features("world hello", "hello world").token_sort_ratio == 100
     # oracle value: sorted joins are "a b" vs "a b c", LCS 3 over lengths 3+5
-    assert fuzzy.token_sort_ratio("a b", "b a c") == 75
-    assert fuzzy.token_sort_ratio("", "") == 100
+    assert fuzzy.fuzzy_features("a b", "b a c").token_sort_ratio == 75
+    assert fuzzy.fuzzy_features("", "").token_sort_ratio == 100
 
 
 def test_token_set_examples():
-    assert fuzzy.token_set_ratio("new york is big", "big new york") == 100
+    assert fuzzy.fuzzy_features("new york is big", "big new york").token_set_ratio == 100
     for s in ["", "abc", "a b c", "What is AI?"]:
-        assert fuzzy.token_set_ratio(s, s) == 100
-    assert fuzzy.token_set_ratio("a", "b") == 0
+        assert fuzzy.fuzzy_features(s, s).token_set_ratio == 100
+    assert fuzzy.fuzzy_features("a", "b").token_set_ratio == 0
+    # one side without tokens: the token scores are total mismatches
+    feats = fuzzy.fuzzy_features("?!", "a b")
+    assert (feats.token_set_ratio, feats.partial_token_set_ratio) == (0, 0)
+    assert (feats.token_sort_ratio, feats.partial_token_sort_ratio) == (0, 0)
 
 
 def test_wratio_examples():
-    assert fuzzy.wratio("abc", "abc") == 100
-    assert fuzzy.wratio("a", "") == 0
+    assert fuzzy.fuzzy_features("abc", "abc").wratio == 100
+    assert fuzzy.fuzzy_features("a", "").wratio == 0
+    # normalizing empties both sides: a perfect match
+    assert fuzzy.fuzzy_features("?", "!!").wratio == 100
     long_pair = ("what is ai", "what is ai really really really long tail")
     # long branch of the cascade: partial ratio is scaled by 0.9
-    expected = fuzzy.indel_ratio("what is ai", "what is ai really really really long tail")
+    feats = fuzzy.fuzzy_features(*long_pair)
     ps = 0.9
     cascade = max(
-        expected,
+        fuzzy.indel_ratio(*long_pair),
         ps * fuzzy.partial_ratio(*long_pair),
-        0.9 * ps * fuzzy.token_sort_ratio(*long_pair, partial=True),
-        0.9 * ps * fuzzy.token_set_ratio(*long_pair, partial=True),
+        0.9 * ps * feats.partial_token_sort_ratio,
+        0.9 * ps * feats.partial_token_set_ratio,
     )
-    assert fuzzy.wratio(*long_pair) == round(cascade)
+    assert feats.wratio == round(cascade) == wratio_oracle(*long_pair)
+    # more than 8x longer: the 0.6 scale
+    very_long = ("ai", "what is ai really really really long tail")
+    assert fuzzy.fuzzy_features(*very_long).wratio == wratio_oracle(*very_long)
 
 
 def test_fuzzy_features_identical_and_disjoint():
@@ -111,13 +120,11 @@ def test_partial_matches_window_oracle():
 
 def test_token_ratios_match_oracle():
     for s1, s2 in _random_pairs(1500, 12, seed=4):
-        for partial in (False, True):
-            assert fuzzy.token_sort_ratio(s1, s2, partial) == token_sort_oracle(
-                s1, s2, partial
-            ), (s1, s2, partial)
-            assert fuzzy.token_set_ratio(s1, s2, partial) == token_set_oracle(
-                s1, s2, partial
-            ), (s1, s2, partial)
+        feats = fuzzy.fuzzy_features(s1, s2)
+        assert feats.token_sort_ratio == token_sort_oracle(s1, s2), (s1, s2)
+        assert feats.partial_token_sort_ratio == token_sort_oracle(s1, s2, True), (s1, s2)
+        assert feats.token_set_ratio == token_set_oracle(s1, s2), (s1, s2)
+        assert feats.partial_token_set_ratio == token_set_oracle(s1, s2, True), (s1, s2)
 
 
 def test_scores_in_range_and_symmetric():
@@ -148,7 +155,7 @@ def test_token_set_dominates_intersection_comparison():
         t0 = " ".join(sorted(set1 & set2))
         t1 = (t0 + " " + " ".join(sorted(set1 - set2))).strip()
         t2 = (t0 + " " + " ".join(sorted(set2 - set1))).strip()
-        assert fuzzy.token_set_ratio(s1, s2) >= fuzzy.indel_ratio(t1, t2)
+        assert fuzzy.fuzzy_features(s1, s2).token_set_ratio >= fuzzy.indel_ratio(t1, t2)
 
 
 def test_exact_half_rounds_up():
@@ -156,13 +163,15 @@ def test_exact_half_rounds_up():
     # "about can hizoko how i suko vami" share 23 characters: 46 / 80 = 57.5
     q1 = "How can I gecubu with suko in fuse about mudubis?"
     q2 = "How can I hizoko suko about vami?"
-    assert fuzzy.token_sort_ratio(q1, q2) == 58
+    assert fuzzy.fuzzy_features(q1, q2).token_sort_ratio == 58
     assert token_sort_oracle(q1, q2) == 58
     # 23 common characters over 40 + 40 again, through the partial scan and
     # the token-set maximum
     s1, s2 = "a" * 23 + "b" * 17, "a" * 23 + "c" * 17
     assert fuzzy.partial_ratio(s1, s2) == partial_oracle(s1, s2) == 58
-    assert fuzzy.token_set_ratio(s1, s2) == token_set_oracle(s1, s2) == 58
+    feats = fuzzy.fuzzy_features(s1, s2)
+    assert feats.partial_ratio == feats.qratio == 58
+    assert feats.token_set_ratio == token_set_oracle(s1, s2) == 58
 
 
 # Questions from a small pool of words, so tokens repeat, with case
@@ -183,26 +192,7 @@ def _length_ratio(q1, q2):
 
 
 def _assert_features_match_oracles(q1, q2):
-    got = vars(fuzzy.fuzzy_features(q1, q2))
-    one_by_one = {
-        "qratio": fuzzy.qratio(q1, q2),
-        "wratio": fuzzy.wratio(q1, q2),
-        "partial_ratio": fuzzy.partial_ratio(q1, q2),
-        "token_set_ratio": fuzzy.token_set_ratio(q1, q2),
-        "token_sort_ratio": fuzzy.token_sort_ratio(q1, q2),
-        "partial_token_set_ratio": fuzzy.token_set_ratio(q1, q2, partial=True),
-        "partial_token_sort_ratio": fuzzy.token_sort_ratio(q1, q2, partial=True),
-    }
-    oracle = {
-        "qratio": qratio_oracle(q1, q2),
-        "wratio": wratio_oracle(q1, q2),
-        "partial_ratio": partial_oracle(q1, q2),
-        "token_set_ratio": token_set_oracle(q1, q2),
-        "token_sort_ratio": token_sort_oracle(q1, q2),
-        "partial_token_set_ratio": token_set_oracle(q1, q2, partial=True),
-        "partial_token_sort_ratio": token_sort_oracle(q1, q2, partial=True),
-    }
-    assert got == one_by_one == oracle, (q1, q2)
+    assert vars(fuzzy.fuzzy_features(q1, q2)) == fuzzy_features_oracle(q1, q2), (q1, q2)
 
 
 @given(_question(0, 6), _question(1, 6))

@@ -3,19 +3,35 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dupliq.sparse_io import load_sparse_features, save_sparse_features
 from dupliq.tfidf import (
-    SparseVec,
     analyze,
     fit,
     fit_corpus,
     load_model,
     pair_vector,
+    pair_vectors,
     save_model,
     stack,
     transform,
 )
+
+from oracles import tfidf_oracle
+
+
+def row_entries(X, i):
+    """Row i of a CSR matrix as (column, value) pairs in stored order."""
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return [(int(j), float(v)) for j, v in zip(X.indices[lo:hi], X.data[lo:hi])]
+
+
+def assert_csr_equal(a, b):
+    assert a.shape == b.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
 
 
 def test_analyze_word_and_char():
@@ -60,56 +76,77 @@ def test_identical_documents_idf_one():
     assert np.allclose(model.idf, 1.0)
 
 
+def test_fit_corpus_dedupes_preserving_order():
+    q1 = ["what is x", "how to y", "what is x"]
+    q2 = ["how to y", "what is z", "what is z"]
+    assert fit_corpus(q1, q2) == ["what is x", "how to y", "what is z"]
+
+
 def test_transform_single_term_unit():
     model = fit(["cat", "dog"], analyzer="word", ngram_range=(1, 1), max_features=None)
-    vec = transform(model, "cat")
-    assert vec.entries == [(model.vocabulary["cat"], 1.0)]
+    X = transform(model, ["cat"])
+    assert X.shape == (1, model.dim)
+    assert row_entries(X, 0) == [(model.vocabulary["cat"], 1.0)]
 
 
 def test_transform_unknown_text():
     model = fit(["cat"], analyzer="word", ngram_range=(1, 1), max_features=None)
-    vec = transform(model, "elephant zebra")
-    assert len(vec.indices) == 0
+    X = transform(model, ["elephant zebra", "", "cat"])
+    assert X.shape == (3, model.dim)
+    assert X.indptr.tolist() == [0, 0, 0, 1]
+    assert transform(model, []).shape == (0, model.dim)
 
 
 def test_transform_hand_values():
     model = fit(["a b", "b c"], analyzer="word", ngram_range=(1, 1), max_features=None)
-    vec = transform(model, "b c")
     idf_b = model.idf[model.vocabulary["b"]]
     idf_c = model.idf[model.vocabulary["c"]]
     norm = math.hypot(idf_b, idf_c)
-    dense = vec.to_dense()
+    dense = transform(model, ["b c"]).toarray()[0]
     assert dense[model.vocabulary["b"]] == pytest.approx(idf_b / norm, rel=1e-12)
+    assert dense[model.vocabulary["c"]] == pytest.approx(idf_c / norm, rel=1e-12)
+    # a repeated term counts twice: "b c b" weighs b by 2 * idf
+    dense = transform(model, ["b c b"]).toarray()[0]
+    norm = math.hypot(2 * idf_b, idf_c)
+    assert dense[model.vocabulary["b"]] == pytest.approx(2 * idf_b / norm, rel=1e-12)
     assert dense[model.vocabulary["c"]] == pytest.approx(idf_c / norm, rel=1e-12)
 
 
 def test_transform_l2_normalized():
     corpus = ["the cat sat", "a dog ran fast", "cat and dog play"]
     model = fit(corpus, analyzer="char", ngram_range=(1, 3), max_features=None)
-    for text in corpus + ["cats dogs playing"]:
-        vec = transform(model, text)
-        if len(vec.values):
-            assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(vec.indices) > 0)
-        assert np.all(vec.values != 0)
+    X = transform(model, corpus + ["cats dogs playing", "", "xyz"])
+    for i in range(X.shape[0]):
+        values = X.data[X.indptr[i] : X.indptr[i + 1]]
+        if len(values):
+            assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(X.indices[X.indptr[i] : X.indptr[i + 1]]) > 0)
+    assert np.all(X.data != 0)
 
 
 def test_pair_vector_layout():
     model = fit(["cat", "dog"], analyzer="word", ngram_range=(1, 1), max_features=None)
-    v = pair_vector(model, "cat", "cat")
     i = model.vocabulary["cat"]
-    assert v.dim == 2 * model.dim
-    assert v.entries == [(i, 1.0), (i + model.dim, 1.0)]
+    v = pair_vector(model, "cat", "cat")
+    assert v.shape == (1, 2 * model.dim)
+    assert row_entries(v, 0) == [(i, 1.0), (i + model.dim, 1.0)]
 
-    upper = pair_vector(model, "zebra", "dog")
-    assert all(idx >= model.dim for idx in upper.indices)
+    X = pair_vectors(model, ["zebra", "cat", "dog"], ["dog", "dog", "cat"])
+    assert X.shape == (3, 2 * model.dim)
+    assert all(j >= model.dim for j, _ in row_entries(X, 0))
 
-    ab = pair_vector(model, "cat", "dog")
-    ba = pair_vector(model, "dog", "cat")
     swapped = sorted(
-        [(i - model.dim if i >= model.dim else i + model.dim, v) for i, v in ba.entries]
+        (j - model.dim if j >= model.dim else j + model.dim, v) for j, v in row_entries(X, 2)
     )
-    assert swapped == ab.entries
+    assert swapped == row_entries(X, 1)
+
+
+def test_pair_vectors_empty_and_mismatched():
+    model = fit(["cat", "dog"], analyzer="word", ngram_range=(1, 1), max_features=None)
+    X = pair_vectors(model, [], [])
+    assert X.shape == (0, 2 * model.dim) and X.nnz == 0
+    with pytest.raises(ValueError):
+        pair_vectors(model, ["cat"], [])
 
 
 def test_pair_vector_against_straight_line_oracle():
@@ -122,28 +159,56 @@ def test_pair_vector_against_straight_line_oracle():
     norm1 = math.hypot(idf_a, idf_b)
     want_first = {0: idf_a / norm1, 1: idf_b / norm1}
     want_second = {4: 1.0}
-    got = dict(v.entries)
+    got = dict(row_entries(v, 0))
     assert got.pop(4) == pytest.approx(want_second[4], abs=1e-12)
     for k, val in want_first.items():
         assert got[k] == pytest.approx(val, rel=1e-12)
 
 
-def test_fit_corpus_dedupes_preserving_order():
-    q1 = ["what is x", "how to y", "what is x"]
-    q2 = ["how to y", "what is z", "what is z"]
-    assert fit_corpus(q1, q2) == ["what is x", "how to y", "what is z"]
+# Texts from a few characters, so terms repeat; "?" and the emoji are not
+# word characters, and U+20000 is a letter outside the BMP.
+_TEXT = st.lists(
+    st.sampled_from(["a", "b", "ab", "B", " ", " ", "?", "\U0001f600", "\U00020000"]),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("word", (1, 1)), ("word", (1, 2)), ("char", (1, 2)), ("char", (2, 3))]),
+    st.lists(_TEXT, min_size=1, max_size=6),
+    st.lists(st.tuples(_TEXT, _TEXT), max_size=6),
+)
+def test_pair_vectors_match_oracle(config, corpus, pairs):
+    analyzer, ngram = config
+    model = fit(corpus, analyzer=analyzer, ngram_range=ngram, max_features=None)
+    q1s = [q1 for q1, _ in pairs]
+    q2s = [q2 for _, q2 in pairs]
+    X = pair_vectors(model, q1s, q2s)
+    assert X.shape == (len(pairs), 2 * model.dim)
+    assert np.all(X.data != 0)
+    for i, (q1, q2) in enumerate(pairs):
+        want = tfidf_oracle(q1, analyzer, ngram, model.vocabulary, model.idf)
+        want.update(
+            (col + model.dim, v)
+            for col, v in tfidf_oracle(q2, analyzer, ngram, model.vocabulary, model.idf).items()
+        )
+        got = row_entries(X, i)
+        assert [j for j, _ in got] == sorted(want)
+        for j, v in got:
+            assert v == pytest.approx(want[j], rel=1e-12), (i, j)
+    if pairs:
+        assert_csr_equal(stack([pair_vector(model, q1, q2) for q1, q2 in pairs]), X)
 
 
 def test_stack_matrix():
-    vs = [
-        SparseVec(4, np.array([0, 2]), np.array([1.0, 2.0])),
-        SparseVec(4, np.array([], dtype=int), np.array([])),
-        SparseVec(4, np.array([3]), np.array([0.5])),
-    ]
-    m = stack(vs)
-    assert m.shape == (3, 4)
-    assert m[0, 2] == 2.0
+    model = fit(["cat", "dog"], analyzer="word", ngram_range=(1, 1), max_features=None)
+    rows = [pair_vector(model, "cat", "dog"), pair_vector(model, "zebra", ""), pair_vector(model, "dog", "dog")]
+    m = stack(rows)
+    assert m.shape == (3, 2 * model.dim)
+    assert m[0, model.vocabulary["cat"]] == 1.0
     assert m[1].nnz == 0
+    assert_csr_equal(m, pair_vectors(model, ["cat", "zebra", "dog"], ["dog", "", "dog"]))
 
 
 def test_model_roundtrip(tmp_path):
@@ -157,8 +222,8 @@ def test_model_roundtrip(tmp_path):
     assert np.allclose(loaded.idf, model.idf)
     assert loaded.analyzer == model.analyzer
     assert loaded.ngram_range == model.ngram_range
-    text = "the dog sat"
-    assert transform(loaded, text).entries == transform(model, text).entries
+    texts = ["the dog sat", "", "tac"]
+    assert_csr_equal(pair_vectors(loaded, texts, texts[::-1]), pair_vectors(model, texts, texts[::-1]))
 
 
 def test_sparse_features_roundtrip_and_corrupt_files(tmp_path):
