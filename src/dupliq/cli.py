@@ -149,9 +149,11 @@ def _load_embeddings(args, vocab_filter=None) -> EmbeddingTable:
 
 
 def _load_features(args):
+    """Matrix, labels, column names (None for a sparse file stored without
+    them) and path of the feature input."""
     if getattr(args, "sparse", None):
         X, y = sparse_io.load_sparse_features(args.sparse)
-        return X, y, [f"f{i}" for i in range(X.shape[1])], args.sparse
+        return X, y, sparse_io.load_column_names(args.sparse), args.sparse
     if getattr(args, "features", None):
         m = featmat.load_matrix(args.features)
         return m.rows, m.labels, m.column_names, args.features
@@ -277,7 +279,9 @@ def cmd_tfidf_featurize(args):
     if not len(table):
         raise CliError(f"{args.tsv}: no pairs to vectorize")
     X = _pair_vectors(model, table)
-    sparse_io.save_sparse_features(args.output, X, table.labels)
+    sparse_io.save_sparse_features(
+        args.output, X, table.labels, column_names=tfidf.pair_column_names(model)
+    )
     print(f"wrote {X.shape[0]} x {X.shape[1]} sparse pair vectors")
     _write_report(
         args,
@@ -302,12 +306,12 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def cmd_train(args):
-    X, y, _names, data_path = _load_features(args)
+    X, y, names, data_path = _load_features(args)
     hp = _parse_params(args.param)
     hp.setdefault("seed", args.seed)
     spec = ClassifierSpec(args.model, hp)
     model = learn_mod.train(spec, X, y)
-    learn_mod.save_model(model, args.output, train_data_path=data_path)
+    learn_mod.save_model(model, args.output, train_data_path=data_path, column_names=names)
     metrics = learn_mod.evaluate(model, X, y)
     print(f"trained {args.model}: train accuracy {metrics.accuracy:.4f}")
     _write_report(
@@ -318,9 +322,28 @@ def cmd_train(args):
     return 0
 
 
+def _check_columns(args, model, names, data_path) -> None:
+    """A model that records its training columns accepts only an input with
+    the same columns in the same order; an input or a model without names
+    is taken as it is."""
+    if model.column_names is None or names is None or model.column_names == names:
+        return
+    if len(names) != len(model.column_names):
+        raise CliError(
+            f"{data_path} has {len(names)} columns, but {args.model} was trained on "
+            f"{len(model.column_names)}"
+        )
+    i = next(i for i, (a, b) in enumerate(zip(model.column_names, names)) if a != b)
+    raise CliError(
+        f"column {i} of {data_path} is {names[i]!r}, but {args.model} was trained "
+        f"with {model.column_names[i]!r} there"
+    )
+
+
 def cmd_eval(args):
     model = learn_mod.load_model(args.model)
-    X, y, _names, _path = _load_features(args)
+    X, y, names, data_path = _load_features(args)
+    _check_columns(args, model, names, data_path)
     metrics = learn_mod.evaluate(model, X, y)
     print(
         f"{model.kind}: accuracy {metrics.accuracy:.4f}  precision {metrics.precision:.4f}  "
@@ -332,7 +355,8 @@ def cmd_eval(args):
 
 def cmd_importance(args):
     model = learn_mod.load_model(args.model)
-    X, y, names, _path = _load_features(args)
+    X, y, names, data_path = _load_features(args)
+    _check_columns(args, model, names, data_path)
     report = learn_mod.feature_importance(
         model, X, y, feature_names=names, n_repeats=args.repeats, seed=args.seed
     )
@@ -400,6 +424,11 @@ def _build_net(args, vocab_index=None):
         )
     if args.vocab_size is None:
         raise CliError("--vocab-size is required without --toy")
+    if args.arch >= 2 and vocab_index is None:
+        raise CliError(
+            f"architecture {args.arch} needs --pairs without --toy: "
+            "the words of its questions fill the frozen embedding rows"
+        )
     embedding = _load_embeddings(args) if args.arch >= 2 else None
     return build_architecture(
         args.arch,
@@ -410,10 +439,32 @@ def _build_net(args, vocab_index=None):
     )
 
 
+def _pairs_vocab(args, limit=None):
+    """The first ``limit`` rows of ``--pairs`` (all of them by default) and
+    the vocabulary of their questions, which must fit ``--vocab-size`` with
+    the padding index."""
+    from .neural import build_vocab
+
+    if args.vocab_size is None:
+        raise CliError("--vocab-size is required without --toy")
+    rows = corpus.load_pairs(args.pairs).rows[:limit]
+    vocab = build_vocab([r.question1 for r in rows] + [r.question2 for r in rows])
+    if len(vocab) + 1 > args.vocab_size:
+        raise CliError(f"--vocab-size {args.vocab_size} too small for {len(vocab)} tokens")
+    return rows, vocab
+
+
+def _net_of_args(args):
+    """The network ``nn-build`` and ``nn-gradcheck`` make: its vocabulary,
+    when there is one, comes from every row of ``--pairs``."""
+    vocab = _pairs_vocab(args)[1] if args.pairs and not args.toy else None
+    return _build_net(args, vocab)
+
+
 def cmd_nn_build(args):
     from .neural import save_network
 
-    net = _build_net(args)
+    net = _net_of_args(args)
     save_network(net, args.output)
     print(
         f"architecture {args.arch}: {len(net.branches)} branches, "
@@ -433,14 +484,7 @@ def cmd_nn_build(args):
 
 
 def cmd_nn_train(args):
-    from .neural import (
-        TrainConfig,
-        build_vocab,
-        encode,
-        make_toy_pairs,
-        save_network,
-        train_network,
-    )
+    from .neural import TrainConfig, encode, make_toy_pairs, save_network, train_network
 
     if args.toy:
         net = _build_net(args)
@@ -450,17 +494,7 @@ def cmd_nn_train(args):
     else:
         if not args.pairs:
             raise CliError("pass --pairs TSV or use --toy")
-        if args.vocab_size is None:
-            raise CliError("--vocab-size is required without --toy")
-        table = corpus.load_pairs(args.pairs)
-        rows = table.rows[: args.samples]
-        vocab = build_vocab(
-            [r.question1 for r in rows] + [r.question2 for r in rows]
-        )
-        if len(vocab) + 1 > args.vocab_size:
-            raise CliError(
-                f"--vocab-size {args.vocab_size} too small for {len(vocab)} tokens"
-            )
+        rows, vocab = _pairs_vocab(args, args.samples)
         net = _build_net(args, vocab)
         x1 = encode([r.question1 for r in rows], vocab, net.seq_len)
         x2 = encode([r.question2 for r in rows], vocab, net.seq_len)
@@ -493,7 +527,7 @@ def cmd_nn_train(args):
 def cmd_nn_gradcheck(args):
     from .neural import gradient_check
 
-    net = _build_net(args)
+    net = _net_of_args(args)
     rng = np.random.default_rng(args.seed)
     x1 = rng.integers(1, net.vocab_size, size=(args.batch_size, net.seq_len))
     x2 = rng.integers(1, net.vocab_size, size=(args.batch_size, net.seq_len))
@@ -685,6 +719,9 @@ def build_parser(config_defaults: dict | None = None):
         p.add_argument("--vocab-size", type=int)
         p.add_argument("--glove")
         p.add_argument("--w2v")
+        p.add_argument(
+            "--pairs", help="pairs TSV whose questions give the vocabulary (nn-train trains on them)"
+        )
         p.add_argument("--seed", type=int, default=0)
         return p
 
@@ -692,7 +729,6 @@ def build_parser(config_defaults: dict | None = None):
     p.add_argument("-o", "--output", required=True)
 
     p = add_nn("nn-train", cmd_nn_train, help="train at toy scale")
-    p.add_argument("--pairs")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--batch-size", type=int, default=300)

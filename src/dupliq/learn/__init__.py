@@ -180,14 +180,25 @@ def grid_search(
     return grid[best_i], table
 
 
-def save_model(model, path: str | Path, train_data_path: str | None = None) -> None:
+def save_model(
+    model,
+    path: str | Path,
+    train_data_path: str | None = None,
+    column_names: list[str] | None = None,
+) -> None:
     """Persist a model as versioned JSON.
 
     Tree ensembles serialize completely; the nearest-neighbour model saves
     its metadata plus a reference to the training feature file, which is
-    re-read at load time.
+    re-read at load time.  ``column_names``, the training matrix's, are
+    recorded when given, and come back as the loaded model's
+    ``column_names``.
     """
     doc = {"format_version": MODEL_FORMAT_VERSION, **model.to_dict()}
+    if column_names is not None:
+        if len(column_names) != model.n_features:
+            raise ValueError(f"{len(column_names)} column names for {model.n_features} features")
+        doc["column_names"] = list(column_names)
     if model.kind == "knn":
         if train_data_path is None:
             raise ValueError("knn persistence requires train_data_path")
@@ -215,6 +226,20 @@ def _model_from_doc(doc: dict):
     hp = doc["hyperparameters"]
     n_features = doc["n_features"]
     state = doc["state"]
+    model = _classifier_from_doc(kind, hp, n_features, state)
+    # models saved before column names were recorded have none
+    names = doc.get("column_names")
+    if names is not None and (
+        not isinstance(names, list)
+        or len(names) != n_features
+        or not all(isinstance(name, str) for name in names)
+    ):
+        raise ValueError(f"column_names is not a list of {n_features} names")
+    model.column_names = names
+    return model
+
+
+def _classifier_from_doc(kind: str, hp: dict, n_features: int, state: dict):
     if kind == "knn":
         X, y = _load_training_features(state["train_data"])
         return KnnModel(hp, n_features, X, y)

@@ -100,6 +100,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 class _BaseModel:
     kind: str = ""
+    # the training matrix's column names, when the saved model records them
+    column_names: list[str] | None = None
 
     def __init__(self, hyperparameters: dict, n_features: int):
         self.hyperparameters = hyperparameters

@@ -8,6 +8,7 @@ central finite differences coordinate by coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,16 +111,21 @@ def gradient_check(
     max_coords_per_param: int = 6,
     step: float = 1e-5,
     seed: int = 0,
-    noise_floor: float = 1e-10,
+    noise_floor: float | None = None,
 ) -> float:
     """Maximum relative error between backprop and central differences.
 
     Coordinates are sampled per parameter tensor (all of them when small);
-    the step is scaled to each coordinate's magnitude.  Absolute
-    discrepancies below ``noise_floor`` are ignored: central differences of
-    a float64 loss carry ~1e-11 of rounding noise, which would otherwise
-    dominate the relative error exactly where gradients are vanishingly
-    small and carry no signal about backprop correctness.
+    the step ``h`` is scaled to each coordinate's magnitude.  Absolute
+    discrepancies below the noise floor are ignored: there a central
+    difference measures the rounding of the loss, not its slope, and would
+    dominate the relative error exactly where gradients are vanishingly small
+    and carry no signal about backprop correctness.  By default the floor is
+    the rounding of one difference of two losses, ``sqrt(n) * eps *
+    max(|loss|, 1) / h``: the rounding errors of the ``n`` multiply-adds of a
+    forward pass, at most the parameter count times the input tokens, add up
+    like a random walk of steps of a relative machine epsilon.  A given
+    ``noise_floor`` replaces it for every coordinate.
     """
     y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -129,8 +135,10 @@ def gradient_check(
 
     net.zero_grads()
     p = net.forward(x1, x2, mode="check")
-    _, dp = bce_loss(p, y)
+    loss, dp = bce_loss(p, y)
     net.backward(dp)
+    n_terms = net.num_params(trainable_only=False) * (np.size(x1) + np.size(x2))
+    rounding = math.sqrt(n_terms) * np.finfo(np.float64).eps * max(abs(loss), 1.0)
 
     worst = 0.0
     for param in net.trainable_parameters():
@@ -152,7 +160,7 @@ def gradient_check(
             fd = (up - down) / (2.0 * h)
             bp = flat_grad[c]
             diff = abs(bp - fd)
-            if diff <= noise_floor:
+            if diff <= (rounding / h if noise_floor is None else noise_floor):
                 continue
             worst = max(worst, diff / max(abs(bp), abs(fd), 1e-8))
     return worst

@@ -1,8 +1,8 @@
 """Single-file storage for sparse feature matrices with labels.
 
 Written as a numpy .npz archive holding the CSR arrays plus the aligned
-label vector; used by the TF-IDF pipeline and the nearest-neighbour
-model's training-data reference.
+label vector, and the column names when the writer knows them; used by the
+TF-IDF pipeline and the nearest-neighbour model's training-data reference.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def save_sparse_features(path: str | Path, X, labels) -> None:
+def save_sparse_features(path: str | Path, X, labels, column_names=None) -> None:
     X = sp.csr_matrix(X)
+    named = {} if column_names is None else {"columns": np.array(column_names, dtype=str)}
     np.savez(
         path,
         data=X.data,
@@ -23,6 +24,7 @@ def save_sparse_features(path: str | Path, X, labels) -> None:
         indptr=X.indptr,
         shape=np.asarray(X.shape, dtype=np.int64),
         labels=np.asarray(labels, dtype=np.int64),
+        **named,
     )
 
 
@@ -43,3 +45,18 @@ def load_sparse_features(path: str | Path) -> tuple[sp.csr_matrix, np.ndarray]:
     if labels.shape != (X.shape[0],):
         raise ValueError(f"{path}: {labels.size} labels for {X.shape[0]} rows")
     return X, labels
+
+
+def load_column_names(path: str | Path) -> list[str] | None:
+    """The column names stored with the matrix, or None for a file written
+    without them."""
+    try:
+        with np.load(path) as blob:
+            if "columns" not in blob.files:
+                return None
+            names, width = blob["columns"], int(blob["shape"][1])
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a readable sparse feature file: {exc}") from None
+    if names.shape != (width,) or names.dtype.kind != "U":
+        raise ValueError(f"{path}: column names do not match its {width} columns")
+    return names.tolist()

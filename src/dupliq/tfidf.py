@@ -156,6 +156,13 @@ def pair_vectors(model: TfidfModel, q1s: list[str], q2s: list[str]) -> sp.csr_ma
     )
 
 
+def pair_column_names(model: TfidfModel) -> list[str]:
+    """Names of the ``2 * dim`` pair-vector columns: each term of the first
+    question, then each of the second."""
+    terms = sorted(model.vocabulary, key=model.vocabulary.__getitem__)
+    return [f"q1:{t}" for t in terms] + [f"q2:{t}" for t in terms]
+
+
 def pair_vector(model: TfidfModel, q1: str, q2: str) -> sp.csr_matrix:
     """One pair as a one-row matrix (``pair_vectors`` of one pair)."""
     return pair_vectors(model, [q1], [q2])

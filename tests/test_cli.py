@@ -232,6 +232,93 @@ def test_tfidf_pipeline(workspace):
     assert acc >= 0.8
 
 
+def _swap_columns(src, dst, a, b):
+    """Copy a feature CSV with columns ``a`` and ``b`` swapped, names and
+    values alike: the same width, other columns in two places."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows:
+        row[a], row[b] = row[b], row[a]
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def test_model_records_columns_and_refuses_others(workspace, capsys, monkeypatch):
+    tmp, tsv, glove = workspace
+    monkeypatch.chdir(tmp)  # reports without --report land in the working directory
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "tree.json"
+    assert run(["train", "--model", "decision_tree", "--features", features, "-o", model]) == 0
+    with open(features, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert json.loads(model.read_text())["column_names"] == header[:-1]
+    swapped = tmp / "swapped.csv"
+    _swap_columns(features, swapped, 7, 8)
+    narrow = tmp / "features20.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", narrow, "--drop-paper-eight",
+         "--report", tmp / "f20.json"])
+    for command in ("eval", "importance"):
+        for data, expected in (
+            (swapped, [f"column 7 of {swapped} is {header[8]!r}", repr(header[7])]),
+            (narrow, [f"{narrow} has 20 columns"]),
+        ):
+            capsys.readouterr()
+            assert run([command, "--model", model, "--features", data]) == 1
+            err = capsys.readouterr().err
+            assert all(e in err for e in expected), err
+            assert "Traceback" not in err
+    # the TF-IDF pair vectors carry their terms; a knn model records them
+    tfidf_model, vectors = tmp / "tfidf.json", tmp / "vectors.npz"
+    run(["tfidf-fit", tsv, "--analyzer", "word", "-o", tfidf_model])
+    run(["tfidf-featurize", tsv, "--model", tfidf_model, "-o", vectors])
+    knn = tmp / "knn.json"
+    assert run(["train", "--model", "knn", "--sparse", vectors, "-o", knn]) == 0
+    names = json.loads(knn.read_text())["column_names"]
+    assert names[0].startswith("q1:") and names[-1].startswith("q2:")
+    assert len(names) == 2 * len(json.loads(tfidf_model.read_text())["terms"])
+    assert run(["eval", "--model", knn, "--sparse", vectors]) == 0
+
+
+def test_model_saved_without_column_names_still_loads(workspace, capsys, monkeypatch):
+    from dupliq import featmat, learn
+    from dupliq.sparse_io import load_sparse_features, save_sparse_features
+
+    tmp, tsv, glove = workspace
+    monkeypatch.chdir(tmp)  # reports without --report land in the working directory
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "xgb.json"
+    assert run(["train", "--model", "xgb", "--features", features,
+                "--param", "n_estimators=5", "-o", model]) == 0
+    # the format of the models saved before names were recorded
+    doc = json.loads(model.read_text())
+    del doc["column_names"]
+    old = tmp / "old.json"
+    old.write_text(json.dumps(doc, sort_keys=True))
+    loaded = learn.load_model(old)
+    assert loaded.column_names is None
+    X = featmat.load_matrix(features).rows
+    assert np.array_equal(loaded.predict_proba(X), learn.load_model(model).predict_proba(X))
+    # nothing to compare: any columns of the right width are taken
+    swapped = tmp / "swapped.csv"
+    _swap_columns(features, swapped, 7, 8)
+    assert run(["eval", "--model", old, "--features", swapped, "--report", tmp / "e.json"]) == 0
+    assert run(["importance", "--model", old, "--features", swapped, "--repeats", 1]) == 0
+    # a sparse file written without names is taken by a model with names
+    tfidf_model, vectors = tmp / "tfidf.json", tmp / "vectors.npz"
+    run(["tfidf-fit", tsv, "--analyzer", "word", "-o", tfidf_model])
+    run(["tfidf-featurize", tsv, "--model", tfidf_model, "-o", vectors])
+    tree = tmp / "tree.json"
+    assert run(["train", "--model", "decision_tree", "--sparse", vectors, "-o", tree]) == 0
+    unnamed = tmp / "unnamed.npz"
+    save_sparse_features(unnamed, *load_sparse_features(vectors))
+    assert run(["eval", "--model", tree, "--sparse", unnamed]) == 0
+    capsys.readouterr()
+    assert run(["importance", "--model", tree, "--sparse", unnamed, "--top", 1]) == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith("f")
+
+
 def test_truncated_sparse_file_exit_code_1(workspace, capsys):
     tmp, tsv, _ = workspace
     model = tmp / "tfidf.json"
@@ -312,23 +399,16 @@ def test_nn_commands(workspace):
     assert worst <= 1e-4
 
 
-def test_nn_train_frozen_rows_hold_glove_vectors(workspace):
+def _assert_frozen_rows_hold_glove(prefix, glove, rows):
+    """Both frozen embedding branches of a saved network hold the GloVe
+    vector of each word of ``rows`` at its vocabulary index."""
     from dupliq.embed import load_glove_text
     from dupliq.neural import build_vocab
 
-    tmp, tsv, glove = workspace
-    samples = 4
-    assert run([
-        "nn-train", "--arch", "2", "--pairs", tsv, "--glove", glove,
-        "--vocab-size", len(WORDS) + 1, "--samples", samples, "--epochs", "1",
-        "--batch-size", samples, "-o", tmp / "arch2", "--report", tmp / "tr.json",
-    ]) == 0
-    with open(tsv, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter="\t"))[1 : samples + 1]
     vocab = build_vocab([r[3] for r in rows] + [r[4] for r in rows])
     vectors = load_glove_text(glove).vocab
-    manifest = json.loads((tmp / "arch2.json").read_text())
-    blob = np.fromfile(tmp / "arch2.bin", dtype="<f8")
+    manifest = json.loads(prefix.with_suffix(".json").read_text())
+    blob = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     offset, frozen = 0, 0
     for param in manifest["params"]:
         size = int(np.prod(param["shape"]))
@@ -340,6 +420,43 @@ def test_nn_train_frozen_rows_hold_glove_vectors(workspace):
                 assert np.array_equal(w[i], vectors[word]), (param["name"], word)
         offset += size
     assert frozen == 2
+
+
+def _tsv_rows(tsv):
+    with open(tsv, newline="") as fh:
+        return list(csv.reader(fh, delimiter="\t"))[1:]
+
+
+def test_nn_train_frozen_rows_hold_glove_vectors(workspace):
+    tmp, tsv, glove = workspace
+    samples = 4
+    assert run([
+        "nn-train", "--arch", "2", "--pairs", tsv, "--glove", glove,
+        "--vocab-size", len(WORDS) + 1, "--samples", samples, "--epochs", "1",
+        "--batch-size", samples, "-o", tmp / "arch2", "--report", tmp / "tr.json",
+    ]) == 0
+    _assert_frozen_rows_hold_glove(tmp / "arch2", glove, _tsv_rows(tsv)[:samples])
+
+
+def test_nn_build_frozen_rows_hold_glove_vectors(workspace, capsys, monkeypatch):
+    tmp, tsv, glove = workspace
+    monkeypatch.chdir(tmp)  # reports without --report land in the working directory
+    assert run([
+        "nn-build", "--arch", "2", "--pairs", tsv, "--glove", glove,
+        "--vocab-size", len(WORDS) + 1, "-o", tmp / "arch2",
+    ]) == 0
+    _assert_frozen_rows_hold_glove(tmp / "arch2", glove, _tsv_rows(tsv))
+    # without --toy the frozen rows need the words of --pairs
+    for command in (["nn-build", "-o", tmp / "bare"], ["nn-gradcheck"]):
+        capsys.readouterr()
+        assert run([*command, "--arch", "3", "--glove", glove, "--vocab-size", 30]) == 1
+        err = capsys.readouterr().err
+        assert "--pairs" in err and "Traceback" not in err
+    assert not (tmp / "bare.json").exists()
+    # the shared vocabulary check
+    assert run(["nn-build", "--arch", "2", "--pairs", tsv, "--glove", glove,
+                "--vocab-size", 5, "-o", tmp / "small"]) == 1
+    assert "too small" in capsys.readouterr().err
 
 
 def test_tfidf_featurize_without_pairs_exit_code_1(workspace, capsys):

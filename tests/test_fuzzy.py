@@ -206,3 +206,101 @@ def test_fuzzy_features_match_oracles_long_against_short(short, long):
     assume(_length_ratio(short, long) >= fuzzy.WRATIO_TRY_PARTIAL_RATIO)
     _assert_features_match_oracles(short, long)
     _assert_features_match_oracles(long, short)
+
+
+# Alphabets for the window kernel: a few letters, a space, and two code
+# points outside the basic plane; a one-letter alphabet makes every window
+# tie.
+_ALPHABETS = ["a", "ab", "ab c", "ab\U0001F600\U00020000", "xy\U00020000 z"]
+
+
+@st.composite
+def _needle_and_haystack(draw):
+    """A needle of a length at an edge of the 64-bit lanes, and a haystack
+    at least as long, in either order."""
+    alphabet = st.sampled_from(draw(st.sampled_from(_ALPHABETS)))
+    m = draw(st.sampled_from([0, 1, 2, 7, 63, 64, 65, 129, 131]))
+    # long needles get few windows: the oracle's table grows as m * m
+    extra = draw(st.integers(0, 3 if m > 64 else 9 if m > 7 else 40))
+    needle = draw(st.text(alphabet, min_size=m, max_size=m))
+    haystack = draw(st.text(alphabet, min_size=m + extra, max_size=m + extra))
+    return (needle, haystack) if draw(st.booleans()) else (haystack, needle)
+
+
+@given(_needle_and_haystack())
+def test_partial_ratio_kernel_matches_window_oracle(pair):
+    assert fuzzy.partial_ratio(*pair) == partial_oracle(*pair), pair
+
+
+@given(st.lists(_needle_and_haystack(), min_size=1, max_size=6))
+def test_partial_scores_of_several_problems_match_oracle(pairs):
+    # one kernel call advances the windows of every problem side by side;
+    # no window may read another problem's characters
+    assert fuzzy._partial_scores(pairs) == [partial_oracle(*p) for p in pairs]
+
+
+def test_partial_ratio_kernel_edges():
+    # the best window is the last one, or the first one
+    assert fuzzy.partial_ratio("xyz", "aaaaaaaxyz") == 100
+    assert fuzzy.partial_ratio("xyz", "xyzaaaaaaa") == 100
+    # a needle as long as its haystack has one window: the plain ratio
+    for m in (1, 63, 64, 65, 130):
+        s1, s2 = "ab" * m, "ba" * m
+        assert fuzzy.partial_ratio(s1[:m], s2[:m]) == fuzzy.indel_ratio(s1[:m], s2[:m])
+    # 64 distinct characters fill a lane: every bit of the width counts
+    needle = "".join(chr(0x4E00 + i) for i in range(64))
+    haystack = "." + needle[::-1] + needle[:63]
+    # the best window is the reversal's last character and 63 in order
+    assert fuzzy.partial_ratio(needle, haystack) == partial_oracle(needle, haystack) == 98
+    assert fuzzy.partial_ratio("\U0001F600" * 64, "a" + "\U0001F600" * 64) == 100
+    # the needle's last character, bit 63, matches nothing, then no character
+    assert fuzzy.partial_ratio("b" * 63 + "c", "b" * 70) == partial_oracle("b" * 63 + "c", "b" * 70) == 98
+    assert fuzzy.partial_ratio("a" * 64, "b" * 70) == 0
+    # a lone surrogate is a character like any other
+    assert fuzzy.partial_ratio("\ud800a", "x\ud800\udc00a") == partial_oracle("\ud800a", "x\ud800\udc00a")
+
+
+def test_partial_ratio_needles_up_to_64_make_no_big_int_calls(monkeypatch):
+    calls = []
+
+    def counted(s1, s2):
+        calls.append(len(s1))
+        return lcs_length(s1, s2)
+
+    lcs_length = fuzzy.lcs_length
+    monkeypatch.setattr(fuzzy, "lcs_length", counted)
+    assert fuzzy.partial_ratio("ab" * 32, "ba" * 40) == partial_oracle("ab" * 32, "ba" * 40)
+    assert calls == []
+    # one character more leaves the lanes: a big-integer call per window
+    assert fuzzy.partial_ratio("a" + "ab" * 32, "ba" * 40) == partial_oracle("a" + "ab" * 32, "ba" * 40)
+    assert calls and set(calls) == {65}
+
+
+def test_public_functions_are_the_traced_scores():
+    # the benchmark tracer wraps every public function of the module, so the
+    # kernel and its helpers stay private
+    import inspect
+
+    public = {
+        name
+        for name, value in vars(fuzzy).items()
+        if not name.startswith("_")
+        and inspect.isfunction(value)
+        and value.__module__ == fuzzy.__name__
+    }
+    assert public == {"lcs_length", "indel_ratio", "partial_ratio", "fuzzy_features"}
+
+
+_LONG_TOKENS = st.sampled_from(
+    ["how", "can", "learn", "python", "programming", "\U00020000x", "\U0001F600", "aaaa", "e"]
+)
+
+
+@given(
+    st.lists(_LONG_TOKENS, min_size=1, max_size=20).map(" ".join),
+    st.lists(_LONG_TOKENS, min_size=1, max_size=20).map(" ".join),
+)
+def test_fuzzy_features_match_oracles_long_and_astral(q1, q2):
+    # raw questions past 64 characters take the big-integer path, their
+    # normalized and token forms often the lanes
+    _assert_features_match_oracles(q1, q2)

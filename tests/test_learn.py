@@ -422,6 +422,8 @@ def test_load_rejects_malformed_documents(tmp_path):
     malformed(lambda d: d.update(state=[]), "malformed")
     malformed(lambda d: d["state"]["tree"].update(value={"a": 1}), "cannot load model")
     malformed(lambda d: d["state"]["tree"]["value"].pop(), "corrupt tree")
+    malformed(lambda d: d.update(column_names=["a"]), "column_names")
+    malformed(lambda d: d.update(column_names=list(range(d["n_features"]))), "column_names")
     path.write_text(json.dumps([json.loads(good)]))
     with pytest.raises(ValueError, match="unsupported model format"):
         load_model(path)

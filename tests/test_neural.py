@@ -425,3 +425,32 @@ def test_make_toy_pairs_separable_structure():
             assert s1 == s2
         else:
             assert not (s1 & s2)
+
+
+def test_gradient_check_floor_follows_the_loss_rounding():
+    # a dense layer feeding batch norm: its bias has no gradient at all, so
+    # central differences of a confidently wrong network (loss 3.4) measure
+    # only the loss's rounding, six ulps over the step; a fixed 1e-10 floor
+    # took that noise for a 1.3e-2 error
+    rng = np.random.default_rng(4)
+    net = micro_net(
+        [
+            Embedding(9, 4, rng, name="b.emb"),
+            LambdaSum(4),
+            Dense(4, 6, rng, name="b.d"),
+            BatchNorm(6, name="b.bn"),
+            Dense(6, 3, rng, name="b.d2"),
+        ],
+        seed=4,
+    )
+    net.head[0].w.value *= 10.0
+    rng = np.random.default_rng(5)
+    x1 = rng.integers(1, 9, size=(8, 3))
+    x2 = rng.integers(1, 9, size=(8, 3))
+    y = rng.integers(0, 2, size=8).astype(float)
+    assert bce_loss(net.forward(x1, x2, mode="check"), y)[0] > 3.0
+    assert gradient_check(net, x1, x2, y, max_coords_per_param=12) <= 1e-4
+    # the floor still lets a wrong backward pass through to the error
+    backward = net.backward
+    net.backward = lambda grad: backward(1.01 * grad)
+    assert gradient_check(net, x1, x2, y, max_coords_per_param=12) > 5e-3

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dupliq.sparse_io import load_sparse_features, save_sparse_features
+from dupliq.sparse_io import load_column_names, load_sparse_features, save_sparse_features
 from dupliq.tfidf import (
     analyze,
     fit,
@@ -234,6 +234,13 @@ def test_sparse_features_roundtrip_and_corrupt_files(tmp_path):
     got, got_labels = load_sparse_features(path)
     assert (got != X).nnz == 0
     assert got_labels.tolist() == labels.tolist()
+    assert load_column_names(path) is None
+    names = ["q1:a", "q1:\U00020000", "q2:a", "q2:b", "q2:c"]
+    save_sparse_features(tmp_path / "named.npz", X, labels, column_names=names)
+    assert load_column_names(tmp_path / "named.npz") == names
+    save_sparse_features(tmp_path / "names.npz", X, labels, column_names=names[:-1])
+    with pytest.raises(ValueError, match="names.npz"):
+        load_column_names(tmp_path / "names.npz")
 
     arrays = {
         "data": X.data, "indices": X.indices, "indptr": X.indptr,
