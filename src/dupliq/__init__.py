@@ -6,8 +6,8 @@ Library layout:
   stratified splitting
 * :mod:`dupliq.textops` - normalization, tokenization, basic pair features
 * :mod:`dupliq.fuzzy` - the seven indel-based fuzzy match scores
-* :mod:`dupliq.embed` - word-vector loading, sentence vectors, transport
-  distance, vector distances and moments
+* :mod:`dupliq.embed` - word-vector loading, per-question bags, frozen
+  embedding rows, transport distance, vector distances and moments
 * :mod:`dupliq.featmat` - the 28-column feature matrix and its CSV format
 * :mod:`dupliq.tfidf` - word/char TF-IDF models and pair vectors
 * :mod:`dupliq.learn` - seven classifiers, metrics, importance, grid search

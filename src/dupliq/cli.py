@@ -399,28 +399,21 @@ TOY_DIMS = {
 }
 
 
-def _toy_embedding(dim: int, vocab_size: int, seed: int):
-    rng = np.random.default_rng(seed)
-    vocab = {f"tok{i}": rng.normal(size=dim) for i in range(vocab_size)}
-    index = {f"tok{i}": i + 1 for i in range(vocab_size)}
-    return EmbeddingTable(dim=dim, vocab=vocab), index
-
-
 def _build_net(args, vocab_index=None):
     """The architecture of ``args``; without ``--toy`` its frozen branches
-    hold the embedding rows of ``vocab_index``'s words."""
+    hold the embedding rows of ``vocab_index``'s words, with ``--toy``
+    normal draws."""
     from .neural import build_architecture
 
     if args.toy:
         vocab_size = args.vocab_size or 31
-        table, index = _toy_embedding(TOY_DIMS["embed_dim"], vocab_size - 1, args.seed)
+        frozen = None
+        if args.arch >= 2:
+            rng = np.random.default_rng(args.seed)
+            dim = TOY_DIMS["embed_dim"]
+            frozen = np.vstack([np.zeros((1, dim)), rng.normal(size=(vocab_size - 1, dim))])
         return build_architecture(
-            args.arch,
-            vocab_size,
-            embedding=table if args.arch >= 2 else None,
-            vocab_index=index,
-            toy_dims=TOY_DIMS,
-            seed=args.seed,
+            args.arch, vocab_size, frozen=frozen, toy_dims=TOY_DIMS, seed=args.seed
         )
     if args.vocab_size is None:
         raise CliError("--vocab-size is required without --toy")
@@ -429,14 +422,12 @@ def _build_net(args, vocab_index=None):
             f"architecture {args.arch} needs --pairs without --toy: "
             "the words of its questions fill the frozen embedding rows"
         )
-    embedding = _load_embeddings(args) if args.arch >= 2 else None
-    return build_architecture(
-        args.arch,
-        args.vocab_size,
-        embedding=embedding,
-        vocab_index=vocab_index,
-        seed=args.seed,
-    )
+    frozen = None
+    if args.arch >= 2:
+        frozen = embed.embedding_matrix_from_table(
+            vocab_index, _load_embeddings(args), args.vocab_size
+        )
+    return build_architecture(args.arch, args.vocab_size, frozen=frozen, seed=args.seed)
 
 
 def _pairs_vocab(args, limit=None):

@@ -1,11 +1,12 @@
 """Pre-trained word vectors and the embedding-based pair features.
 
 Covers loading GloVe text and word2vec binary files (gzip handled
-transparently for both), the per-question bag of in-vocabulary words
-(:func:`question_bag`, built once per question and shared by every
-embedding feature), the word-mover transport distance between two bags,
-seven distances between their mean vectors, and component
-skewness/kurtosis.
+transparently for both), the frozen rows of a network's pre-trained
+branches (:func:`embedding_matrix_from_table`), the per-question bag of
+in-vocabulary words (:func:`question_bag`, built once per question and
+shared by every embedding feature), the word-mover transport distance
+between two bags, seven distances between their mean vectors, and
+component skewness/kurtosis.
 
 The word-mover distance (Kusner et al. 2015) is an exact optimal
 transport between word-count proportions.  :func:`solve_transport` solves
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import gzip
 import math
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,12 +74,21 @@ class EmbeddingTable:
         return vec
 
 
+@contextmanager
 def _open_maybe_gzip(path: str | Path, mode: str):
+    """The file, decompressed when it is gzip; a gzip stream cut short or
+    damaged raises ValueError naming ``path`` wherever it is read."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, mode)
-    return open(path, mode)
+    if magic != b"\x1f\x8b":
+        with open(path, mode) as fh:
+            yield fh
+        return
+    try:
+        with gzip.open(path, mode) as fh:
+            yield fh
+    except (EOFError, zlib.error) as exc:
+        raise ValueError(f"{path}: damaged gzip stream: {exc}") from None
 
 
 def load_glove_text(path: str | Path, vocab_filter: set[str] | None = None) -> EmbeddingTable:
@@ -168,6 +180,21 @@ def load_word2vec_binary(
             vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
             vocab[text] = vec
     return EmbeddingTable(dim=dim, vocab=vocab)
+
+
+def embedding_matrix_from_table(
+    vocab_index: dict[str, int], table: EmbeddingTable, vocab_size: int
+) -> np.ndarray:
+    """Rows of pre-trained vectors aligned with token indices.
+
+    Index 0 is the padding row; words missing from the table stay zero.
+    """
+    out = np.zeros((vocab_size, table.dim))
+    for word, idx in vocab_index.items():
+        vec = table.lookup(word)
+        if vec is not None:
+            out[idx] = vec
+    return out
 
 
 def corpus_vocabulary(table) -> set[str]:

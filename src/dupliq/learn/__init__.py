@@ -7,7 +7,9 @@ nonnegative scipy.sparse matrix and predict a probability for class 1.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,10 +191,10 @@ def save_model(
     """Persist a model as versioned JSON.
 
     Tree ensembles serialize completely; the nearest-neighbour model saves
-    its metadata plus a reference to the training feature file, which is
-    re-read at load time.  ``column_names``, the training matrix's, are
-    recorded when given, and come back as the loaded model's
-    ``column_names``.
+    its metadata plus the absolute path and sha256 of the training feature
+    file, which it re-reads at load time and refuses if it has changed.
+    ``column_names``, the training matrix's, are recorded when given, and
+    come back as the loaded model's ``column_names``.
     """
     doc = {"format_version": MODEL_FORMAT_VERSION, **model.to_dict()}
     if column_names is not None:
@@ -202,7 +204,8 @@ def save_model(
     if model.kind == "knn":
         if train_data_path is None:
             raise ValueError("knn persistence requires train_data_path")
-        doc["state"]["train_data"] = str(train_data_path)
+        doc["state"]["train_data"] = os.path.abspath(train_data_path)
+        doc["state"]["train_sha256"] = _sha256(train_data_path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
@@ -241,7 +244,12 @@ def _model_from_doc(doc: dict):
 
 def _classifier_from_doc(kind: str, hp: dict, n_features: int, state: dict):
     if kind == "knn":
-        X, y = _load_training_features(state["train_data"])
+        path = state["train_data"]
+        # models saved before the hash was recorded have none
+        digest = state.get("train_sha256")
+        if digest is not None and _sha256(path) != digest:
+            raise ValueError(f"its training data {path} changed after it was saved")
+        X, y = _load_training_features(path)
         return KnnModel(hp, n_features, X, y)
     if kind == "decision_tree":
         return DecisionTreeModel(hp, n_features, Tree.from_dict(state["tree"], n_features))
@@ -255,6 +263,14 @@ def _classifier_from_doc(kind: str, hp: dict, n_features: int, state: dict):
         trees = [Tree.from_dict(t, n_features) for t in state["trees"]]
         return BoostedTreesModel(kind, hp, n_features, state["base_margin"], trees)
     raise ValueError(f"unknown classifier kind {kind!r}")
+
+
+def _sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _load_training_features(path: str):

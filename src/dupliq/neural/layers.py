@@ -50,8 +50,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    kind = "layer"
-
     def forward(self, x, mode: str):
         raise NotImplementedError
 
@@ -61,15 +59,9 @@ class Layer:
     def params(self) -> list[Param]:
         return []
 
-    @property
-    def output_width(self) -> int:
-        raise NotImplementedError
-
 
 class Dense(Layer):
     """Fully connected layer; 3-d input is treated time-distributed."""
-
-    kind = "dense"
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name="dense"):
         self.n_in = n_in
@@ -95,20 +87,8 @@ class Dense(Layer):
     def params(self):
         return [self.w, self.b]
 
-    @property
-    def output_width(self):
-        return self.n_out
-
-
-class TimeDistributedDense(Dense):
-    """Dense applied independently at every timestep."""
-
-    kind = "time_distributed_dense"
-
 
 class Embedding(Layer):
-    kind = "embedding"
-
     def __init__(
         self,
         vocab_size: int,
@@ -119,7 +99,6 @@ class Embedding(Layer):
         name="embedding",
     ):
         self.vocab_size = vocab_size
-        self.dim = dim
         if weights is None:
             weights = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
         self.w = Param(f"{name}.w", weights, trainable=trainable)
@@ -138,10 +117,6 @@ class Embedding(Layer):
     def params(self):
         return [self.w]
 
-    @property
-    def output_width(self):
-        return self.dim
-
 
 class LSTM(Layer):
     """Single-layer LSTM returning the last hidden state.
@@ -150,8 +125,6 @@ class LSTM(Layer):
     gate bias starts at one.  Recurrent dropout applies one fixed mask per
     sequence to the hidden state entering the gates (train mode only).
     """
-
-    kind = "lstm"
 
     def __init__(
         self,
@@ -162,7 +135,6 @@ class LSTM(Layer):
         dropout_rng: np.random.Generator | None = None,
         name="lstm",
     ):
-        self.input_dim = input_dim
         self.units = units
         self.recurrent_dropout = recurrent_dropout
         self.dropout_rng = dropout_rng
@@ -238,18 +210,9 @@ class LSTM(Layer):
     def params(self):
         return [self.w, self.u, self.b]
 
-    @property
-    def output_width(self):
-        return self.units
-
 
 class LambdaSum(Layer):
     """Sum over the time axis: (batch, steps, width) -> (batch, width)."""
-
-    kind = "lambda_sum"
-
-    def __init__(self, width: int):
-        self.width = width
 
     def forward(self, x, mode):
         self._steps = x.shape[1]
@@ -258,18 +221,11 @@ class LambdaSum(Layer):
     def backward(self, grad):
         return np.repeat(grad[:, None, :], self._steps, axis=1)
 
-    @property
-    def output_width(self):
-        return self.width
-
 
 class Conv1D(Layer):
     """1-d convolution with same padding, stride one, linear activation."""
 
-    kind = "conv1d"
-
     def __init__(self, in_channels, filters, kernel, rng, name="conv1d"):
-        self.in_channels = in_channels
         self.filters = filters
         self.kernel = kernel
         self.w = Param(
@@ -307,17 +263,8 @@ class Conv1D(Layer):
     def params(self):
         return [self.w, self.b]
 
-    @property
-    def output_width(self):
-        return self.filters
-
 
 class GlobalMaxPool1D(Layer):
-    kind = "global_max_pool"
-
-    def __init__(self, width: int):
-        self.width = width
-
     def forward(self, x, mode):
         self._shape = x.shape
         self._argmax = x.argmax(axis=1)
@@ -328,10 +275,6 @@ class GlobalMaxPool1D(Layer):
         np.put_along_axis(dx, self._argmax[:, None, :], grad[:, None, :], axis=1)
         return dx
 
-    @property
-    def output_width(self):
-        return self.width
-
 
 class BatchNorm(Layer):
     """Per-feature standardization with learned scale and shift.
@@ -340,10 +283,7 @@ class BatchNorm(Layer):
     infer mode uses the running statistics, which only train mode updates.
     """
 
-    kind = "batch_norm"
-
     def __init__(self, width, momentum=0.99, eps=1e-5, name="batch_norm"):
-        self.width = width
         self.momentum = momentum
         self.eps = eps
         self.gamma = Param(f"{name}.gamma", np.ones(width))
@@ -382,20 +322,13 @@ class BatchNorm(Layer):
     def params(self):
         return [self.gamma, self.beta, self.running_mean, self.running_var]
 
-    @property
-    def output_width(self):
-        return self.width
-
 
 class PReLU(Layer):
     """x for positive inputs, a learnable slope times x otherwise."""
 
-    kind = "prelu"
-
     INITIAL_SLOPE = 0.25
 
     def __init__(self, width, name="prelu"):
-        self.width = width
         self.a = Param(f"{name}.a", np.full(width, self.INITIAL_SLOPE))
 
     def forward(self, x, mode):
@@ -410,22 +343,15 @@ class PReLU(Layer):
     def params(self):
         return [self.a]
 
-    @property
-    def output_width(self):
-        return self.width
-
 
 class Dropout(Layer):
     """Zero units with probability rate in train mode, rescaling survivors."""
 
-    kind = "dropout"
-
-    def __init__(self, rate, rng: np.random.Generator, width: int):
+    def __init__(self, rate, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.rng = rng
-        self.width = width
 
     def forward(self, x, mode):
         if mode == "train" and self.rate > 0.0:
@@ -438,24 +364,11 @@ class Dropout(Layer):
     def backward(self, grad):
         return grad if self._mask is None else grad * self._mask
 
-    @property
-    def output_width(self):
-        return self.width
-
 
 class Sigmoid(Layer):
-    kind = "sigmoid"
-
-    def __init__(self, width: int = 1):
-        self.width = width
-
     def forward(self, x, mode):
         self._y = sigmoid(x)
         return self._y
 
     def backward(self, grad):
         return grad * self._y * (1.0 - self._y)
-
-    @property
-    def output_width(self):
-        return self.width

@@ -4,7 +4,9 @@ A network is a set of per-question branches whose outputs are concatenated
 and fed to a shared head ending in Dense(1) + Sigmoid.  Question one and
 question two are routed to alternating branches, so forward always takes
 exactly two index tensors regardless of how many branches an architecture
-declares (2, 4, or 6).
+declares (2, 4, or 6).  :func:`build_architecture` alone decides a
+network's shape; the frozen pre-trained rows reach it as one array, so this
+package reads no embedding files.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..embed import EmbeddingTable
 from .layers import (
     LSTM,
     BatchNorm,
@@ -28,7 +29,6 @@ from .layers import (
     Param,
     PReLU,
     Sigmoid,
-    TimeDistributedDense,
 )
 
 WEIGHTS_FORMAT_VERSION = 1
@@ -43,8 +43,8 @@ DEFAULT_DIMS = {
     "dropout": 0.2,
 }
 
-# repeated head blocks after the merge for the two deep architectures
-DEFAULT_HEAD_BLOCKS = {3: 4, 4: 8}
+# head blocks after the merge; architectures 3 and 4 take another count
+DEFAULT_HEAD_BLOCKS = {1: 1, 2: 1, 3: 4, 4: 8}
 
 
 @dataclass
@@ -57,6 +57,8 @@ class Network:
     vocab_size: int
     seed: int
     dims: dict = field(default_factory=dict)
+    head_blocks: int = 0
+    frozen_embed_dim: int | None = None  # width of the frozen rows, if any
 
     def all_layers(self):
         for branch in self.branches:
@@ -113,26 +115,10 @@ class Network:
                 gb = layer.backward(gb)
 
 
-def embedding_matrix_from_table(
-    vocab_index: dict[str, int], table: EmbeddingTable, vocab_size: int
-) -> np.ndarray:
-    """Rows of pre-trained vectors aligned with token indices.
-
-    Index 0 is the padding row; words missing from the table stay zero.
-    """
-    out = np.zeros((vocab_size, table.dim))
-    for word, idx in vocab_index.items():
-        vec = table.lookup(word)
-        if vec is not None:
-            out[idx] = vec
-    return out
-
-
 def build_architecture(
     arch: int,
     vocab_size: int,
-    embedding: EmbeddingTable | None = None,
-    vocab_index: dict[str, int] | None = None,
+    frozen: np.ndarray | None = None,
     toy_dims: dict | None = None,
     head_blocks: int | None = None,
     seed: int = 0,
@@ -141,144 +127,117 @@ def build_architecture(
 
     ``toy_dims`` overrides any of ``DEFAULT_DIMS`` (sequence length, widths)
     to scale the network down for tests and demos.  Architectures 2-4 need
-    a pre-trained embedding table for their frozen branches.
+    ``frozen``, the ``(vocab_size, dim)`` pre-trained rows of their frozen
+    embedding branches (row 0 is the padding index), shared by all of them.
+
+    Every architecture has two LSTM branches; 2-4 add two frozen branches
+    of a time-distributed dense and a sum, and 4 two convolutional ones.
+    The head is blocks of dense, PReLU, dropout and batch norm after a
+    batch norm of the merge, then ``Dense(1)`` and a sigmoid; architecture
+    4's blocks have no PReLU and no batch norm before them.  ``head_blocks``
+    sets the number of blocks of architectures 3 and 4 (by default 4 and
+    8); architectures 1 and 2 have one.
     """
     if arch not in (1, 2, 3, 4):
         raise ValueError(f"architecture id must be 1..4, got {arch}")
-    if arch >= 2 and embedding is None:
-        raise ValueError(f"architecture {arch} requires a pre-trained embedding table")
+    frozen_dim = None
+    if arch >= 2:
+        if frozen is None:
+            raise ValueError(f"architecture {arch} requires pre-trained frozen embedding rows")
+        if frozen.ndim != 2 or frozen.shape[0] != vocab_size:
+            raise ValueError(
+                f"frozen embedding rows must be ({vocab_size}, dim), got {frozen.shape}"
+            )
+        frozen_dim = frozen.shape[1]
     dims = dict(DEFAULT_DIMS)
     if toy_dims:
         unknown = set(toy_dims) - set(dims)
         if unknown:
             raise ValueError(f"unknown dimension overrides: {sorted(unknown)}")
         dims.update(toy_dims)
-    if head_blocks is None:
-        head_blocks = DEFAULT_HEAD_BLOCKS.get(arch, 0)
+    if head_blocks is None or arch in (1, 2):
+        head_blocks = DEFAULT_HEAD_BLOCKS[arch]
 
     rng = np.random.default_rng(seed)
     dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     drop = dims["dropout"]
-    units = dims["lstm_units"]
     dense_units = dims["dense_units"]
 
-    branches: list[list] = []
-    branch_inputs: list[int] = []
+    def lstm_branch(name):
+        return [
+            Embedding(vocab_size, dims["embed_dim"], rng, name=f"{name}.embedding"),
+            LSTM(
+                dims["embed_dim"],
+                dims["lstm_units"],
+                rng,
+                recurrent_dropout=drop,
+                dropout_rng=dropout_rng,
+                name=f"{name}.lstm",
+            ),
+        ]
 
-    # two trainable-embedding LSTM branches (all architectures)
-    for which in (0, 1):
-        name = f"branch{len(branches)}"
-        branches.append(
-            [
-                Embedding(vocab_size, dims["embed_dim"], rng, name=f"{name}.embedding"),
-                LSTM(
-                    dims["embed_dim"],
-                    units,
-                    rng,
-                    recurrent_dropout=drop,
-                    dropout_rng=dropout_rng,
-                    name=f"{name}.lstm",
-                ),
-            ]
+    def frozen_embedding(name):
+        return Embedding(
+            vocab_size,
+            frozen_dim,
+            rng,
+            weights=frozen,
+            trainable=False,
+            name=f"{name}.embedding",
         )
-        branch_inputs.append(which)
 
-    if arch >= 2:
-        # one frozen matrix shared by every pre-trained branch
-        frozen = embedding_matrix_from_table(vocab_index or {}, embedding, vocab_size)
-        for which in (0, 1):
-            name = f"branch{len(branches)}"
-            branches.append(
-                [
-                    Embedding(
-                        vocab_size,
-                        embedding.dim,
-                        rng,
-                        weights=frozen,
-                        trainable=False,
-                        name=f"{name}.embedding",
-                    ),
-                    TimeDistributedDense(
-                        embedding.dim, dense_units, rng, name=f"{name}.tdd"
-                    ),
-                    LambdaSum(dense_units),
-                ]
-            )
-            branch_inputs.append(which)
+    def sum_branch(name):
+        return [
+            frozen_embedding(name),
+            Dense(frozen_dim, dense_units, rng, name=f"{name}.tdd"),
+            LambdaSum(),
+        ]
 
-    if arch == 4:
+    def conv_branch(name):
         filters = dims["conv_filters"]
         kernel = dims["conv_kernel"]
-        for which in (0, 1):
-            name = f"branch{len(branches)}"
-            branches.append(
-                [
-                    Embedding(
-                        vocab_size,
-                        embedding.dim,
-                        rng,
-                        weights=frozen,
-                        trainable=False,
-                        name=f"{name}.embedding",
-                    ),
-                    Conv1D(embedding.dim, filters, kernel, rng, name=f"{name}.conv1"),
-                    Dropout(drop, dropout_rng, filters),
-                    Conv1D(filters, filters, kernel, rng, name=f"{name}.conv2"),
-                    GlobalMaxPool1D(filters),
-                    BatchNorm(filters, name=f"{name}.bn"),
-                    Dense(filters, dense_units, rng, name=f"{name}.dense"),
-                    Dropout(drop, dropout_rng, dense_units),
-                ]
-            )
-            branch_inputs.append(which)
-
-    merge_width = 0
-    for branch in branches:
-        merge_width += branch[-1].output_width
-
-    head: list = []
-    if arch in (1, 2):
-        head = [
-            BatchNorm(merge_width, name="head.bn0"),
-            Dense(merge_width, dense_units, rng, name="head.dense0"),
-            PReLU(dense_units, name="head.prelu0"),
-            Dropout(drop, dropout_rng, dense_units),
-            BatchNorm(dense_units, name="head.bn1"),
+        return [
+            frozen_embedding(name),
+            Conv1D(frozen_dim, filters, kernel, rng, name=f"{name}.conv1"),
+            Dropout(drop, dropout_rng),
+            Conv1D(filters, filters, kernel, rng, name=f"{name}.conv2"),
+            GlobalMaxPool1D(),
+            BatchNorm(filters, name=f"{name}.bn"),
+            Dense(filters, dense_units, rng, name=f"{name}.dense"),
+            Dropout(drop, dropout_rng),
         ]
+
+    # each kind of branch reads question one, then question two
+    kinds = (lstm_branch, sum_branch, conv_branch)[: (1, 2, 2, 3)[arch - 1]]
+    branches: list[list] = []
+    for build in kinds:
+        for _ in (0, 1):
+            branches.append(build(f"branch{len(branches)}"))
+
+    width = 2 * dims["lstm_units"] + 2 * dense_units * (len(kinds) - 1)
+    plain = arch == 4  # no leading batch norm, no PReLU
+    head: list = [] if plain else [BatchNorm(width, name="head.bn0")]
+    for i in range(head_blocks):
+        head.append(Dense(width, dense_units, rng, name=f"head.dense{i}"))
+        if not plain:
+            head.append(PReLU(dense_units, name=f"head.prelu{i}"))
+        head.append(Dropout(drop, dropout_rng))
+        head.append(BatchNorm(dense_units, name=f"head.bn{i if plain else i + 1}"))
         width = dense_units
-    elif arch == 3:
-        head = [BatchNorm(merge_width, name="head.bn0")]
-        width = merge_width
-        for i in range(head_blocks):
-            head += [
-                Dense(width, dense_units, rng, name=f"head.dense{i}"),
-                PReLU(dense_units, name=f"head.prelu{i}"),
-                Dropout(drop, dropout_rng, dense_units),
-                BatchNorm(dense_units, name=f"head.bn{i + 1}"),
-            ]
-            width = dense_units
-    else:
-        head = []
-        width = merge_width
-        for i in range(head_blocks):
-            head += [
-                Dense(width, dense_units, rng, name=f"head.dense{i}"),
-                Dropout(drop, dropout_rng, dense_units),
-                BatchNorm(dense_units, name=f"head.bn{i}"),
-            ]
-            width = dense_units
     head.append(Dense(width, 1, rng, name="head.out"))
     head.append(Sigmoid())
 
     return Network(
         arch=arch,
         branches=branches,
-        branch_inputs=branch_inputs,
+        branch_inputs=[0, 1] * len(kinds),
         head=head,
         seq_len=dims["seq_len"],
         vocab_size=vocab_size,
         seed=seed,
         dims=dims,
+        head_blocks=head_blocks,
+        frozen_embed_dim=frozen_dim,
     )
 
 
@@ -294,8 +253,9 @@ def save_network(net: Network, prefix: str | Path) -> None:
         "seq_len": net.seq_len,
         "seed": net.seed,
         "dims": net.dims,
-        "head_blocks": _count_head_blocks(net),
-        "frozen_embed_dim": _frozen_embed_dim(net),
+        # architectures 1 and 2 always have one block; their manifests say 0
+        "head_blocks": net.head_blocks if net.arch in (3, 4) else 0,
+        "frozen_embed_dim": net.frozen_embed_dim,
         "params": [
             {"name": p.name, "shape": list(p.value.shape), "trainable": p.trainable}
             for p in params
@@ -307,48 +267,54 @@ def save_network(net: Network, prefix: str | Path) -> None:
     blob.tofile(prefix.with_suffix(".bin"))
 
 
-def _count_head_blocks(net: Network) -> int:
-    dense = sum(1 for layer in net.head if isinstance(layer, Dense))
-    return dense - 1 if net.arch in (3, 4) else 0
-
-
-def _frozen_embed_dim(net: Network) -> int | None:
-    for branch in net.branches:
-        first = branch[0]
-        if isinstance(first, Embedding) and not first.w.trainable:
-            return first.dim
-    return None
-
-
 def load_network(prefix: str | Path) -> Network:
+    """Rebuild a network saved by :func:`save_network`; a manifest or weight
+    blob that does not describe one raises ValueError naming ``prefix``."""
     prefix = Path(prefix)
     with open(prefix.with_suffix(".json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{prefix}: manifest is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{prefix}: manifest is not a JSON object")
     if manifest.get("format_version") != WEIGHTS_FORMAT_VERSION:
         raise ValueError(f"{prefix}: unsupported weights format")
-    table = None
+    blob = prefix.with_suffix(".bin").read_bytes()
+    try:
+        return _network_from(manifest, blob)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{prefix}: cannot load network: {detail}") from None
+
+
+def _network_from(manifest: dict, blob: bytes) -> Network:
+    frozen = None
     if manifest["arch"] >= 2:
-        table = EmbeddingTable(dim=manifest["frozen_embed_dim"], vocab={})
+        frozen = np.zeros((manifest["vocab_size"], manifest["frozen_embed_dim"]))
     net = build_architecture(
         manifest["arch"],
         manifest["vocab_size"],
-        embedding=table,
-        vocab_index={},
+        frozen=frozen,
         toy_dims=manifest["dims"],
-        head_blocks=manifest["head_blocks"] or None,
+        head_blocks=manifest["head_blocks"],
         seed=manifest["seed"],
     )
     params = net.parameters()
     if len(params) != len(manifest["params"]):
         raise ValueError("manifest does not match the rebuilt architecture")
-    blob = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
-    offset = 0
     for p, meta in zip(params, manifest["params"]):
         if p.name != meta["name"] or list(p.value.shape) != meta["shape"]:
             raise ValueError(f"parameter mismatch at {meta['name']}")
-        n = p.size
-        p.value[...] = blob[offset : offset + n].reshape(p.value.shape)
-        offset += n
-    if offset != blob.size:
-        raise ValueError("weight blob size does not match the manifest")
+    total = sum(p.size for p in params)
+    if len(blob) != 8 * total:
+        raise ValueError(
+            f"weight blob holds {len(blob)} bytes, but the manifest's "
+            f"{total} float64 values take {8 * total}"
+        )
+    values = np.frombuffer(blob, dtype="<f8")
+    offset = 0
+    for p in params:
+        p.value[...] = values[offset : offset + p.size].reshape(p.value.shape)
+        offset += p.size
     return net

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 
 import numpy as np
@@ -155,6 +156,31 @@ def test_knn_model_roundtrip(workspace):
     assert run([
         "eval", "--model", model, "--features", features, "--report", tmp / "e.json",
     ]) == 0
+
+
+def test_knn_model_pins_its_training_data(workspace, capsys, monkeypatch):
+    tmp, tsv, glove = workspace
+    monkeypatch.chdir(tmp)
+    assert run(["featurize", tsv, "--glove", glove, "-o", "features.csv", "--report", "f.json"]) == 0
+    assert run(["train", "--model", "knn", "--features", "features.csv", "-o", "knn.json",
+                "--report", "t.json"]) == 0
+    # the relative training path is kept absolute, so the model loads anywhere
+    elsewhere = tmp / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    evaluate = ["eval", "--model", tmp / "knn.json", "--features", tmp / "features.csv",
+                "--report", "e.json"]
+    assert run(evaluate) == 0
+    # a training file rewritten after training is refused, not used
+    other = tmp / "other.tsv"
+    write_corpus(other, seed=5)
+    assert run(["featurize", other, "--glove", glove, "-o", tmp / "features.csv",
+                "--report", "f.json"]) == 0
+    capsys.readouterr()
+    assert run(evaluate) == 1
+    err = capsys.readouterr().err
+    assert str(tmp / "knn.json") in err and str(tmp / "features.csv") in err
+    assert "Traceback" not in err
 
 
 def test_corrupt_tree_model_exit_code_1(workspace, capsys):
@@ -383,6 +409,10 @@ def test_nn_commands(workspace):
         "nn-build", "--arch", "2", "--toy", "-o", prefix, "--report", tmp / "b.json",
     ]) == 0
     assert (tmp / "net.json").exists() and (tmp / "net.bin").exists()
+    # --toy frozen rows: the padding row, then one normal draw per word
+    rng = np.random.default_rng(0)
+    want = np.vstack([np.zeros(8), *(rng.normal(size=8) for _ in range(30))])
+    assert [w.tolist() for w in _frozen_rows(prefix)] == [want.tolist()] * 2
 
     assert run([
         "nn-train", "--arch", "1", "--toy", "--samples", "40", "--epochs", "5",
@@ -399,6 +429,20 @@ def test_nn_commands(workspace):
     assert worst <= 1e-4
 
 
+def _frozen_rows(prefix):
+    """The frozen embedding matrices of a saved network, read straight from
+    its manifest and weight blob."""
+    manifest = json.loads(prefix.with_suffix(".json").read_text())
+    blob = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
+    offset, frozen = 0, []
+    for param in manifest["params"]:
+        size = int(np.prod(param["shape"]))
+        if param["name"].endswith(".embedding.w") and not param["trainable"]:
+            frozen.append(blob[offset : offset + size].reshape(param["shape"]))
+        offset += size
+    return frozen
+
+
 def _assert_frozen_rows_hold_glove(prefix, glove, rows):
     """Both frozen embedding branches of a saved network hold the GloVe
     vector of each word of ``rows`` at its vocabulary index."""
@@ -407,19 +451,12 @@ def _assert_frozen_rows_hold_glove(prefix, glove, rows):
 
     vocab = build_vocab([r[3] for r in rows] + [r[4] for r in rows])
     vectors = load_glove_text(glove).vocab
-    manifest = json.loads(prefix.with_suffix(".json").read_text())
-    blob = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
-    offset, frozen = 0, 0
-    for param in manifest["params"]:
-        size = int(np.prod(param["shape"]))
-        if param["name"].endswith(".embedding.w") and not param["trainable"]:
-            frozen += 1
-            w = blob[offset : offset + size].reshape(param["shape"])
-            assert not w[0].any()  # the padding row
-            for word, i in vocab.items():
-                assert np.array_equal(w[i], vectors[word]), (param["name"], word)
-        offset += size
-    assert frozen == 2
+    frozen = _frozen_rows(prefix)
+    assert len(frozen) == 2
+    for w in frozen:
+        assert not w[0].any()  # the padding row
+        for word, i in vocab.items():
+            assert np.array_equal(w[i], vectors[word]), word
 
 
 def _tsv_rows(tsv):
@@ -457,6 +494,23 @@ def test_nn_build_frozen_rows_hold_glove_vectors(workspace, capsys, monkeypatch)
     assert run(["nn-build", "--arch", "2", "--pairs", tsv, "--glove", glove,
                 "--vocab-size", 5, "-o", tmp / "small"]) == 1
     assert "too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--glove", "--w2v"])
+def test_gzip_embeddings_cut_in_half_exit_code_1(workspace, capsys, flag):
+    tmp, tsv, glove = workspace
+    raw = glove.read_bytes()
+    if flag == "--w2v":
+        rows = [line.split(" ") for line in glove.read_text().splitlines()]
+        raw = f"{len(rows)} {len(rows[0]) - 1}\n".encode() + b"".join(
+            row[0].encode() + b" " + np.array(row[1:], dtype="<f4").tobytes() for row in rows
+        )
+    packed = gzip.compress(raw)
+    cut = tmp / f"vectors{flag}.gz"
+    cut.write_bytes(packed[: len(packed) // 2])
+    assert run(["featurize", tsv, flag, cut, "-o", tmp / "f.csv", "--report", tmp / "f.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(cut) in err and "Traceback" not in err
 
 
 def test_tfidf_featurize_without_pairs_exit_code_1(workspace, capsys):

@@ -96,6 +96,17 @@ def test_word2vec_gzip_and_header(tmp_path):
     assert np.array_equal(table.vocab["a"], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("loader", [load_glove_text, load_word2vec_binary])
+def test_damaged_gzip_stream_names_the_file(tmp_path, loader):
+    packed = bytearray(gzip.compress(b"2 2\na " + bytes(8) + b"b " + bytes(8)))
+    # the first deflate byte after the 10-byte header: block type 3 is reserved
+    packed[10] = 0xFF
+    path = tmp_path / "vectors.gz"
+    path.write_bytes(bytes(packed))
+    with pytest.raises(ValueError, match=f"{path}: damaged gzip stream"):
+        loader(path)
+
+
 def test_word2vec_truncated(tmp_path):
     vecs = [("a", [1.0, 2.0]), ("b", [3.0, 4.0])]
     blob = _w2v_bytes(vecs, dim=2)

@@ -495,3 +495,8 @@ def test_save_load_knn_reference(tmp_path):
     save_model(model, path, train_data_path=str(feat_path))
     loaded = load_model(path)
     assert np.allclose(loaded.predict_proba(X), model.predict_proba(X))
+    # a model saved before the training file's hash was recorded still loads
+    doc = json.loads(path.read_text())
+    del doc["state"]["train_sha256"]
+    path.write_text(json.dumps(doc))
+    assert np.allclose(load_model(path).predict_proba(X), model.predict_proba(X))

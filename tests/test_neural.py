@@ -1,7 +1,13 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dupliq.embed import EmbeddingTable
 from dupliq.neural import (
     LSTM,
     Adam,
@@ -31,22 +37,21 @@ TOY = {"seq_len": 5, "embed_dim": 8, "lstm_units": 10, "dense_units": 12,
        "conv_filters": 6, "conv_kernel": 3, "dropout": 0.2}
 
 
-def toy_table(dim=8, vocab_size=30, seed=0):
+def toy_frozen(dim=8, vocab_size=30, seed=0):
+    """A zero padding row, then one normal draw per word."""
     rng = np.random.default_rng(seed)
-    vocab = {f"w{i}": rng.normal(size=dim) for i in range(vocab_size)}
-    return EmbeddingTable(dim=dim, vocab=vocab), {f"w{i}": i + 1 for i in range(vocab_size)}
+    return np.vstack([np.zeros((1, dim)), rng.normal(size=(vocab_size, dim))])
 
 
-def toy_net(arch, vocab_size=30, seed=0, **overrides):
+def toy_net(arch, vocab_size=30, seed=0, head_blocks=None, **overrides):
     dims = dict(TOY)
     dims.update(overrides)
-    table, vocab_index = toy_table(dim=dims["embed_dim"], vocab_size=vocab_size)
     return build_architecture(
         arch,
         vocab_size + 1,
-        embedding=table if arch >= 2 else None,
-        vocab_index=vocab_index,
+        frozen=toy_frozen(dim=dims["embed_dim"], vocab_size=vocab_size),
         toy_dims=dims,
+        head_blocks=head_blocks,
         seed=seed,
     )
 
@@ -66,17 +71,19 @@ def test_arch1_default_shapes():
     assert net.seq_len == 40
     assert len(net.branches) == 2
     # merge width: two LSTM branches of 300 units
-    assert sum(b[-1].output_width for b in net.branches) == 600
+    bn, dense = net.head[:2]
+    assert bn.gamma.size == dense.n_in == 600
     assert net.head[-2].n_out == 1
     assert isinstance(net.head[-1], Sigmoid)
 
 
 def test_arch4_has_six_branches():
-    table, vocab_index = toy_table(dim=300, vocab_size=10)
-    net = build_architecture(4, vocab_size=11, embedding=table, vocab_index=vocab_index)
+    net = build_architecture(4, vocab_size=11, frozen=toy_frozen(dim=300, vocab_size=10))
     assert len(net.branches) == 6
     assert net.branch_inputs == [0, 1, 0, 1, 0, 1]
-    assert sum(b[-1].output_width for b in net.branches) == 1800
+    # merge width: two LSTM, two summed and two convolutional branches of
+    # 300 units; architecture 4's head starts with a dense layer
+    assert net.head[0].n_in == 1800
 
 
 def test_arch_errors():
@@ -84,6 +91,11 @@ def test_arch_errors():
         build_architecture(5, vocab_size=10)
     with pytest.raises(ValueError, match="pre-trained"):
         build_architecture(2, vocab_size=10)
+    # the frozen rows are indexed by token, so there is one per index
+    with pytest.raises(ValueError, match=r"\(10, dim\)"):
+        build_architecture(3, vocab_size=10, frozen=np.zeros((9, 4)))
+    with pytest.raises(ValueError, match=r"\(10, dim\)"):
+        build_architecture(4, vocab_size=10, frozen=np.zeros(10))
     with pytest.raises(ValueError, match="unknown dimension"):
         build_architecture(1, vocab_size=10, toy_dims={"bogus": 3})
 
@@ -202,14 +214,14 @@ def test_batch_norm_running_stats_used_in_infer():
 
 
 def test_lambda_sum_one_step_identity():
-    layer = LambdaSum(4)
+    layer = LambdaSum()
     x = np.random.default_rng(5).normal(size=(3, 1, 4))
     assert np.array_equal(layer.forward(x, "infer"), x[:, 0, :])
 
 
 def test_global_max_pool_dominates_inputs():
     rng = np.random.default_rng(6)
-    layer = GlobalMaxPool1D(5)
+    layer = GlobalMaxPool1D()
     x = rng.normal(size=(4, 7, 5))
     out = layer.forward(x, "infer")
     assert np.all(out[:, None, :] >= x)
@@ -226,10 +238,10 @@ def test_prelu_behaviour():
 
 # ---------------------------------------------------------- gradient check
 
-def micro_net(layers, seq_len=3, vocab_size=9, seed=0):
-    """Wrap a single branch as a full network with a dense+sigmoid head."""
+def micro_net(layers, width, seq_len=3, vocab_size=9, seed=0):
+    """Wrap a single branch of output ``width`` as a full network with a
+    dense+sigmoid head."""
     rng = np.random.default_rng(seed)
-    width = layers[-1].output_width
     head = [Dense(2 * width, 1, rng, name="head.out"), Sigmoid()]
     import copy
 
@@ -248,7 +260,8 @@ def micro_net(layers, seq_len=3, vocab_size=9, seed=0):
 def test_gradient_check_dense_micro():
     rng = np.random.default_rng(7)
     net = micro_net(
-        [Embedding(9, 4, rng, name="b.emb"), LambdaSum(4), Dense(4, 5, rng, name="b.d"), Sigmoid(5)]
+        [Embedding(9, 4, rng, name="b.emb"), LambdaSum(), Dense(4, 5, rng, name="b.d"), Sigmoid()],
+        width=5,
     )
     x1, x2, y = toy_batch(net, n=6, seed=2)
     assert gradient_check(net, x1, x2, y) <= 1e-6
@@ -257,7 +270,8 @@ def test_gradient_check_dense_micro():
 def test_gradient_check_lstm_cell():
     rng = np.random.default_rng(8)
     net = micro_net(
-        [Embedding(9, 4, rng, name="b.emb"), LSTM(4, 6, rng, recurrent_dropout=0.2, name="b.lstm")]
+        [Embedding(9, 4, rng, name="b.emb"), LSTM(4, 6, rng, recurrent_dropout=0.2, name="b.lstm")],
+        width=6,
     )
     x1, x2, y = toy_batch(net, n=5, seed=3)
     assert gradient_check(net, x1, x2, y) <= 1e-4
@@ -270,9 +284,10 @@ def test_gradient_check_conv_pool_branch():
             Embedding(9, 4, rng, name="b.emb"),
             Conv1D(4, 5, 3, rng, name="b.c1"),
             Conv1D(5, 5, 3, rng, name="b.c2"),
-            GlobalMaxPool1D(5),
+            GlobalMaxPool1D(),
             Dense(5, 4, rng, name="b.d"),
         ],
+        width=4,
         seq_len=6,
     )
     x1, x2, y = toy_batch(net, n=5, seed=4)
@@ -284,11 +299,12 @@ def test_gradient_check_batchnorm_prelu():
     net = micro_net(
         [
             Embedding(9, 4, rng, name="b.emb"),
-            LambdaSum(4),
+            LambdaSum(),
             BatchNorm(4, name="b.bn"),
             PReLU(4, name="b.pr"),
             Dense(4, 3, rng, name="b.d"),
-        ]
+        ],
+        width=3,
     )
     x1, x2, y = toy_batch(net, n=8, seed=5)
     assert gradient_check(net, x1, x2, y) <= 1e-4
@@ -296,10 +312,8 @@ def test_gradient_check_batchnorm_prelu():
 
 def test_gradient_check_tdd_lambda_sum():
     rng = np.random.default_rng(11)
-    from dupliq.neural import TimeDistributedDense
-
     net = micro_net(
-        [Embedding(9, 4, rng, name="b.emb"), TimeDistributedDense(4, 5, rng, name="b.tdd"), LambdaSum(5)]
+        [Embedding(9, 4, rng, name="b.emb"), Dense(4, 5, rng, name="b.tdd"), LambdaSum()], width=5
     )
     x1, x2, y = toy_batch(net, n=5, seed=6)
     assert gradient_check(net, x1, x2, y) <= 1e-4
@@ -389,9 +403,13 @@ def test_bce_loss_gradient_consistent():
 
 # ------------------------------------------------------------- persistence
 
-@pytest.mark.parametrize("arch", [1, 3])
-def test_save_load_roundtrip(tmp_path, arch):
-    net = toy_net(arch, seed=6)
+@pytest.mark.parametrize(
+    "arch, head_blocks",
+    [(1, None), (2, None), (3, None), (3, 2), (4, 1)],
+    ids=["1", "2", "3", "3-blocks2", "4-blocks1"],
+)
+def test_save_load_roundtrip(tmp_path, arch, head_blocks):
+    net = toy_net(arch, seed=6, head_blocks=head_blocks)
     x1, x2, y = toy_batch(net, n=5, seed=10)
     train_network(net, x1, x2, y, TrainConfig(epochs=1, batch_size=5))
     want = net.forward(x1, x2, mode="infer")
@@ -401,6 +419,70 @@ def test_save_load_roundtrip(tmp_path, arch):
     got = loaded.forward(x1, x2, mode="infer")
     assert np.array_equal(want, got)
     assert loaded.num_params() == net.num_params()
+    assert [p.name for p in loaded.parameters()] == [p.name for p in net.parameters()]
+
+
+# sha256 of the toy manifests (blocks 2 for architectures 3 and 4) as the
+# first weights format wrote them: files saved then must keep loading
+TOY_MANIFEST_SHA256 = {
+    1: "41dac1e3acf32a1f2eae6da2c696ee51b68d7b6f0da5986c7c46a7d06aab080c",
+    2: "ba5d6c40667e030741a2307acc8970b275934fb27bedf3f791fafe401e03b5a3",
+    3: "8f964ccd857117013c2e1ecb44bddd431889119c719aa998c5c5857b6c0e52dd",
+    4: "09b3246ff47f72e2b2036beae4cb104f515fec76b9c169d56ea8c7f7e31be263",
+}
+
+
+@pytest.mark.parametrize("arch", [1, 2, 3, 4])
+def test_manifest_bytes_are_stable(tmp_path, arch):
+    save_network(toy_net(arch, head_blocks=2), tmp_path / "net")
+    digest = hashlib.sha256((tmp_path / "net.json").read_bytes()).hexdigest()
+    assert digest == TOY_MANIFEST_SHA256[arch]
+
+
+def _saved_toy(tmp_path, arch=2):
+    prefix = tmp_path / "net"
+    save_network(toy_net(arch), prefix)
+    return prefix, json.loads(prefix.with_suffix(".json").read_text())
+
+
+def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):
+    prefix, _ = _saved_toy(tmp_path)
+    for text in ("[1, 2]", "{not json"):
+        prefix.with_suffix(".json").write_text(text)
+        with pytest.raises(ValueError, match=str(prefix)):
+            load_network(prefix)
+
+
+@pytest.mark.parametrize("key", ["arch", "vocab_size", "dims", "head_blocks", "frozen_embed_dim", "params", "seed"])
+def test_load_rejects_a_manifest_without_a_key(tmp_path, key):
+    prefix, manifest = _saved_toy(tmp_path)
+    del manifest[key]
+    prefix.with_suffix(".json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"{prefix}.*missing key '{key}'"):
+        load_network(prefix)
+
+
+@pytest.mark.parametrize("cut", [8, 45, -8])
+def test_load_rejects_a_blob_of_the_wrong_size(tmp_path, cut):
+    prefix, _ = _saved_toy(tmp_path)
+    blob = prefix.with_suffix(".bin").read_bytes()
+    # cut bytes off, or (negative) append them
+    prefix.with_suffix(".bin").write_bytes(blob[:-cut] if cut > 0 else blob + bytes(-cut))
+    with pytest.raises(ValueError, match=f"{prefix}.*weight blob holds"):
+        load_network(prefix)
+
+
+def test_neural_does_not_import_embed():
+    # the frozen rows reach build_architecture as an array, so the network
+    # code needs nothing from the embedding loaders
+    import dupliq
+
+    code = "import sys, dupliq.neural; print('dupliq.embed' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dupliq.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- encoding
@@ -436,11 +518,12 @@ def test_gradient_check_floor_follows_the_loss_rounding():
     net = micro_net(
         [
             Embedding(9, 4, rng, name="b.emb"),
-            LambdaSum(4),
+            LambdaSum(),
             Dense(4, 6, rng, name="b.d"),
             BatchNorm(6, name="b.bn"),
             Dense(6, 3, rng, name="b.d2"),
         ],
+        width=3,
         seed=4,
     )
     net.head[0].w.value *= 10.0
