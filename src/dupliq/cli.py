@@ -66,9 +66,6 @@ REFERENCE_RESULTS = {
     },
 }
 
-ALL_KINDS = ("knn", "adaboost", "xgb", "gbm", "decision_tree", "random_forest", "extra_trees")
-
-
 class CliError(Exception):
     """Contract violation surfaced to the user with exit code 1."""
 
@@ -374,6 +371,8 @@ def cmd_importance(args):
 def cmd_grid(args):
     with open(args.spec, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise CliError(f"{args.spec}: a grid spec is a JSON list of {{kind, hyperparameters}} objects")
     grid = [ClassifierSpec.from_dict(e) for e in entries]
     X, y, _names, _path = _load_features(args)
     best, table = learn_mod.grid_search(
@@ -561,8 +560,8 @@ def _run_kinds(kinds, X_train, y_train, X_test, y_test, seed):
 
 
 def cmd_reproduce(args):
-    kinds = args.kinds.split(",") if args.kinds else list(ALL_KINDS)
-    unknown = set(kinds) - set(ALL_KINDS)
+    kinds = args.kinds.split(",") if args.kinds else list(learn_mod.KINDS)
+    unknown = set(kinds) - set(learn_mod.KINDS)
     if unknown:
         raise CliError(f"unknown classifier kinds: {sorted(unknown)}")
     table = corpus.load_pairs(args.tsv)
@@ -676,10 +675,14 @@ def build_parser(config_defaults: dict | None = None):
     p.add_argument("-o", "--output", required=True)
 
     p = add("train", cmd_train, help="train a classifier")
-    p.add_argument("--model", required=True, choices=ALL_KINDS)
+    p.add_argument("--model", required=True, choices=learn_mod.KINDS)
     p.add_argument("--features")
     p.add_argument("--sparse")
-    p.add_argument("--param", action="append", help="hyperparameter key=value")
+    p.add_argument(
+        "--param",
+        action="append",
+        help="hyperparameter key=value, the value read as JSON; names and values are checked",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 

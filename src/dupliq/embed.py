@@ -77,7 +77,8 @@ class EmbeddingTable:
 @contextmanager
 def _open_maybe_gzip(path: str | Path, mode: str):
     """The file, decompressed when it is gzip; a gzip stream cut short or
-    damaged raises ValueError naming ``path`` wherever it is read."""
+    damaged, or a bad gzip header or CRC, raises ValueError naming ``path``
+    wherever it is read."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
     if magic != b"\x1f\x8b":
@@ -87,7 +88,7 @@ def _open_maybe_gzip(path: str | Path, mode: str):
     try:
         with gzip.open(path, mode) as fh:
             yield fh
-    except (EOFError, zlib.error) as exc:
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"{path}: damaged gzip stream: {exc}") from None
 
 

@@ -1,8 +1,8 @@
 """Classifiers, evaluation metrics, feature importance, and grid search.
 
-The seven classifier kinds: knn, decision_tree, random_forest,
-extra_trees, adaboost, gbm, xgb.  All train on a dense float matrix or a
-nonnegative scipy.sparse matrix and predict a probability for class 1.
+Each of the seven classifier kinds in ``KINDS`` trains on a dense float
+matrix or a nonnegative scipy.sparse matrix and predicts a probability
+for class 1.
 """
 
 from __future__ import annotations
@@ -20,14 +20,10 @@ from ..corpus import stratified_indices
 from ._models import (
     DEFAULT_HYPERPARAMETERS,
     KINDS,
-    AdaBoostModel,
-    BoostedTreesModel,
-    DecisionTreeModel,
-    ForestModel,
-    KnnModel,
-    train_model,
+    MODEL_CLASS,
+    _validate_training_input,
+    check_hyperparameters,
 )
-from ._tree import Tree
 from .metrics import Metrics, compute_metrics, log_loss
 
 __all__ = [
@@ -56,18 +52,22 @@ class ClassifierSpec:
     hyperparameters: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown classifier kind {self.kind!r}")
-        hp = dict(DEFAULT_HYPERPARAMETERS[self.kind])
-        hp.update(self.hyperparameters)
-        return hp
+        """The kind's defaults updated with ``hyperparameters``, checked first."""
+        check_hyperparameters(self.kind, self.hyperparameters)
+        return {**DEFAULT_HYPERPARAMETERS[self.kind], **self.hyperparameters}
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "hyperparameters": dict(self.hyperparameters)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierSpec":
-        return cls(kind=d["kind"], hyperparameters=dict(d.get("hyperparameters", {})))
+        """A checked spec from a ``{kind, hyperparameters}`` object."""
+        hp = d.get("hyperparameters", {}) if isinstance(d, dict) else None
+        if not isinstance(hp, dict) or "kind" not in d or set(d) - {"kind", "hyperparameters"}:
+            raise ValueError(f"a classifier spec is a {{kind, hyperparameters}} object, not {d!r}")
+        spec = cls(kind=d["kind"], hyperparameters=dict(hp))
+        spec.resolved()
+        return spec
 
 
 @dataclass
@@ -78,7 +78,8 @@ class ImportanceReport:
 
 def train(spec: ClassifierSpec, X, y):
     """Train one classifier; deterministic for a fixed seed."""
-    return train_model(spec.kind, spec.resolved(), X, y)
+    hp = spec.resolved()
+    return MODEL_CLASS[spec.kind].train(spec.kind, hp, X, _validate_training_input(X, y))
 
 
 def predict_proba(model, X) -> np.ndarray:
@@ -225,11 +226,16 @@ def load_model(path: str | Path):
 
 
 def _model_from_doc(doc: dict):
-    kind = doc["kind"]
-    hp = doc["hyperparameters"]
-    n_features = doc["n_features"]
-    state = doc["state"]
-    model = _classifier_from_doc(kind, hp, n_features, state)
+    kind, hp, n_features, state = doc["kind"], doc["hyperparameters"], doc["n_features"], doc["state"]
+    check_hyperparameters(kind, hp)
+    if kind == "knn":
+        path = state["train_data"]
+        # models saved before the hash was recorded have none
+        digest = state.get("train_sha256")
+        if digest is not None and _sha256(path) != digest:
+            raise ValueError(f"its training data {path} changed after it was saved")
+        state = {**state, "training": _load_training_features(path)}
+    model = MODEL_CLASS[kind].from_state(kind, hp, n_features, state)
     # models saved before column names were recorded have none
     names = doc.get("column_names")
     if names is not None and (
@@ -240,29 +246,6 @@ def _model_from_doc(doc: dict):
         raise ValueError(f"column_names is not a list of {n_features} names")
     model.column_names = names
     return model
-
-
-def _classifier_from_doc(kind: str, hp: dict, n_features: int, state: dict):
-    if kind == "knn":
-        path = state["train_data"]
-        # models saved before the hash was recorded have none
-        digest = state.get("train_sha256")
-        if digest is not None and _sha256(path) != digest:
-            raise ValueError(f"its training data {path} changed after it was saved")
-        X, y = _load_training_features(path)
-        return KnnModel(hp, n_features, X, y)
-    if kind == "decision_tree":
-        return DecisionTreeModel(hp, n_features, Tree.from_dict(state["tree"], n_features))
-    if kind in ("random_forest", "extra_trees"):
-        trees = [Tree.from_dict(t, n_features) for t in state["trees"]]
-        return ForestModel(kind, hp, n_features, trees)
-    if kind == "adaboost":
-        stumps = [Tree.from_dict(t, n_features) for t in state["stumps"]]
-        return AdaBoostModel(hp, n_features, stumps, list(state["alphas"]))
-    if kind in ("gbm", "xgb"):
-        trees = [Tree.from_dict(t, n_features) for t in state["trees"]]
-        return BoostedTreesModel(kind, hp, n_features, state["base_margin"], trees)
-    raise ValueError(f"unknown classifier kind {kind!r}")
 
 
 def _sha256(path: str | Path) -> str:

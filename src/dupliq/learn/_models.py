@@ -4,9 +4,21 @@ Dense input is a float ndarray; sparse input is any scipy.sparse matrix
 with nonnegative values (zeros are real zeros to the tree splitters, and
 the nearest-neighbour model switches from euclidean to cosine distance).
 Every kind is deterministic for a fixed seed.
+
+This module alone decides a kind: its hyperparameters and defaults
+(``DEFAULT_HYPERPARAMETERS``), their allowed values, and its class
+(``MODEL_CLASS``), which trains it and writes and reads its saved state.
+One class per way of combining trees, each keeping them in ``.trees``:
+``ForestModel`` averages leaf probabilities (a decision_tree is a forest
+of one tree grown on every column without bootstrap), ``AdaBoostModel``
+takes a weighted vote of stumps, and ``BoostedTreesModel`` adds leaf
+values to a logistic margin.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,18 +26,28 @@ import scipy.sparse as sp
 from ._sparse import SparseColumns, grow_tree_sparse
 from ._tree import Tree, TreePack, gini_is_pure, gini_score, make_grad_score
 
-KINDS = (
-    "knn",
-    "decision_tree",
-    "random_forest",
-    "extra_trees",
-    "adaboost",
-    "gbm",
-    "xgb",
-)
-
+# in the order of the paper's result tables
 DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     "knn": {"k": 5, "seed": 0},
+    "adaboost": {"n_estimators": 50, "seed": 0},
+    "xgb": {
+        "n_estimators": 200,
+        "learning_rate": 0.1,
+        "max_depth": 4,
+        "min_samples_leaf": 1,
+        "subsample": 1.0,
+        "lambda": 1.0,
+        "gamma": 0.0,
+        "seed": 0,
+    },
+    "gbm": {
+        "n_estimators": 200,
+        "learning_rate": 0.1,
+        "max_depth": 4,
+        "min_samples_leaf": 1,
+        "subsample": 1.0,
+        "seed": 0,
+    },
     "decision_tree": {"max_depth": 12, "min_samples_leaf": 10, "seed": 0},
     "random_forest": {
         "n_estimators": 100,
@@ -42,30 +64,52 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
         "max_features": "sqrt",
         "seed": 0,
     },
-    "adaboost": {"n_estimators": 50, "seed": 0},
-    "gbm": {
-        "n_estimators": 200,
-        "learning_rate": 0.1,
-        "max_depth": 4,
-        "min_samples_leaf": 1,
-        "subsample": 1.0,
-        "seed": 0,
-    },
-    "xgb": {
-        "n_estimators": 200,
-        "learning_rate": 0.1,
-        "max_depth": 4,
-        "min_samples_leaf": 1,
-        "subsample": 1.0,
-        "lambda": 1.0,
-        "gamma": 0.0,
-        "seed": 0,
-    },
+}
+
+KINDS = tuple(DEFAULT_HYPERPARAMETERS)
+
+
+def _int(low):
+    return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+
+
+def _number(test):
+    return lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and test(v)
+
+
+# name -> (test of a value, what it asks for); np.random.default_rng takes
+# no negative seed
+_ALLOWED = {
+    "seed": (_int(0), "an integer >= 0"),
+    "k": (_int(1), "an integer >= 1"),
+    "n_estimators": (_int(0), "an integer >= 0"),
+    "max_depth": (lambda v: v is None or _int(0)(v), "null or an integer >= 0"),
+    "min_samples_leaf": (_int(1), "an integer >= 1"),
+    "max_features": (lambda v: v in (None, "sqrt") or _int(1)(v), 'null, "sqrt" or an integer >= 1'),
+    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+    "learning_rate": (_number(math.isfinite), "a finite number"),
+    "subsample": (_number(lambda v: 0 < v <= 1), "a number in (0, 1]"),
+    "lambda": (_number(lambda v: v >= 0), "a number >= 0"),
+    "gamma": (_number(lambda v: v >= 0), "a number >= 0"),
 }
 
 
-def _is_sparse(X) -> bool:
-    return sp.issparse(X)
+def check_hyperparameters(kind, hp) -> None:
+    """Raise ValueError unless ``kind`` is a classifier kind and ``hp``
+    maps some of its hyperparameter names to allowed values."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    if not isinstance(hp, dict):
+        raise ValueError(f"{kind} hyperparameters are not an object: {hp!r}")
+    names = DEFAULT_HYPERPARAMETERS[kind]
+    for name, value in hp.items():
+        if name not in names:
+            raise ValueError(f"{kind} has no hyperparameter {name!r} (given {value!r}); it has {', '.join(names)}")
+        test, wanted = _ALLOWED[name]
+        if name == "n_estimators" and MODEL_CLASS[kind] is ForestModel:
+            test, wanted = _int(1), "an integer >= 1"  # a forest of no trees averages nothing
+        if not test(value):
+            raise ValueError(f"{kind} hyperparameter {name}={value!r} is not {wanted}")
 
 
 def _validate_training_input(X, y):
@@ -85,7 +129,7 @@ def _validate_training_input(X, y):
 
 
 def _check_finite(X, what: str) -> None:
-    if not np.all(np.isfinite(X.data if _is_sparse(X) else X)):
+    if not np.all(np.isfinite(X.data if sp.issparse(X) else X)):
         raise ValueError(f"{what} features contain NaN or infinity")
 
 
@@ -99,11 +143,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class _BaseModel:
-    kind: str = ""
     # the training matrix's column names, when the saved model records them
     column_names: list[str] | None = None
 
-    def __init__(self, hyperparameters: dict, n_features: int):
+    def __init__(self, kind: str, hyperparameters: dict, n_features: int):
+        self.kind = kind
         self.hyperparameters = hyperparameters
         self.n_features = n_features
 
@@ -114,18 +158,12 @@ class _BaseModel:
             )
         _check_finite(X, "input")
 
-    def predict_proba(self, X) -> np.ndarray:
-        raise NotImplementedError
-
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
     def native_importance(self) -> np.ndarray | None:
         """Normalized split-gain importance; None for non-tree models."""
         return None
-
-    def _state_dict(self) -> dict:
-        raise NotImplementedError
 
     def to_dict(self) -> dict:
         return {
@@ -136,24 +174,50 @@ class _BaseModel:
         }
 
 
-def _normalized_gains(trees: list[Tree], n_features: int, weights=None) -> np.ndarray:
-    total = np.zeros(n_features)
-    for i, tree in enumerate(trees):
-        w = 1.0 if weights is None else weights[i]
-        total += w * tree.feature_gains(n_features)
-    s = total.sum()
-    return total / s if s > 0 else total
+class _TreeModel(_BaseModel):
+    """A model over ``.trees``, routed together as one ``TreePack``."""
+
+    def __init__(self, kind, hyperparameters, n_features, trees: list[Tree]):
+        super().__init__(kind, hyperparameters, n_features)
+        self.trees = trees
+        self._pack = TreePack(trees)
+
+    def native_importance(self, weights=None) -> np.ndarray:
+        total = np.zeros(self.n_features)
+        for i, tree in enumerate(self.trees):
+            w = 1.0 if weights is None else weights[i]
+            total += w * tree.feature_gains(self.n_features)
+        s = total.sum()
+        return total / s if s > 0 else total
+
+
+def _grow_gini(sc, y, w, counts, **settings):
+    """One Gini tree over rows of weight ``w``; a leaf holds the weighted
+    share of class 1.  Impure nodes split whenever a valid candidate
+    exists, so the minimum gain is -inf."""
+
+    def leaf(rows):
+        tw = w[rows].sum()
+        return (w[rows] * y[rows]).sum() / tw if tw > 0 else 0.5
+
+    return grow_tree_sparse(
+        sc,
+        a=w * y,
+        b=w,
+        counts=counts,
+        score_fn=gini_score,
+        leaf_value_fn=leaf,
+        min_gain=-np.inf,
+        purity_fn=gini_is_pure,
+        **settings,
+    )
 
 
 class KnnModel(_BaseModel):
-    kind = "knn"
-
-    def __init__(self, hyperparameters, n_features, X, y):
-        super().__init__(hyperparameters, n_features)
+    def __init__(self, kind, hyperparameters, n_features, X, y):
+        super().__init__(kind, hyperparameters, n_features)
         self.k = int(hyperparameters["k"])
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        self.sparse = _is_sparse(X)
+        self.sparse = sp.issparse(X)
         self.metric = "cosine" if self.sparse else "euclidean"
         if self.sparse:
             self._train = sp.csr_matrix(X, dtype=np.float64)
@@ -164,6 +228,14 @@ class KnnModel(_BaseModel):
             self._train = np.asarray(X, dtype=np.float64)
             self._sq = (self._train**2).sum(axis=1)
         self.y = np.asarray(y, dtype=np.int64)
+
+    @classmethod
+    def train(cls, kind, hp, X, y):
+        return cls(kind, hp, X.shape[1], X, y)
+
+    @classmethod
+    def from_state(cls, kind, hp, n_features, state):
+        return cls(kind, hp, n_features, *state["training"])  # (X, y) of the named training file
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
@@ -202,94 +274,47 @@ class KnnModel(_BaseModel):
         return {"metric": self.metric, "k": self.k}
 
 
-class DecisionTreeModel(_BaseModel):
-    kind = "decision_tree"
-
-    def __init__(self, hyperparameters, n_features, tree: Tree):
-        super().__init__(hyperparameters, n_features)
-        self.tree = tree
-        self._pack = TreePack([tree])
+class ForestModel(_TreeModel):
+    """Random forest, extra trees and the decision tree; probability is
+    the mean of the per-tree leaf probabilities."""
 
     @classmethod
-    def train(cls, hp, X, y, sc):
-        n = X.shape[0]
-        a = y.astype(np.float64)
-        b = np.ones(n)
-        counts = np.ones(n, dtype=np.int64)
-        rng = np.random.default_rng(hp["seed"])
-        tree, _ = grow_tree_sparse(
-            sc,
-            a=a,
-            b=b,
-            counts=counts,
-            score_fn=gini_score,
-            leaf_value_fn=lambda rows: y[rows].mean(),
-            max_depth=hp["max_depth"],
-            min_samples_leaf=hp["min_samples_leaf"],
-            max_features=None,
-            rng=rng,
-            min_gain=-np.inf,
-            purity_fn=gini_is_pure,
-        )
-        return cls(hp, X.shape[1], tree)
-
-    def predict_proba(self, X) -> np.ndarray:
-        self._check_input(X)
-        return self._pack.leaf_values(X)[:, 0]
-
-    def native_importance(self) -> np.ndarray:
-        return _normalized_gains([self.tree], self.n_features)
-
-    def _state_dict(self) -> dict:
-        return {"tree": self.tree.to_dict()}
-
-
-class ForestModel(_BaseModel):
-    """Random forest and extra trees; probability is the mean of the
-    per-tree leaf probabilities, so one tree without bootstrap reduces to
-    the plain decision tree."""
-
-    def __init__(self, kind, hyperparameters, n_features, trees: list[Tree]):
-        super().__init__(hyperparameters, n_features)
-        self.kind = kind
-        self.trees = trees
-        self._pack = TreePack(trees)
-
-    @classmethod
-    def train(cls, kind, hp, X, y, sc):
+    def train(cls, kind, hp, X, y):
+        sc = SparseColumns(X)
         n, n_features = X.shape
         rng = np.random.default_rng(hp["seed"])
-        max_features = hp.get("max_features", "sqrt")
+        if kind == "decision_tree":
+            n_trees, max_features, bootstrap = 1, None, False
+        else:
+            n_trees, max_features = hp["n_estimators"], hp["max_features"]
+            bootstrap = kind == "random_forest" and hp["bootstrap"]
         if max_features == "sqrt":
             max_features = max(1, int(np.sqrt(n_features)))
-        bootstrap = bool(hp.get("bootstrap", False)) if kind == "random_forest" else False
-        random_thresholds = kind == "extra_trees"
         trees = []
-        for _ in range(hp["n_estimators"]):
+        for _ in range(n_trees):
             if bootstrap:
                 counts = rng.multinomial(n, np.full(n, 1.0 / n)).astype(np.int64)
             else:
                 counts = np.ones(n, dtype=np.int64)
-            w = counts.astype(np.float64)
-            a = w * y
-            leaf_fn = _weighted_mean_leaf(y, w)
-            tree, _ = grow_tree_sparse(
+            tree, _ = _grow_gini(
                 sc,
-                a=a,
-                b=w,
-                counts=counts,
-                score_fn=gini_score,
-                leaf_value_fn=leaf_fn,
+                y,
+                counts.astype(np.float64),
+                counts,
                 max_depth=hp["max_depth"],
                 min_samples_leaf=hp["min_samples_leaf"],
                 max_features=max_features,
                 rng=rng,
-                random_thresholds=random_thresholds,
-                min_gain=-np.inf,
-                purity_fn=gini_is_pure,
+                random_thresholds=kind == "extra_trees",
             )
             trees.append(tree)
         return cls(kind, hp, n_features, trees)
+
+    @classmethod
+    def from_state(cls, kind, hp, n_features, state):
+        # decision-tree files saved before it became a one-tree forest hold "tree"
+        saved = [state["tree"]] if kind == "decision_tree" and "tree" in state else state["trees"]
+        return cls(kind, hp, n_features, [Tree.from_dict(t, n_features) for t in saved])
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
@@ -298,34 +323,20 @@ class ForestModel(_BaseModel):
             total += leaf
         return total / len(self.trees)
 
-    def native_importance(self) -> np.ndarray:
-        return _normalized_gains(self.trees, self.n_features)
-
     def _state_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees]}
 
 
-def _weighted_mean_leaf(y, w):
-    def leaf(rows):
-        tw = w[rows].sum()
-        return (w[rows] * y[rows]).sum() / tw if tw > 0 else 0.5
-
-    return leaf
-
-
-class AdaBoostModel(_BaseModel):
+class AdaBoostModel(_TreeModel):
     """Discrete reweighting boosting over depth-1 stumps."""
 
-    kind = "adaboost"
-
-    def __init__(self, hyperparameters, n_features, stumps, alphas):
-        super().__init__(hyperparameters, n_features)
-        self.stumps = stumps
+    def __init__(self, kind, hyperparameters, n_features, trees, alphas):
+        super().__init__(kind, hyperparameters, n_features, trees)
         self.alphas = alphas
-        self._pack = TreePack(stumps)
 
     @classmethod
-    def train(cls, hp, X, y, sc):
+    def train(cls, kind, hp, X, y):
+        sc = SparseColumns(X)
         n = X.shape[0]
         rng = np.random.default_rng(hp["seed"])
         w = np.full(n, 1.0 / n)
@@ -333,19 +344,8 @@ class AdaBoostModel(_BaseModel):
         stumps: list[Tree] = []
         alphas: list[float] = []
         for _ in range(hp["n_estimators"]):
-            stump, leaf = grow_tree_sparse(
-                sc,
-                a=w * y,
-                b=w.copy(),
-                counts=counts,
-                score_fn=gini_score,
-                leaf_value_fn=_weighted_mean_leaf(y, w),
-                max_depth=1,
-                min_samples_leaf=1,
-                max_features=None,
-                rng=rng,
-                min_gain=-np.inf,
-                purity_fn=gini_is_pure,
+            stump, leaf = _grow_gini(
+                sc, y, w, counts, max_depth=1, min_samples_leaf=1, max_features=None, rng=rng
             )
             miss = (leaf >= 0.5) != y
             err = float(w[miss].sum())
@@ -363,7 +363,12 @@ class AdaBoostModel(_BaseModel):
             alphas.append(alpha)
             w = w * np.exp(alpha * miss)
             w /= w.sum()
-        return cls(hp, X.shape[1], stumps, alphas)
+        return cls(kind, hp, X.shape[1], stumps, alphas)
+
+    @classmethod
+    def from_state(cls, kind, hp, n_features, state):
+        trees = [Tree.from_dict(t, n_features) for t in state["stumps"]]
+        return cls(kind, hp, n_features, trees, list(state["alphas"]))
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
@@ -374,13 +379,13 @@ class AdaBoostModel(_BaseModel):
         return votes / total if total > 0 else np.full(X.shape[0], 0.5)
 
     def native_importance(self) -> np.ndarray:
-        return _normalized_gains(self.stumps, self.n_features, self.alphas)
+        return super().native_importance(self.alphas)
 
     def _state_dict(self) -> dict:
-        return {"stumps": [t.to_dict() for t in self.stumps], "alphas": self.alphas}
+        return {"stumps": [t.to_dict() for t in self.trees], "alphas": self.alphas}
 
 
-class BoostedTreesModel(_BaseModel):
+class BoostedTreesModel(_TreeModel):
     """Additive trees on logistic loss.
 
     kind "gbm": first-order residual fitting (variance-reduction splits)
@@ -391,23 +396,21 @@ class BoostedTreesModel(_BaseModel):
     """
 
     def __init__(self, kind, hyperparameters, n_features, base_margin, trees):
-        super().__init__(hyperparameters, n_features)
-        self.kind = kind
+        super().__init__(kind, hyperparameters, n_features, trees)
         self.base_margin = base_margin
-        self.trees = trees
-        self._pack = TreePack(trees)
 
     @classmethod
-    def train(cls, kind, hp, X, y, sc):
+    def train(cls, kind, hp, X, y):
+        sc = SparseColumns(X)
         n = X.shape[0]
         rng = np.random.default_rng(hp["seed"])
         lr = float(hp["learning_rate"])
-        subsample = float(hp.get("subsample", 1.0))
+        subsample = float(hp["subsample"])
         prior = y.mean()
         base_margin = float(np.log(prior / (1.0 - prior)))
         margin = np.full(n, base_margin)
-        lam = float(hp.get("lambda", 0.0)) if kind == "xgb" else 0.0
-        gamma = float(hp.get("gamma", 0.0)) if kind == "xgb" else 0.0
+        lam = float(hp["lambda"]) if kind == "xgb" else 0.0
+        gamma = float(hp["gamma"]) if kind == "xgb" else 0.0
         score_fn = make_grad_score(lam)
         scale = 0.5 if kind == "xgb" else 1.0
         trees: list[Tree] = []
@@ -451,20 +454,18 @@ class BoostedTreesModel(_BaseModel):
                 margin = margin + lr * leaf
         return cls(kind, hp, X.shape[1], base_margin, trees)
 
-    def decision_margin(self, X, n_trees: int | None = None) -> np.ndarray:
+    @classmethod
+    def from_state(cls, kind, hp, n_features, state):
+        trees = [Tree.from_dict(t, n_features) for t in state["trees"]]
+        return cls(kind, hp, n_features, state["base_margin"], trees)
+
+    def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
         margin = np.full(X.shape[0], self.base_margin)
         lr = float(self.hyperparameters["learning_rate"])
-        leaves = self._pack.leaf_values(X)
-        for t in range(len(self.trees[:n_trees])):
-            margin += lr * leaves[:, t]
-        return margin
-
-    def predict_proba(self, X, n_trees: int | None = None) -> np.ndarray:
-        return _sigmoid(self.decision_margin(X, n_trees))
-
-    def native_importance(self) -> np.ndarray:
-        return _normalized_gains(self.trees, self.n_features)
+        for leaf in self._pack.leaf_values(X).T:
+            margin += lr * leaf
+        return _sigmoid(margin)
 
     def _state_dict(self) -> dict:
         return {
@@ -488,19 +489,5 @@ def _gbm_leaf(r, h):
     return leaf
 
 
-def train_model(kind: str, hyperparameters: dict, X, y) -> _BaseModel:
-    if kind not in KINDS:
-        raise ValueError(f"unknown classifier kind {kind!r}")
-    y = _validate_training_input(X, y)
-    hp = dict(DEFAULT_HYPERPARAMETERS[kind])
-    hp.update(hyperparameters)
-    if kind == "knn":
-        return KnnModel(hp, X.shape[1], X, y)
-    sc = SparseColumns(X)
-    if kind == "decision_tree":
-        return DecisionTreeModel.train(hp, X, y, sc)
-    if kind in ("random_forest", "extra_trees"):
-        return ForestModel.train(kind, hp, X, y, sc)
-    if kind == "adaboost":
-        return AdaBoostModel.train(hp, X, y, sc)
-    return BoostedTreesModel.train(kind, hp, X, y, sc)
+MODEL_CLASS = {"knn": KnnModel, "adaboost": AdaBoostModel, "xgb": BoostedTreesModel, "gbm": BoostedTreesModel}
+MODEL_CLASS.update(dict.fromkeys(("decision_tree", "random_forest", "extra_trees"), ForestModel))

@@ -4,7 +4,8 @@ One builder (``_sparse.grow_tree_sparse``) grows every tree; it serves all
 split criteria through two per-row stat channels ``a`` and ``b`` plus an
 integer occurrence count:
 
-* Gini trees use a = weight * label, b = weight; the per-side score is
+* Gini trees (``_models._grow_gini``, for forests and AdaBoost) use
+  a = weight * label, b = weight; the per-side score is
   ``-a (b - a) / b`` (negative weighted impurity), so maximizing
   ``score_L + score_R - score_parent`` maximizes the impurity decrease.
 * Second-order boosting uses a = gradient sum, b = hessian sum with score

@@ -136,7 +136,7 @@ def build_architecture(
     batch norm of the merge, then ``Dense(1)`` and a sigmoid; architecture
     4's blocks have no PReLU and no batch norm before them.  ``head_blocks``
     sets the number of blocks of architectures 3 and 4 (by default 4 and
-    8); architectures 1 and 2 have one.
+    8); architectures 1 and 2 have one and refuse any ``head_blocks``.
     """
     if arch not in (1, 2, 3, 4):
         raise ValueError(f"architecture id must be 1..4, got {arch}")
@@ -155,8 +155,10 @@ def build_architecture(
         if unknown:
             raise ValueError(f"unknown dimension overrides: {sorted(unknown)}")
         dims.update(toy_dims)
-    if head_blocks is None or arch in (1, 2):
+    if head_blocks is None:
         head_blocks = DEFAULT_HEAD_BLOCKS[arch]
+    elif arch in (1, 2):
+        raise ValueError(f"architecture {arch} has one head block, so head_blocks must be None")
 
     rng = np.random.default_rng(seed)
     dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
@@ -289,6 +291,8 @@ def load_network(prefix: str | Path) -> Network:
 
 
 def _network_from(manifest: dict, blob: bytes) -> Network:
+    # architectures 1 and 2 save 0 blocks for their fixed one
+    head_blocks = manifest["head_blocks"]
     frozen = None
     if manifest["arch"] >= 2:
         frozen = np.zeros((manifest["vocab_size"], manifest["frozen_embed_dim"]))
@@ -297,7 +301,7 @@ def _network_from(manifest: dict, blob: bytes) -> Network:
         manifest["vocab_size"],
         frozen=frozen,
         toy_dims=manifest["dims"],
-        head_blocks=manifest["head_blocks"],
+        head_blocks=head_blocks if manifest["arch"] in (3, 4) else None,
         seed=manifest["seed"],
     )
     params = net.parameters()

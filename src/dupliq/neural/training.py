@@ -17,6 +17,10 @@ from ..textops import normalize_text, tokenize
 from .network import Network
 
 BCE_EPS = 1e-12
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -24,9 +28,6 @@ class TrainConfig:
     batch_size: int = 300
     epochs: int = 150
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
 
@@ -53,17 +54,16 @@ class Adam:
         self.t = 0
 
     def step(self) -> None:
-        c = self.config
         self.t += 1
-        bias1 = 1.0 - c.beta1**self.t
-        bias2 = 1.0 - c.beta2**self.t
+        bias1 = 1.0 - ADAM_BETA1**self.t
+        bias2 = 1.0 - ADAM_BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            p.value -= c.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + c.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.value -= self.config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def train_network(

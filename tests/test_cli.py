@@ -193,7 +193,7 @@ def test_corrupt_tree_model_exit_code_1(workspace, capsys):
         "--report", tmp / "t.json",
     ]) == 0
     doc = json.loads(model.read_text())
-    tree = doc["state"]["tree"]
+    tree = doc["state"]["trees"][0]
     assert tree["feature"][0] >= 0
     # the root's left child points back at the root: routing would never end
     tree["left"][0] = 0
@@ -226,7 +226,7 @@ def test_malformed_model_and_nan_features_exit_code_1(workspace, capsys):
     assert "NaN" in capsys.readouterr().err
 
     doc = json.loads(good)
-    del doc["state"]["tree"]["gain"]
+    del doc["state"]["trees"][0]["gain"]
     model.write_text(json.dumps(doc))
     assert run(["eval", "--model", model, "--features", features, "--report", tmp / "e.json"]) == 1
     err = capsys.readouterr().err
@@ -496,21 +496,42 @@ def test_nn_build_frozen_rows_hold_glove_vectors(workspace, capsys, monkeypatch)
     assert "too small" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--glove", "--w2v"])
-def test_gzip_embeddings_cut_in_half_exit_code_1(workspace, capsys, flag):
-    tmp, tsv, glove = workspace
+def _gzipped_vectors(glove, flag) -> bytearray:
+    """The workspace's GloVe vectors, gzipped, as text or (``--w2v``) binary."""
     raw = glove.read_bytes()
     if flag == "--w2v":
         rows = [line.split(" ") for line in glove.read_text().splitlines()]
         raw = f"{len(rows)} {len(rows[0]) - 1}\n".encode() + b"".join(
             row[0].encode() + b" " + np.array(row[1:], dtype="<f4").tobytes() for row in rows
         )
-    packed = gzip.compress(raw)
+    return bytearray(gzip.compress(raw))
+
+
+@pytest.mark.parametrize("flag", ["--glove", "--w2v"])
+def test_gzip_embeddings_cut_in_half_exit_code_1(workspace, capsys, flag):
+    tmp, tsv, glove = workspace
+    packed = _gzipped_vectors(glove, flag)
     cut = tmp / f"vectors{flag}.gz"
     cut.write_bytes(packed[: len(packed) // 2])
     assert run(["featurize", tsv, flag, cut, "-o", tmp / "f.csv", "--report", tmp / "f.json"]) == 1
     err = capsys.readouterr().err
     assert str(cut) in err and "Traceback" not in err
+
+
+# header byte 2 is the compression method; the trailer starts with the
+# CRC-32, which only a reader that reaches the end of the stream checks
+@pytest.mark.parametrize(
+    "flag, byte", [("--glove", 2), ("--glove", -8), ("--w2v", 2)], ids=["glove-header", "glove-crc", "w2v-header"]
+)
+def test_gzip_embeddings_with_a_bad_header_or_crc_exit_code_1(workspace, capsys, flag, byte):
+    tmp, tsv, glove = workspace
+    packed = _gzipped_vectors(glove, flag)
+    packed[byte] ^= 0x40
+    bad = tmp / f"vectors{flag}.gz"
+    bad.write_bytes(bytes(packed))
+    assert run(["featurize", tsv, flag, bad, "-o", tmp / "f.csv", "--report", tmp / "f.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: damaged gzip stream" in err and "Traceback" not in err
 
 
 def test_tfidf_featurize_without_pairs_exit_code_1(workspace, capsys):
@@ -587,3 +608,52 @@ def test_config_file_defaults_with_flag_override(workspace):
     doc2 = json.loads((tmp / "s2.json").read_text())
     assert doc2["config"]["test"] == 0.5
     assert doc2["config"]["seed"] == 9
+
+
+BAD_PARAMS = [
+    ("decision_tree", "max_depht=3", "'max_depht'"),
+    ("random_forest", "max_features=log2", "max_features='log2'"),
+    ("decision_tree", "max_depth=abc", "max_depth='abc'"),
+    ("random_forest", "n_estimators=-3", "n_estimators=-3"),
+    ("extra_trees", "n_estimators=0", "n_estimators=0"),
+    ("xgb", "n_estimators=-3", "n_estimators=-3"),
+    ("knn", "k=true", "k=True"),
+    ("gbm", "subsample=0", "subsample=0"),
+]
+
+BAD_GRIDS = [
+    ({"kind": "xgb"}, "JSON list"),
+    ([{"hyperparameters": {"max_depth": 3}}], "{kind, hyperparameters}"),
+    (["xgb"], "{kind, hyperparameters}"),
+    ([{"kind": "xgb", "hyperparameters": [3]}], "{kind, hyperparameters}"),
+    ([{"kind": "xgb", "hyperparams": {}}], "{kind, hyperparameters}"),
+    ([{"kind": "svm"}], "unknown classifier kind 'svm'"),
+    (
+        [{"kind": "decision_tree", "hyperparameters": {"max_depth": 3}},
+         {"kind": "random_forest", "hyperparameters": {"n_estimators": 0}}],
+        "random_forest hyperparameter n_estimators=0",
+    ),
+    ([{"kind": "decision_tree", "hyperparameters": {"max_depht": 3}}], "decision_tree has no hyperparameter 'max_depht'"),
+]
+
+
+def test_bad_hyperparameters_and_grid_specs_exit_code_1(workspace, capsys):
+    tmp, tsv, glove = workspace
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "model.json"
+    for kind, param, named in BAD_PARAMS:
+        capsys.readouterr()
+        assert run([
+            "train", "--model", kind, "--features", features, "--param", param, "-o", model,
+            "--report", tmp / "t.json",
+        ]) == 1, param
+        err = capsys.readouterr().err
+        assert kind in err and named in err and "Traceback" not in err, err
+        assert not model.exists()
+    spec = tmp / "grid.json"
+    for grid, named in BAD_GRIDS:
+        spec.write_text(json.dumps(grid))
+        assert run(["grid", "--spec", spec, "--features", features, "--report", tmp / "g.json"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, err

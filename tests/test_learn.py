@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dupliq.learn import (
+    DEFAULT_HYPERPARAMETERS,
     KINDS,
     ClassifierSpec,
     _permute_sparse_column,
@@ -19,6 +22,7 @@ from dupliq.learn import (
     train,
 )
 
+from dupliq.learn._models import _sigmoid
 from dupliq.learn._tree import Tree, TreePack
 
 from oracles import best_stump_accuracy, tree_apply_dense
@@ -120,9 +124,11 @@ def test_gbm_zero_rounds_is_prior():
 def test_gbm_zero_learning_rate_stages_constant():
     X, y = separable_data(30)
     model = train(spec_for("gbm", n_estimators=8, learning_rate=0.0), X, y)
-    p0 = model.predict_proba(X, n_trees=0)
-    for rounds in (1, 4, 8):
-        assert np.array_equal(model.predict_proba(X, n_trees=rounds), p0)
+    prior = train(spec_for("gbm", n_estimators=0), X, y)
+    # the margin never moves, so every round grows the first round's tree
+    assert len(model.trees) == 8
+    assert all(t.to_dict() == model.trees[0].to_dict() for t in model.trees)
+    assert np.array_equal(model.predict_proba(X), prior.predict_proba(X))
 
 
 def test_fixture_tree_walked_by_hand():
@@ -130,7 +136,7 @@ def test_fixture_tree_walked_by_hand():
     X = np.array([[9.0, 0.0], [9.0, 0.1], [9.0, 0.2], [9.0, 0.3], [9.0, 1.0]])
     y = np.array([0, 0, 0, 1, 1])
     model = train(spec_for("decision_tree", max_depth=1, min_samples_leaf=1), X, y)
-    tree = model.tree
+    (tree,) = model.trees
     assert tree.feature[0] == 1
     left, right = tree.left[0], tree.right[0]
     got = {
@@ -276,8 +282,7 @@ def test_duplicated_column_never_split_on():
     for kind in ("decision_tree", "adaboost", "gbm", "xgb"):
         hp = {} if kind == "decision_tree" else {"n_estimators": 20}
         model = train(spec_for(kind, **hp), X_dup, y)
-        trees = getattr(model, "trees", None) or getattr(model, "stumps", None) or [model.tree]
-        assert all((t.feature != 4).all() for t in trees), kind
+        assert all((t.feature != 4).all() for t in model.trees), kind
         plain = train(spec_for(kind, **hp), X, y)
         assert np.array_equal(plain.predict_proba(X), model.predict_proba(X_dup)), kind
 
@@ -386,11 +391,11 @@ def test_load_rejects_corrupt_trees(tmp_path):
     path = tmp_path / "tree.json"
     save_model(model, path)
     good = path.read_text()
-    internal = int(np.flatnonzero(model.tree.feature >= 0)[-1])
+    internal = int(np.flatnonzero(model.trees[0].feature >= 0)[-1])
 
     def corrupt(edit):
         doc = json.loads(good)
-        edit(doc["state"]["tree"])
+        edit(doc["state"]["trees"][0])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="corrupt tree"):
             load_model(path)
@@ -417,11 +422,15 @@ def test_load_rejects_malformed_documents(tmp_path):
             load_model(path)
         assert str(path) in str(info.value)
 
-    malformed(lambda d: d["state"]["tree"].pop("gain"), "gain")
+    malformed(lambda d: d["state"]["trees"][0].pop("gain"), "gain")
     malformed(lambda d: d.pop("n_features"), "n_features")
     malformed(lambda d: d.update(state=[]), "malformed")
-    malformed(lambda d: d["state"]["tree"].update(value={"a": 1}), "cannot load model")
-    malformed(lambda d: d["state"]["tree"]["value"].pop(), "corrupt tree")
+    malformed(lambda d: d["state"]["trees"][0].update(value={"a": 1}), "cannot load model")
+    malformed(lambda d: d["state"]["trees"][0]["value"].pop(), "corrupt tree")
+    malformed(lambda d: d["hyperparameters"].update(max_depth="abc"), "max_depth='abc'")
+    malformed(lambda d: d["hyperparameters"].update(max_depht=3), "max_depht")
+    malformed(lambda d: d.update(hyperparameters=[3]), "not an object")
+    malformed(lambda d: d.update(kind="svm"), "unknown classifier kind 'svm'")
     malformed(lambda d: d.update(column_names=["a"]), "column_names")
     malformed(lambda d: d.update(column_names=list(range(d["n_features"]))), "column_names")
     path.write_text(json.dumps([json.loads(good)]))
@@ -468,15 +477,13 @@ def test_packed_predict_matches_tree_by_tree():
     y = (np.sin(4 * X.sum(axis=1)) > 0).astype(int)
     for kind in ("random_forest", "adaboost", "gbm", "xgb"):
         model = train(spec_for(kind, n_estimators=15), X, y)
-        trees = getattr(model, "trees", None) or model.stumps
-        leaves = np.column_stack([tree_apply_dense(t, X) for t in trees])
+        leaves = np.column_stack([tree_apply_dense(t, X) for t in model.trees])
+        assert np.array_equal(TreePack(model.trees).leaf_values(X), leaves), kind
         if kind in ("gbm", "xgb"):
             want = np.full(len(X), model.base_margin)
-            for t in range(len(trees)):
+            for t in range(len(model.trees)):
                 want += model.hyperparameters["learning_rate"] * leaves[:, t]
-            assert np.array_equal(model.decision_margin(X), want), kind
-        else:
-            assert np.array_equal(TreePack(trees).leaf_values(X), leaves), kind
+            assert np.array_equal(model.predict_proba(X), _sigmoid(want)), kind
         one_by_one = [model.predict_proba(X[i : i + 1])[0] for i in range(len(X))]
         assert np.array_equal(one_by_one, model.predict_proba(X)), kind
 
@@ -500,3 +507,164 @@ def test_save_load_knn_reference(tmp_path):
     del doc["state"]["train_sha256"]
     path.write_text(json.dumps(doc))
     assert np.allclose(load_model(path).predict_proba(X), model.predict_proba(X))
+
+
+# ------------------------------------------------------- saved model bytes
+
+def pinned_matrices():
+    """A fixed signed dense matrix and a fixed nonnegative sparse one, with
+    their labels."""
+    rng = np.random.default_rng(40)
+    X = np.round(rng.normal(size=(48, 5)), 3)
+    y = (X[:, 0] + X[:, 1] * X[:, 2] + 0.5 * rng.normal(size=48) > 0).astype(np.int64)
+    S = np.round(rng.random((48, 12)), 3) * (rng.random((48, 12)) < 0.3)
+    S[:, 0] += 0.5 * y
+    return {"dense": X, "sparse": sp.csr_matrix(S)}, y
+
+
+def pinned_model(kind, X, y):
+    hp = {"seed": 3}
+    if "n_estimators" in DEFAULT_HYPERPARAMETERS[kind]:
+        hp["n_estimators"] = 6
+    return train(ClassifierSpec(kind, hp), X, y)
+
+
+def saved_model_bytes(tmp_path, kind, X, y) -> bytes:
+    model = pinned_model(kind, X, y)
+    path = tmp_path / f"{kind}.json"
+    if kind != "knn":
+        save_model(model, path)
+        return path.read_bytes()
+    # a knn model names its training file by absolute path and sha256
+    (tmp_path / "train.csv").write_text("f0\n")
+    save_model(model, path, train_data_path=str(tmp_path / "train.csv"))
+    doc = json.loads(path.read_text())
+    del doc["state"]["train_data"], doc["state"]["train_sha256"]
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+# sha256 of the saved models of pinned_model on pinned_matrices(); every
+# kind but decision_tree as the first model format wrote them, and
+# decision_tree since it is saved as a one-tree forest ("trees": [tree])
+MODEL_SHA256 = {
+    ("knn", "dense"): "957c9eca291b11367f116118ee94426c8c613950835af9d79bb9765d1ee4f506",
+    ("knn", "sparse"): "fb92453fc7b1251be89233a62148ae2d62b7d7bd770ae54d42ac07faeb95b61d",
+    ("adaboost", "dense"): "5afc185a7d5a33bfeec1a40356288e2384ddc309c6884e5d860263f126e2a365",
+    ("adaboost", "sparse"): "ab38dee56be7412281cd7a5e0c26bad68efd4d50c18730eb0adf609ec46a29d7",
+    ("xgb", "dense"): "c2905ebccbab23fb64081abc239956d60b7f9892edc76a3405e04aeeb7a6fdca",
+    ("xgb", "sparse"): "584da8efe0947026a72e08fe05e8c05b9cc6f48d09d2df08629b6b0b25d38022",
+    ("gbm", "dense"): "9d54f351753b1726c8d422ec5dc3993ef429a395294d087942564f670618179e",
+    ("gbm", "sparse"): "dd2995d3617de7d72ddd935e8cfc9981f8fbc8bfb0cc9a0b40220104006f8682",
+    ("decision_tree", "dense"): "86f5e4618a3255fbd90322662e779caa9ea8e1db4131feaf2686b8f5b45537c4",
+    ("decision_tree", "sparse"): "77ce9a5b607fcfc5fb4ce9191ae5668e20c7d9c67a2eceb43fc2df16a7f2c4b4",
+    ("random_forest", "dense"): "8245ea2af91b0fb3311833f5616141c16875e7bbd78df5eb5178860af26a4920",
+    ("random_forest", "sparse"): "f6be149762e11597a57976a7be3fcd3f3bc8baf9f6daccc4c10ec5ae6df520e4",
+    ("extra_trees", "dense"): "77b89c909fddd8f4e1badc9f5bc0901026eea2ca9c5107db182666e2fd97ff2c",
+    ("extra_trees", "sparse"): "c2e6e5906a816bde23015ed8dc23259e95a6fa8260199d6ec0efe0bfa0d74f9d",
+}
+
+
+@pytest.mark.parametrize("layout", ["dense", "sparse"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_saved_model_bytes_are_stable(tmp_path, kind, layout):
+    matrices, y = pinned_matrices()
+    digest = hashlib.sha256(saved_model_bytes(tmp_path, kind, matrices[layout], y)).hexdigest()
+    assert digest == MODEL_SHA256[kind, layout]
+
+
+# a decision tree saved before decision trees became one-tree forests: its
+# state holds one "tree", not a list of "trees"; the sha256 is of its
+# predict_proba(X).tobytes() on the dense pinned matrix
+TREE_KEY_MODEL = Path(__file__).parent / "fixtures" / "decision_tree_tree_key.json"
+TREE_KEY_PROBA_SHA256 = "31e142a97df884c7863d6f27e3ce9a8af6111d2ad1f6cc1d7b1ee8bd8492cb52"
+
+
+def test_decision_tree_saved_with_a_tree_key_still_loads(tmp_path):
+    matrices, y = pinned_matrices()
+    X = matrices["dense"]
+    old = json.loads(TREE_KEY_MODEL.read_text())
+    assert set(old["state"]) == {"tree"}
+    loaded = load_model(TREE_KEY_MODEL)
+    proba = loaded.predict_proba(X)
+    assert hashlib.sha256(proba.tobytes()).hexdigest() == TREE_KEY_PROBA_SHA256
+    assert np.array_equal(proba, pinned_model("decision_tree", X, y).predict_proba(X))
+    save_model(loaded, tmp_path / "resaved.json")
+    new = json.loads((tmp_path / "resaved.json").read_text())
+    assert new["state"] == {"trees": [old["state"]["tree"]]}
+    assert {k: v for k, v in new.items() if k != "state"} == {
+        k: v for k, v in old.items() if k != "state"
+    }
+
+
+# ------------------------------------------------------- hyperparameters
+
+BAD_HYPERPARAMETERS = [
+    ("decision_tree", "max_depht", 3),
+    ("decision_tree", "n_estimators", 1),
+    ("extra_trees", "bootstrap", True),
+    ("knn", "seed", -1),
+    ("knn", "seed", "0"),
+    ("knn", "k", 0),
+    ("knn", "k", True),
+    ("knn", "k", 2.0),
+    ("random_forest", "n_estimators", 0),
+    ("random_forest", "n_estimators", -3),
+    ("extra_trees", "n_estimators", 0),
+    ("adaboost", "n_estimators", -1),
+    ("xgb", "n_estimators", 1.5),
+    ("decision_tree", "max_depth", -1),
+    ("decision_tree", "max_depth", "abc"),
+    ("gbm", "min_samples_leaf", 0),
+    ("random_forest", "max_features", "log2"),
+    ("random_forest", "max_features", 0),
+    ("random_forest", "bootstrap", 1),
+    ("xgb", "learning_rate", math.inf),
+    ("xgb", "learning_rate", math.nan),
+    ("xgb", "learning_rate", None),
+    ("gbm", "subsample", 0),
+    ("gbm", "subsample", 1.5),
+    ("xgb", "lambda", -1),
+    ("xgb", "gamma", -0.5),
+    ("xgb", "gamma", False),
+]
+
+GOOD_HYPERPARAMETERS = [
+    ("adaboost", "n_estimators", 0),
+    ("gbm", "n_estimators", 0),
+    ("random_forest", "n_estimators", 1),
+    ("decision_tree", "max_depth", None),
+    ("decision_tree", "max_depth", 0),
+    ("random_forest", "max_features", None),
+    ("random_forest", "max_features", 3),
+    ("random_forest", "bootstrap", False),
+    ("xgb", "learning_rate", -0.1),
+    ("gbm", "subsample", 1),
+    ("xgb", "lambda", 0),
+    ("knn", "k", np.int64(2)),
+]
+
+
+@pytest.mark.parametrize("kind, name, value", BAD_HYPERPARAMETERS)
+def test_resolved_refuses_bad_hyperparameters(kind, name, value):
+    spec = ClassifierSpec(kind, {name: value})
+    with pytest.raises(ValueError) as info:
+        spec.resolved()
+    message = str(info.value)
+    assert kind in message and name in message and repr(value) in message
+    with pytest.raises(ValueError):
+        ClassifierSpec.from_dict(spec.to_dict())
+
+
+@pytest.mark.parametrize("kind, name, value", GOOD_HYPERPARAMETERS)
+def test_resolved_takes_allowed_hyperparameters(kind, name, value):
+    hp = ClassifierSpec(kind, {name: value}).resolved()
+    assert hp == {**DEFAULT_HYPERPARAMETERS[kind], name: value}
+
+
+def test_from_dict_refuses_what_is_not_a_spec():
+    for entry in (["xgb"], "xgb", {"hyperparameters": {}}, {"kind": "xgb", "hyperparameters": [3]},
+                  {"kind": "xgb", "hyperparams": {}}):
+        with pytest.raises(ValueError, match="kind, hyperparameters"):
+            ClassifierSpec.from_dict(entry)
+    with pytest.raises(ValueError, match="unknown classifier kind 'svm'"):
+        ClassifierSpec.from_dict({"kind": "svm"})

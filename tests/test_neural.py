@@ -32,6 +32,7 @@ from dupliq.neural import (
     train_network,
 )
 from dupliq.neural.network import Network
+from dupliq.neural.training import ADAM_EPS
 
 TOY = {"seq_len": 5, "embed_dim": 8, "lstm_units": 10, "dense_units": 12,
        "conv_filters": 6, "conv_kernel": 3, "dropout": 0.2}
@@ -356,7 +357,7 @@ def test_adam_step_matches_hand_computation():
         g = np.array([[0.3], [-0.2]]) if param is dense.w else np.array([0.05])
         m_hat = g  # (1 - b1) g / (1 - b1)
         v_hat = g * g
-        want = start - 0.01 * m_hat / (np.sqrt(v_hat) + config.eps)
+        want = start - 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         assert np.allclose(param.value, want, atol=1e-15)
 
 
@@ -422,6 +423,13 @@ def test_save_load_roundtrip(tmp_path, arch, head_blocks):
     assert [p.name for p in loaded.parameters()] == [p.name for p in net.parameters()]
 
 
+@pytest.mark.parametrize("arch", [1, 2])
+def test_one_block_architectures_refuse_head_blocks(arch):
+    for blocks in (0, 1, 3):
+        with pytest.raises(ValueError, match=f"architecture {arch} has one head block"):
+            toy_net(arch, head_blocks=blocks)
+
+
 # sha256 of the toy manifests (blocks 2 for architectures 3 and 4) as the
 # first weights format wrote them: files saved then must keep loading
 TOY_MANIFEST_SHA256 = {
@@ -434,7 +442,7 @@ TOY_MANIFEST_SHA256 = {
 
 @pytest.mark.parametrize("arch", [1, 2, 3, 4])
 def test_manifest_bytes_are_stable(tmp_path, arch):
-    save_network(toy_net(arch, head_blocks=2), tmp_path / "net")
+    save_network(toy_net(arch, head_blocks=2 if arch >= 3 else None), tmp_path / "net")
     digest = hashlib.sha256((tmp_path / "net.json").read_bytes()).hexdigest()
     assert digest == TOY_MANIFEST_SHA256[arch]
 

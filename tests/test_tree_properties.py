@@ -69,8 +69,7 @@ def hyperparameters(kind):
 
 
 def tree_nodes(model):
-    trees = getattr(model, "trees", None) or getattr(model, "stumps", None) or [model.tree]
-    return [t.n_nodes for t in trees]
+    return [t.n_nodes for t in model.trees]
 
 
 def assert_engine_matches_oracle(kind, hp, X, y):
