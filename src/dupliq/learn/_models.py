@@ -26,6 +26,9 @@ import scipy.sparse as sp
 from ._sparse import SparseColumns, grow_tree_sparse
 from ._tree import Tree, TreePack, gini_is_pure, gini_score, make_grad_score
 
+# floats per knn distance block, and per dense query block of a sparse one
+DISTANCE_FLOATS = 2_000_000
+
 # in the order of the paper's result tables
 DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     "knn": {"k": 5, "seed": 0},
@@ -241,10 +244,9 @@ class KnnModel(_BaseModel):
         self._check_input(X)
         k = min(self.k, len(self.y))
         out = np.empty(X.shape[0])
-        # bound the dense distance block to ~2M floats
-        chunk = max(1, 2_000_000 // max(len(self.y), 1))
+        chunk = max(1, DISTANCE_FLOATS // max(len(self.y), X.shape[1], 1))
         for start in range(0, X.shape[0], chunk):
-            block = X[start : start + chunk]
+            block = X[start : start + chunk] if chunk < X.shape[0] else X
             d = self._distances(block)
             # neighbours ordered by (distance, train index) for determinism
             if k < d.shape[1]:
@@ -262,9 +264,16 @@ class KnnModel(_BaseModel):
             block = sp.csr_matrix(block, dtype=np.float64)
             norms = np.sqrt(np.asarray(block.multiply(block).sum(axis=1)).ravel())
             inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-            unit = sp.diags(inv) @ block
-            sims = (unit @ self._train_unit.T).toarray()
-            return 1.0 - sims
+            # A dense unit query keeps the sums of the sparse formula
+            # ``sp.diags(inv) @ block @ self._train_unit.T`` bit for bit, with
+            # no transpose of the training matrix.  CSR times dense adds each
+            # train row's products in its stored column order, descending since
+            # ``sp.diags(inv) @ X`` built it; the sparse product adds the shared
+            # columns in the scaled query's stored order, descending too.  The
+            # columns the query lacks only add exact zeros.
+            unit_t = block.T.toarray(order="C")  # (n_cols, rows)
+            unit_t *= inv
+            return 1.0 - (self._train_unit @ unit_t).T
         block = np.asarray(block, dtype=np.float64)
         sq = (block**2).sum(axis=1)
         d2 = sq[:, None] + self._sq[None, :] - 2.0 * block @ self._train.T
@@ -314,14 +323,15 @@ class ForestModel(_TreeModel):
     def from_state(cls, kind, hp, n_features, state):
         # decision-tree files saved before it became a one-tree forest hold "tree"
         saved = [state["tree"]] if kind == "decision_tree" and "tree" in state else state["trees"]
+        if not saved:
+            raise ValueError(f"a {kind} needs at least one tree")
         return cls(kind, hp, n_features, [Tree.from_dict(t, n_features) for t in saved])
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
-        total = np.zeros(X.shape[0])
-        for leaf in self._pack.leaf_values(X).T:
-            total += leaf
-        return total / len(self.trees)
+        # accumulate adds left to right, the order of a per-tree loop
+        leaves = self._pack.leaf_values(X)
+        return np.add.accumulate(leaves, axis=1, out=leaves)[:, -1] / len(self.trees)
 
     def _state_dict(self) -> dict:
         return {"trees": [t.to_dict() for t in self.trees]}
@@ -368,15 +378,21 @@ class AdaBoostModel(_TreeModel):
     @classmethod
     def from_state(cls, kind, hp, n_features, state):
         trees = [Tree.from_dict(t, n_features) for t in state["stumps"]]
-        return cls(kind, hp, n_features, trees, list(state["alphas"]))
+        alphas = list(state["alphas"])
+        if len(alphas) != len(trees):
+            raise ValueError(f"adaboost has {len(trees)} stumps but {len(alphas)} alphas")
+        return cls(kind, hp, n_features, trees, alphas)
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
-        votes = np.zeros(X.shape[0])
-        for leaf, alpha in zip(self._pack.leaf_values(X).T, self.alphas):
-            votes += alpha * (leaf >= 0.5)
         total = sum(self.alphas)
-        return votes / total if total > 0 else np.full(X.shape[0], 0.5)
+        if not total > 0:
+            return np.full(X.shape[0], 0.5)
+        # each tree's vote alpha * (leaf >= 0.5), added left to right
+        leaves = self._pack.leaf_values(X)
+        votes = np.greater_equal(leaves, 0.5, out=leaves)
+        votes *= self.alphas
+        return np.add.accumulate(votes, axis=1, out=votes)[:, -1] / total
 
     def native_importance(self) -> np.ndarray:
         return super().native_importance(self.alphas)
@@ -461,11 +477,12 @@ class BoostedTreesModel(_TreeModel):
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
-        margin = np.full(X.shape[0], self.base_margin)
         lr = float(self.hyperparameters["learning_rate"])
-        for leaf in self._pack.leaf_values(X).T:
-            margin += lr * leaf
-        return _sigmoid(margin)
+        # [base_margin, lr * leaf_0, lr * leaf_1, ...], added left to right
+        terms = np.empty((X.shape[0], len(self.trees) + 1))
+        terms[:, 0] = self.base_margin
+        np.multiply(self._pack.leaf_values(X), lr, out=terms[:, 1:])
+        return _sigmoid(np.add.accumulate(terms, axis=1, out=terms)[:, -1])
 
     def _state_dict(self) -> dict:
         return {

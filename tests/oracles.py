@@ -4,9 +4,12 @@ Each oracle is deliberately the slow, obviously-correct formulation:
 full-matrix dynamic programming for subsequence length, exhaustive window
 scans, spanning-tree vertex enumeration for transport, straight-line
 per-formula loops for distances, moments and TF-IDF vectors, and node-by-node,
-column-by-column tree growing and row-by-row routing.  None of them share
-code with the library implementations they check; the tree oracle only
-borrows the library's ``Tree`` container and its two tie constants.
+column-by-column tree growing and row-by-row routing, and one Python-level
+addition per tree or a scipy sparse product for model probabilities.  None
+of them share code with the library implementations they check; the tree
+oracle only borrows the library's ``Tree`` container and its two tie
+constants, and the probability oracle reads a model's public fields and its
+training matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def lcs_dp(s1: str, s2: str) -> int:
@@ -434,4 +438,68 @@ def tree_apply_dense(tree, X):
             go_left = X[r, tree.feature[node]] < tree.threshold[node]
             node = tree.left[node] if go_left else tree.right[node]
         out[r] = tree.value[node]
+    return out
+
+
+def predict_proba_oracle(model, X):
+    """A model's probabilities the slow way: tree kinds add one tree at a
+    time over ``tree_apply_dense``; knn ranks each query row's neighbours on
+    its own, from ``knn_distances_oracle``."""
+    if model.kind == "knn":
+        return _knn_oracle(model, X)
+    dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    leaves = [tree_apply_dense(tree, dense) for tree in model.trees]
+    if model.kind == "adaboost":
+        votes = np.zeros(len(dense))
+        for leaf, alpha in zip(leaves, model.alphas):
+            votes += alpha * (leaf >= 0.5)
+        total = sum(model.alphas)
+        return votes / total if total > 0 else np.full(len(dense), 0.5)
+    if model.kind in ("gbm", "xgb"):
+        margin = np.full(len(dense), model.base_margin)
+        lr = float(model.hyperparameters["learning_rate"])
+        for leaf in leaves:
+            margin += lr * leaf
+        out = np.empty_like(margin)
+        pos = margin >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-margin[pos]))
+        ez = np.exp(margin[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+    total = np.zeros(len(dense))
+    for leaf in leaves:
+        total += leaf
+    return total / len(model.trees)
+
+
+def _unit_rows(M):
+    M = sp.csr_matrix(M, dtype=np.float64)
+    norms = np.sqrt(np.asarray(M.multiply(M).sum(axis=1)).ravel())
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return sp.diags(inv) @ M
+
+
+def knn_distances_oracle(model, X):
+    """Distances of every query row to every training row of a knn model:
+    cosine from a scipy sparse product on sparse input, euclidean from
+    squared norms and one matrix product on dense input."""
+    train = model._train
+    if sp.issparse(X):
+        return 1.0 - (_unit_rows(X) @ _unit_rows(train).T).toarray()
+    X = np.asarray(X, dtype=np.float64)
+    d2 = (X**2).sum(axis=1)[:, None] + (train**2).sum(axis=1)[None, :] - 2.0 * X @ train.T
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def _knn_oracle(model, X):
+    d = knn_distances_oracle(model, X)
+    k = min(model.k, len(model.y))
+    out = np.empty(len(d))
+    for r, row in enumerate(d):
+        # the k rows argpartition picks, ranked by (distance, index): where
+        # the k-th distance ties with rows left out, the pick is
+        # argpartition's, not the lowest index
+        picked = np.argpartition(row, k - 1)[:k] if k < len(row) else np.arange(len(row))
+        nearest = picked[np.lexsort((picked, row[picked]))]
+        out[r] = model.y[nearest].mean()
     return out

@@ -657,3 +657,32 @@ def test_bad_hyperparameters_and_grid_specs_exit_code_1(workspace, capsys):
         assert run(["grid", "--spec", spec, "--features", features, "--report", tmp / "g.json"]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err, err
+
+
+def test_forest_without_trees_exit_code_1(workspace, capsys):
+    tmp, tsv, glove = workspace
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    for kind, n_trees in (
+        ("random_forest", 2), ("extra_trees", 2), ("decision_tree", None), ("adaboost", 0), ("xgb", 0),
+    ):
+        model = tmp / f"{kind}.json"
+        params = [] if n_trees is None else ["--param", f"n_estimators={n_trees}"]
+        assert run([
+            "train", "--model", kind, "--features", features, *params, "-o", model, "--report", tmp / "t.json",
+        ]) == 0
+        doc = json.loads(model.read_text())
+        trees = "stumps" if kind == "adaboost" else "trees"
+        doc["state"][trees] = []
+        if kind == "adaboost":
+            doc["state"]["alphas"] = []
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["eval", "--model", model, "--features", features, "--report", tmp / "e.json"])
+        err = capsys.readouterr().err
+        # boosted models of zero trees are legitimate (n_estimators >= 0)
+        if kind in ("adaboost", "xgb"):
+            assert code == 0, err
+        else:
+            assert code == 1 and str(model) in err and "tree" in err, err
+        assert "Traceback" not in err

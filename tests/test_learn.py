@@ -438,6 +438,20 @@ def test_load_rejects_malformed_documents(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_an_alpha_per_stump_mismatch(tmp_path):
+    X, y = separable_data(30, seed=15)
+    y[:3] = 1 - y[:3]  # not separable by one stump, so boosting keeps several
+    path = tmp_path / "adaboost.json"
+    save_model(train(spec_for("adaboost", n_estimators=4), X, y), path)
+    doc = json.loads(path.read_text())
+    assert len(doc["state"]["alphas"]) > 1
+    doc["state"]["alphas"].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="alphas") as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_predict_rejects_nan_and_inf(kind):
     X, y = separable_data(40, seed=16)

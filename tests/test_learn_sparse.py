@@ -6,7 +6,7 @@ from dupliq.learn import ClassifierSpec, evaluate, train
 from dupliq.learn._sparse import SparseColumns, grow_tree_sparse
 from dupliq.learn._tree import TreePack, gini_is_pure, gini_score, make_grad_score
 
-from oracles import grow_tree_dense, tree_apply_dense
+from oracles import grow_tree_dense, knn_distances_oracle, tree_apply_dense
 
 
 def tree_apply(tree, X):
@@ -148,6 +148,37 @@ def test_knn_sparse_scale_invariant():
     model = train(ClassifierSpec("knn", {"k": 3}), X, y)
     scaled = sp.csr_matrix(X.toarray() * 7.3)
     assert np.array_equal(model.predict_proba(X), model.predict_proba(scaled))
+
+
+def test_knn_sparse_distances_match_oracle_bit_for_bit():
+    # many stored columns a row, so that summing them in another order
+    # would change low bits
+    X, y = sparse_dataset(n=50, d=200, density=0.4, seed=11)
+    Q, _ = sparse_dataset(n=30, d=200, density=0.4, seed=12)
+    Q[3] = 0.0  # a query row of zero norm
+    model = train(ClassifierSpec("knn", {"k": 3}), sp.csr_matrix(X), y)
+    want = knn_distances_oracle(model, sp.csr_matrix(Q))
+    assert model._distances(sp.csr_matrix(Q)).tobytes() == want.tobytes()
+    one_row = np.vstack([model._distances(sp.csr_matrix(Q[r : r + 1])) for r in range(len(Q))])
+    assert one_row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_train, d", [(60, 30), (12, 80)])
+def test_knn_sparse_batch_in_chunks_equals_one_chunk(monkeypatch, n_train, d):
+    import dupliq.learn._models as models
+
+    X, y = sparse_dataset(n=n_train, d=d, density=0.2, seed=9)
+    Q, _ = sparse_dataset(n=45, d=d, density=0.2, seed=10)
+    model = train(ClassifierSpec("knn", {"k": 4}), sp.csr_matrix(X), y)
+    whole = model.predict_proba(sp.csr_matrix(Q))
+    # room for 2 query rows of the wider of n_train distances and d columns
+    monkeypatch.setattr(models, "DISTANCE_FLOATS", 2 * max(n_train, d) + 1)
+    seen = []
+    real = models.KnnModel._distances
+    monkeypatch.setattr(models.KnnModel, "_distances", lambda self, b: seen.append(b.shape[0]) or real(self, b))
+    chunked = model.predict_proba(sp.csr_matrix(Q))
+    assert seen == [2] * 22 + [1]
+    assert chunked.tobytes() == whole.tobytes()
 
 
 def test_xgb_gamma_prunes_splits():

@@ -1,9 +1,13 @@
-"""Property tests: every tree kind against the dense oracle builder.
+"""Property tests: every tree kind against the dense oracle builder, and
+every kind's probabilities against the slow predict oracle.
 
 The oracle (``oracles.grow_tree_dense``) grows node by node and column by
 column on the dense view of the input.  It stands in for the library
 builder inside the unchanged model code, so both sides run the same
 boosting, reweighting and sampling loops and must agree exactly.
+``oracles.predict_proba_oracle`` adds the trees' leaves one tree at a time
+and ranks knn neighbours from a scipy sparse product; a model's
+probabilities must equal it bit for bit, one row at a time as in a batch.
 """
 
 from contextlib import contextmanager
@@ -17,7 +21,7 @@ import dupliq.learn._models as models
 from dupliq.learn import ClassifierSpec, train
 from dupliq.learn._tree import TreePack
 
-from oracles import grow_tree_dense, tree_apply_dense
+from oracles import grow_tree_dense, predict_proba_oracle, tree_apply_dense
 
 SIGNED = [-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 1.5, 3.0]
 NONNEGATIVE = [0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 2.0]
@@ -55,6 +59,8 @@ def datasets(draw, values, sparse):
 
 
 def hyperparameters(kind):
+    if kind == "knn":
+        return st.fixed_dictionaries({"k": st.integers(1, 6)})
     common = {"seed": st.integers(0, 3), "max_depth": st.integers(1, 4), "min_samples_leaf": st.integers(1, 3)}
     if kind == "adaboost":
         return st.fixed_dictionaries({"seed": st.integers(0, 3), "n_estimators": st.integers(1, 4)})
@@ -108,3 +114,31 @@ def test_packed_routing_matches_row_by_row(data):
     pack = TreePack(model.trees)
     assert np.array_equal(pack.leaf_values(X), want)
     assert np.array_equal(pack.leaf_values(sp.csr_matrix(X)), want)
+
+
+def check_predict(kind):
+    @given(data=st.data())
+    def check(data):
+        sparse = data.draw(st.booleans())
+        values = NONNEGATIVE if sparse else SIGNED
+        X, y = data.draw(datasets(values, sparse))
+        model = train(ClassifierSpec(kind, data.draw(hyperparameters(kind))), X, y)
+        n = data.draw(st.integers(1, 12))
+        Q = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * X.shape[1], max_size=n * X.shape[1])))
+        Q = Q.reshape(n, X.shape[1])
+        for query in (X, sp.csr_matrix(Q) if sparse else Q):
+            batch = model.predict_proba(query)
+            assert batch.tobytes() == predict_proba_oracle(model, query).tobytes()
+            one_row = np.array([model.predict_proba(query[r : r + 1])[0] for r in range(query.shape[0])])
+            assert one_row.tobytes() == batch.tobytes()
+
+    return check
+
+
+test_knn_predict_matches_oracle = check_predict("knn")
+test_adaboost_predict_matches_oracle = check_predict("adaboost")
+test_xgb_predict_matches_oracle = check_predict("xgb")
+test_gbm_predict_matches_oracle = check_predict("gbm")
+test_decision_tree_predict_matches_oracle = check_predict("decision_tree")
+test_random_forest_predict_matches_oracle = check_predict("random_forest")
+test_extra_trees_predict_matches_oracle = check_predict("extra_trees")
