@@ -620,6 +620,8 @@ CONFIG_VERSION = 1
 def _load_config_defaults(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: a config file holds a JSON object, not {type(doc).__name__}")
     if doc.get("config_version") != CONFIG_VERSION:
         raise CliError(f"{path}: unsupported config_version")
     defaults = doc.get("defaults", {})
@@ -628,7 +630,36 @@ def _load_config_defaults(path: str) -> dict:
     return {k.replace("-", "_"): v for k, v in defaults.items()}
 
 
-def build_parser(config_defaults: dict | None = None):
+def _config_value(action, value):
+    """A config file's ``value`` for ``action``'s flag, checked and
+    converted as the flag's value on the command line would be; raises
+    ValueError saying what the flag takes."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ValueError("must be true or false")
+        return value
+    if isinstance(action, argparse._AppendAction):
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise ValueError("must be a list of strings")
+        return value
+    if action.type is None:
+        if not isinstance(value, str):
+            raise ValueError("must be a string")
+    elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError("must be a string or a number")
+    else:
+        try:
+            value = action.type(str(value))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(str(exc)) from None
+        except ValueError:
+            raise ValueError(f"invalid {action.type.__name__} value: {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"must be one of {', '.join(map(str, action.choices))}")
+    return value
+
+
+def build_parser(config_defaults: dict | None = None, config_path: str | None = None):
     parser = _Parser(prog="dupliq", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -754,25 +785,34 @@ def build_parser(config_defaults: dict | None = None):
     p.add_argument("--max-features", type=int, default=50000)
     p.add_argument("-o", dest="report")
 
-    if config_defaults:
-        for p in subparsers:
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in config_defaults.items() if k in known})
+    for p in subparsers:
+        for action in p._actions:
+            if action.option_strings and action.dest in (config_defaults or {}):
+                value = config_defaults[action.dest]
+                try:
+                    action.default = _config_value(action, value)
+                except ValueError as exc:
+                    # main raises it if the command runs with this default
+                    action.default = CliError(f"{config_path}: {action.dest}={value!r}: {exc}")
     return parser
 
 
 def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_defaults = None
+        config_path = config_defaults = None
         if "--config" in raw:
             after = raw[raw.index("--config") + 1 :]
             if not after:
                 print("error: --config needs a path", file=sys.stderr)
                 return 1
-            config_defaults = _load_config_defaults(after[0])
-        parser = build_parser(config_defaults)
+            config_path = after[0]
+            config_defaults = _load_config_defaults(config_path)
+        parser = build_parser(config_defaults, config_path)
         args = parser.parse_args(raw)
+        for value in vars(args).values():
+            if isinstance(value, CliError):
+                raise value
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ One class per way of combining trees, each keeping them in ``.trees``:
 ``ForestModel`` averages leaf probabilities (a decision_tree is a forest
 of one tree grown on every column without bootstrap), ``AdaBoostModel``
 takes a weighted vote of stumps, and ``BoostedTreesModel`` adds leaf
-values to a logistic margin.
+values to a logistic margin.  Each grows its trees with ``_tree``'s
+``grow_tree``, passing the split criterion of its kind: ``gini`` for the
+forests and AdaBoost, ``newton`` for xgb and ``residual`` for gbm.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numbers
 import numpy as np
 import scipy.sparse as sp
 
-from ._sparse import SparseColumns, grow_tree_sparse
-from ._tree import Tree, TreePack, gini_is_pure, gini_score, make_grad_score
+from ._tree import ColumnEntries, Tree, TreePack, gini, grow_tree, newton, residual
 
 # floats per knn distance block, and per dense query block of a sparse one
 DISTANCE_FLOATS = 2_000_000
@@ -194,28 +195,6 @@ class _TreeModel(_BaseModel):
         return total / s if s > 0 else total
 
 
-def _grow_gini(sc, y, w, counts, **settings):
-    """One Gini tree over rows of weight ``w``; a leaf holds the weighted
-    share of class 1.  Impure nodes split whenever a valid candidate
-    exists, so the minimum gain is -inf."""
-
-    def leaf(rows):
-        tw = w[rows].sum()
-        return (w[rows] * y[rows]).sum() / tw if tw > 0 else 0.5
-
-    return grow_tree_sparse(
-        sc,
-        a=w * y,
-        b=w,
-        counts=counts,
-        score_fn=gini_score,
-        leaf_value_fn=leaf,
-        min_gain=-np.inf,
-        purity_fn=gini_is_pure,
-        **settings,
-    )
-
-
 class KnnModel(_BaseModel):
     def __init__(self, kind, hyperparameters, n_features, X, y):
         super().__init__(kind, hyperparameters, n_features)
@@ -242,20 +221,13 @@ class KnnModel(_BaseModel):
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
-        k = min(self.k, len(self.y))
         out = np.empty(X.shape[0])
         chunk = max(1, DISTANCE_FLOATS // max(len(self.y), X.shape[1], 1))
         for start in range(0, X.shape[0], chunk):
             block = X[start : start + chunk] if chunk < X.shape[0] else X
-            d = self._distances(block)
-            # neighbours ordered by (distance, train index) for determinism
-            if k < d.shape[1]:
-                part = np.argpartition(d, k - 1, axis=1)[:, :k]
-            else:
-                part = np.broadcast_to(np.arange(d.shape[1]), (d.shape[0], d.shape[1]))
-            rows = np.arange(d.shape[0])[:, None]
-            order = np.lexsort((part, d[rows, part]), axis=1)
-            neighbours = part[rows, order][:, :k]
+            # the k nearest by (distance, train index): a stable sort keeps
+            # the lowest index first among equal distances
+            neighbours = np.argsort(self._distances(block), axis=1, kind="stable")[:, : self.k]
             out[start : start + chunk] = self.y[neighbours].mean(axis=1)
         return out
 
@@ -289,7 +261,7 @@ class ForestModel(_TreeModel):
 
     @classmethod
     def train(cls, kind, hp, X, y):
-        sc = SparseColumns(X)
+        entries = ColumnEntries(X)
         n, n_features = X.shape
         rng = np.random.default_rng(hp["seed"])
         if kind == "decision_tree":
@@ -305,10 +277,9 @@ class ForestModel(_TreeModel):
                 counts = rng.multinomial(n, np.full(n, 1.0 / n)).astype(np.int64)
             else:
                 counts = np.ones(n, dtype=np.int64)
-            tree, _ = _grow_gini(
-                sc,
-                y,
-                counts.astype(np.float64),
+            tree, _ = grow_tree(
+                entries,
+                gini(counts.astype(np.float64), y),
                 counts,
                 max_depth=hp["max_depth"],
                 min_samples_leaf=hp["min_samples_leaf"],
@@ -346,7 +317,7 @@ class AdaBoostModel(_TreeModel):
 
     @classmethod
     def train(cls, kind, hp, X, y):
-        sc = SparseColumns(X)
+        entries = ColumnEntries(X)
         n = X.shape[0]
         rng = np.random.default_rng(hp["seed"])
         w = np.full(n, 1.0 / n)
@@ -354,8 +325,8 @@ class AdaBoostModel(_TreeModel):
         stumps: list[Tree] = []
         alphas: list[float] = []
         for _ in range(hp["n_estimators"]):
-            stump, leaf = _grow_gini(
-                sc, y, w, counts, max_depth=1, min_samples_leaf=1, max_features=None, rng=rng
+            stump, leaf = grow_tree(
+                entries, gini(w, y), counts, max_depth=1, min_samples_leaf=1, max_features=None, rng=rng
             )
             miss = (leaf >= 0.5) != y
             err = float(w[miss].sum())
@@ -417,7 +388,7 @@ class BoostedTreesModel(_TreeModel):
 
     @classmethod
     def train(cls, kind, hp, X, y):
-        sc = SparseColumns(X)
+        entries = ColumnEntries(X)
         n = X.shape[0]
         rng = np.random.default_rng(hp["seed"])
         lr = float(hp["learning_rate"])
@@ -425,10 +396,6 @@ class BoostedTreesModel(_TreeModel):
         prior = y.mean()
         base_margin = float(np.log(prior / (1.0 - prior)))
         margin = np.full(n, base_margin)
-        lam = float(hp["lambda"]) if kind == "xgb" else 0.0
-        gamma = float(hp["gamma"]) if kind == "xgb" else 0.0
-        score_fn = make_grad_score(lam)
-        scale = 0.5 if kind == "xgb" else 1.0
         trees: list[Tree] = []
         for _ in range(hp["n_estimators"]):
             p = _sigmoid(margin)
@@ -439,29 +406,19 @@ class BoostedTreesModel(_TreeModel):
             else:
                 counts = np.ones(n, dtype=np.int64)
             csel = counts.astype(np.float64)
+            h = p * (1.0 - p) * csel
             if kind == "xgb":
-                g = (p - y) * csel
-                h = p * (1.0 - p) * csel
-                leaf_fn = _newton_leaf(g, h, lam)
-                a, b = g, h
+                criterion = newton((p - y) * csel, h, float(hp["lambda"]), float(hp["gamma"]))
             else:
-                r = (y - p) * csel
-                h = p * (1.0 - p) * csel
-                leaf_fn = _gbm_leaf(r, h)
-                a, b = r, csel
-            tree, leaf = grow_tree_sparse(
-                sc,
-                a=a,
-                b=b,
-                counts=counts,
-                score_fn=score_fn,
-                leaf_value_fn=leaf_fn,
+                criterion = residual((y - p) * csel, csel, h)
+            tree, leaf = grow_tree(
+                entries,
+                criterion,
+                counts,
                 max_depth=hp["max_depth"],
                 min_samples_leaf=hp["min_samples_leaf"],
                 max_features=None,
                 rng=rng,
-                score_scale=scale,
-                gain_penalty=gamma,
             )
             trees.append(tree)
             if lr != 0.0:
@@ -489,21 +446,6 @@ class BoostedTreesModel(_TreeModel):
             "base_margin": self.base_margin,
             "trees": [t.to_dict() for t in self.trees],
         }
-
-
-def _newton_leaf(g, h, lam):
-    def leaf(rows):
-        return -g[rows].sum() / max(h[rows].sum() + lam, 1e-300)
-
-    return leaf
-
-
-def _gbm_leaf(r, h):
-    def leaf(rows):
-        denom = h[rows].sum()
-        return r[rows].sum() / denom if denom > 1e-12 else 0.0
-
-    return leaf
 
 
 MODEL_CLASS = {"knn": KnnModel, "adaboost": AdaBoostModel, "xgb": BoostedTreesModel, "gbm": BoostedTreesModel}

@@ -187,18 +187,35 @@ def save_model(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TfidfModel:
+    """Rebuild a model saved by :func:`save_model`; a document that is not a
+    valid model raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != FORMAT_VERSION:
+    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version")
-    vocabulary = {t: int(i) for t, i, _ in doc["terms"]}
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: cannot load TF-IDF model: {detail}") from None
+
+
+def _model_from_doc(doc: dict) -> TfidfModel:
+    terms = doc["terms"]
+    if not isinstance(terms, list) or not all(isinstance(t, list) and len(t) == 3 for t in terms):
+        raise ValueError("terms is not a list of [term, id, idf] triples")
+    vocabulary = {t: int(i) for t, i, _ in terms}
+    if len(vocabulary) != len(terms) or sorted(vocabulary.values()) != list(range(len(terms))):
+        raise ValueError(f"the term ids are not the numbers 0 to {len(terms) - 1}, each once")
     idf = np.zeros(len(vocabulary))
-    for _, i, w in doc["terms"]:
-        idf[int(i)] = w
-    return TfidfModel(
+    for t, _, w in terms:
+        idf[vocabulary[t]] = w
+    model = TfidfModel(
         analyzer=doc["analyzer"],
         ngram_range=tuple(doc["ngram_range"]),
         max_features=doc["max_features"],
         vocabulary=vocabulary,
         idf=idf,
     )
+    analyze("", model.analyzer, model.ngram_range)  # refuses an unknown analyzer or range
+    return model

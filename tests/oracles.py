@@ -6,10 +6,10 @@ scans, spanning-tree vertex enumeration for transport, straight-line
 per-formula loops for distances, moments and TF-IDF vectors, and node-by-node,
 column-by-column tree growing and row-by-row routing, and one Python-level
 addition per tree or a scipy sparse product for model probabilities.  None
-of them share code with the library implementations they check; the tree
-oracle only borrows the library's ``Tree`` container and its two tie
-constants, and the probability oracle reads a model's public fields and its
-training matrix.
+of them share code with the library implementations they check: the tree
+oracle only borrows the library's ``Tree`` container and its tie constant,
+and reads the fields of the library's ``Criterion``; the probability
+oracle reads a model's public fields and its training matrix.
 """
 
 from __future__ import annotations
@@ -304,21 +304,7 @@ def best_stump_accuracy(x, y) -> float:
 
 
 def grow_tree_dense(
-    X,
-    a,
-    b,
-    counts,
-    score_fn,
-    leaf_value_fn,
-    max_depth,
-    min_samples_leaf,
-    max_features,
-    rng,
-    random_thresholds=False,
-    score_scale=1.0,
-    gain_penalty=0.0,
-    min_gain=None,
-    purity_fn=None,
+    X, criterion, counts, max_depth, min_samples_leaf, max_features, rng, random_thresholds=False
 ):
     """Tree growing on a dense matrix, one node and one column at a time.
 
@@ -328,13 +314,15 @@ def grow_tree_dense(
     and not pure; per level, one column sample per open node, then one
     random threshold per (open node, sampled column) whose values are not
     all equal; candidates are midpoints between consecutive distinct
-    values (or one uniform draw), and the choice among candidates follows
+    values (or one uniform draw), a candidate's gain is
+    ``scale * (score_left + score_right - score_parent) - penalty`` and
+    must exceed ``min_gain``, and the choice among candidates follows
     the TIE_RTOL tie rule: lowest column, then lowest threshold, among
-    the gains within tolerance of the best.  Returns the tree only."""
-    from dupliq.learn._tree import MIN_GAIN, Tree
+    the gains within tolerance of the best.  ``criterion`` is the
+    library's ``Criterion``, read field by field.  Returns the tree only."""
+    from dupliq.learn._tree import Tree
 
-    if min_gain is None:
-        min_gain = MIN_GAIN
+    a, b, is_pure = criterion.a, criterion.b, criterion.is_pure
     X = np.asarray(X, dtype=np.float64)
     n_features = X.shape[1]
     min_leaf = max(min_samples_leaf, 1)
@@ -345,8 +333,8 @@ def grow_tree_dense(
         is_open = []
         for rows in level:
             ok = (max_depth is None or depth < max_depth) and len(rows) >= 2
-            if ok and purity_fn is not None:
-                ok = not purity_fn(a[rows].sum(), b[rows].sum())
+            if ok and is_pure is not None:
+                ok = not is_pure(a[rows].sum(), b[rows].sum())
             is_open.append(ok)
         columns = {}
         for i, rows in enumerate(level):
@@ -360,13 +348,10 @@ def grow_tree_dense(
         for i, rows in enumerate(level):
             split = None
             if is_open[i]:
-                split = _oracle_best_split(
-                    X, rows, a, b, counts, columns[i], score_fn, min_leaf, rng,
-                    random_thresholds, score_scale, gain_penalty, min_gain,
-                )
+                split = _oracle_best_split(X, rows, criterion, counts, columns[i], min_leaf, rng, random_thresholds)
             count = int(counts[rows].sum())
             if split is None:
-                nodes.append([-1, 0.0, -1, -1, float(leaf_value_fn(rows)), 0.0, count])
+                nodes.append([-1, 0.0, -1, -1, float(criterion.leaf(rows)), 0.0, count])
                 continue
             feature, threshold, gain = split
             left_id = base + len(next_level)
@@ -383,13 +368,11 @@ def grow_tree_dense(
     )
 
 
-def _oracle_best_split(
-    X, rows, a, b, counts, columns, score_fn, min_leaf, rng,
-    random_thresholds, score_scale, gain_penalty, min_gain,
-):
+def _oracle_best_split(X, rows, criterion, counts, columns, min_leaf, rng, random_thresholds):
     from dupliq.learn._tree import TIE_RTOL
 
-    ra, rb, rc = a[rows], b[rows], counts[rows]
+    score_fn = criterion.score
+    ra, rb, rc = criterion.a[rows], criterion.b[rows], counts[rows]
     total_a, total_b, total_c = ra.sum(), rb.sum(), rc.sum()
     parent_score = score_fn(total_a, total_b)
     gains, features, thresholds = [], [], []  # in (feature, threshold) order
@@ -412,7 +395,7 @@ def _oracle_best_split(
             t = 0.5 * (sv[cut] + sv[cut + 1])
         raw = score_fn(la, lb) + score_fn(total_a - la, total_b - lb) - parent_score
         gain = np.where(
-            (lc >= min_leaf) & (total_c - lc >= min_leaf), score_scale * raw - gain_penalty, -np.inf
+            (lc >= min_leaf) & (total_c - lc >= min_leaf), criterion.scale * raw - criterion.penalty, -np.inf
         )
         gains.append(np.atleast_1d(gain))
         features.append(np.full(len(t), f))
@@ -420,7 +403,7 @@ def _oracle_best_split(
     if not gains:
         return None
     gains, features, thresholds = (np.concatenate(x) for x in (gains, features, thresholds))
-    ok = gains > min_gain
+    ok = gains > criterion.min_gain
     if not ok.any():
         return None
     best = gains[ok].max()
@@ -496,10 +479,7 @@ def _knn_oracle(model, X):
     k = min(model.k, len(model.y))
     out = np.empty(len(d))
     for r, row in enumerate(d):
-        # the k rows argpartition picks, ranked by (distance, index): where
-        # the k-th distance ties with rows left out, the pick is
-        # argpartition's, not the lowest index
-        picked = np.argpartition(row, k - 1)[:k] if k < len(row) else np.arange(len(row))
-        nearest = picked[np.lexsort((picked, row[picked]))]
+        # every training row ranked by (distance, index)
+        nearest = sorted(range(len(row)), key=lambda i: (row[i], i))[:k]
         out[r] = model.y[nearest].mean()
     return out

@@ -566,6 +566,32 @@ def test_tfidf_featurize_without_pairs_exit_code_1(workspace, capsys):
     assert str(empty) in err and "Traceback" not in err
 
 
+def _replace_term_id(doc, new_id):
+    term, _, idf = doc["terms"][-1]
+    return {**doc, "terms": doc["terms"][:-1] + [[term, new_id, idf]]}
+
+
+BAD_TFIDF_MODELS = {
+    "list": (lambda doc: [], "unsupported format version"),
+    "no_terms": (lambda doc: {"format_version": 1}, "missing key 'terms'"),
+    "id_past_the_end": (lambda doc: _replace_term_id(doc, len(doc["terms"])), "term ids"),
+    "negative_id": (lambda doc: _replace_term_id(doc, -1), "term ids"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TFIDF_MODELS))
+def test_malformed_tfidf_model_exit_code_1(workspace, capsys, case):
+    tmp, tsv, _ = workspace
+    damage, message = BAD_TFIDF_MODELS[case]
+    model = tmp / "tfidf.json"
+    assert run(["tfidf-fit", tsv, "--analyzer", "word", "-o", model, "--report", tmp / "tf.json"]) == 0
+    model.write_text(json.dumps(damage(json.loads(model.read_text()))))
+    capsys.readouterr()
+    assert run(["tfidf-featurize", tsv, "--model", model, "-o", tmp / "v.npz", "--report", tmp / "tv.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"{model}: " in err and message in err and "Traceback" not in err, err
+
+
 def test_reproduce_table5_subset_and_determinism(workspace):
     tmp, tsv, glove = workspace
     r1 = tmp / "rep1.json"
@@ -618,6 +644,45 @@ def test_config_file_defaults_with_flag_override(workspace):
     doc2 = json.loads((tmp / "s2.json").read_text())
     assert doc2["config"]["test"] == 0.5
     assert doc2["config"]["seed"] == 9
+
+
+BAD_CONFIGS = {
+    "count_flag": ("reproduce", {"sample": 0}, "sample=0: must be at least 1, got 0"),
+    "switch_as_string": ("stats", {"skip_bad_rows": "no"}, "skip_bad_rows='no': must be true or false"),
+    "int_flag_string": ("split", {"seed": "x"}, "seed='x': invalid int value"),
+    "not_an_object": ("stats", [], "a config file holds a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_values_exit_code_1(workspace, capsys, case):
+    tmp, tsv, glove = workspace
+    command, defaults, message = BAD_CONFIGS[case]
+    config = tmp / "config.json"
+    doc = {"config_version": 1, "defaults": defaults} if isinstance(defaults, dict) else defaults
+    config.write_text(json.dumps(doc))
+    argv = {
+        "reproduce": ["reproduce", "table5", "--tsv", tsv, "--glove", glove],
+        "stats": ["stats", tsv],
+        "split": ["split", tsv, "-o-train", tmp / "a.tsv", "-o-test", tmp / "b.tsv"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + ["--config", config, "--report", tmp / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}: " in err and message in err and "Traceback" not in err, err
+    assert not (tmp / "r.json").exists()
+
+
+def test_config_switch_takes_a_json_boolean(workspace):
+    tmp, tsv, _ = workspace
+    bad = tmp / "bad.tsv"
+    bad.write_text(tsv.read_text() + "not a row\n")
+    config = tmp / "config.json"
+    for skip, code in ((True, 0), (False, 1)):
+        # a value that only another command's flag refuses does not stop this one
+        defaults = {"skip_bad_rows": skip, "sample": 0}
+        config.write_text(json.dumps({"config_version": 1, "defaults": defaults}))
+        assert run(["stats", bad, "--config", config, "--report", tmp / "s.json"]) == code
 
 
 BAD_PARAMS = [

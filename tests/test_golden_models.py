@@ -1,0 +1,86 @@
+"""Golden model files: the sha256 of every tree kind's saved model, trained
+on small fixed dense and sparse data.
+
+A change to the tree builder or to a training loop that means to keep
+every model bit for bit must leave these hashes as they are.  A change
+that moves one on purpose updates it here and says why in CHANGES.md.
+The hashes also pin numpy's float arithmetic (the boosters' ``np.exp``,
+for one), so another numpy build may move them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from dupliq.learn import ClassifierSpec, save_model, train
+
+
+def dense_data():
+    """Signed, integer-count and 0-100 score columns, with many ties."""
+    rng = np.random.default_rng(20)
+    n = 80
+    X = np.column_stack([
+        rng.normal(size=n),
+        rng.integers(0, 6, size=n).astype(np.float64),
+        np.round(rng.uniform(0, 100, size=n)),
+        rng.normal(size=n) * (rng.random(n) < 0.5),
+    ])
+    y = (X[:, 0] + X[:, 1] / 3 + rng.normal(scale=0.7, size=n) > 1).astype(np.int64)
+    return X, y
+
+
+def sparse_data():
+    """Nonnegative columns with about 15% of their entries stored."""
+    rng = np.random.default_rng(21)
+    n, d = 80, 30
+    X = rng.random((n, d)) * (rng.random((n, d)) < 0.15)
+    y = (X[:, 0] + X[:, 1] + 0.3 * rng.random(n) > 0.4).astype(np.int64)
+    return sp.csr_matrix(X), y
+
+
+DATA = {"dense": dense_data, "sparse": sparse_data}
+
+SPECS = {
+    "decision_tree": ("decision_tree", {"max_depth": 6, "min_samples_leaf": 2}),
+    "random_forest": ("random_forest", {"n_estimators": 8, "max_depth": 6, "min_samples_leaf": 2}),
+    "extra_trees": ("extra_trees", {"n_estimators": 8, "max_depth": 6, "min_samples_leaf": 2}),
+    "adaboost": ("adaboost", {"n_estimators": 15}),
+    "xgb": ("xgb", {"n_estimators": 15, "max_depth": 3, "lambda": 2.0, "gamma": 0.05}),
+    "gbm": ("gbm", {"n_estimators": 15, "max_depth": 3, "min_samples_leaf": 3}),
+    "xgb_subsample": ("xgb", {"n_estimators": 15, "max_depth": 3, "subsample": 0.7}),
+    "gbm_subsample": ("gbm", {"n_estimators": 15, "max_depth": 3, "subsample": 0.7}),
+}
+
+GOLDEN = {
+    ("dense", "decision_tree"): "d446bc16cf581a842fcbafda2701f04ac43bc8ecdc8afc81eb617b2758b24bb6",
+    ("dense", "random_forest"): "dcdcd42b2508e0c0fb10f9661455a97e79568f58125b56f992aee2851dad6bb6",
+    ("dense", "extra_trees"): "3d0e15040994679436358362ea6a5a640012308b6b3011cf690f54709c851904",
+    ("dense", "adaboost"): "2b9649d088bdc8941da139bccbc233b9cd8f819236ff21f12362d9cf8f252ee6",
+    ("dense", "xgb"): "d9414d78d93831bea528cd103715d78357980c965c0715ce7e4f12cb30334afd",
+    ("dense", "gbm"): "2abd1322fc20ac2634345d6aee84c8f588d83f228e7984cda7118d462aa6a23f",
+    ("dense", "xgb_subsample"): "e1ba98c9f6756320ebdf0c4fc22b2e96ad72ed85a7c8cd917fb8a39898b96960",
+    ("dense", "gbm_subsample"): "f59062a12d57a96cb51623d0ee1486de695be65bdbbaa4fd907ed7326c3227d7",
+    ("sparse", "decision_tree"): "3fa0c8624140e7ab73d00c212e8df305c39f9744859c01dd3309fbf60c32470a",
+    ("sparse", "random_forest"): "cd8d4a0578a4233c5f389ef72c97b0a4dfcf3b35c1f3e94ddc216e9024017b89",
+    ("sparse", "extra_trees"): "47903cb71c6d068da3cbcb3e5b105eb691ff60edb29b0cd78c4860d119a6ec66",
+    ("sparse", "adaboost"): "99d86c00ba98fe09109f2ccd19d735b704a36b3816cc59d7d30451f37d7f5c16",
+    ("sparse", "xgb"): "f351dc352a658a59cdfbfc868258ca9b8abd9178bc0b51f0419a853e5b8dca53",
+    ("sparse", "gbm"): "5a52eb77c64a92b460c78a1554281db095f9d7c5f5977d0890d54733d606cf7a",
+    ("sparse", "xgb_subsample"): "465c605b1cc6c1576fea0cf9209a3f005faaa4b9035c44c00f2bf479d69c1fc2",
+    ("sparse", "gbm_subsample"): "27ac22914c206e8019c89a6fbaa0ea6992a76c8196a8deaba852206b930510b7",
+}
+
+
+def saved_model_sha256(data: str, name: str, directory) -> str:
+    X, y = DATA[data]()
+    kind, hp = SPECS[name]
+    path = directory / f"{data}.{name}.json"
+    save_model(train(ClassifierSpec(kind, {"seed": 3, **hp}), X, y), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("data, name", sorted(GOLDEN))
+def test_saved_model_matches_golden_sha256(tmp_path, data, name):
+    assert saved_model_sha256(data, name, tmp_path) == GOLDEN[data, name]

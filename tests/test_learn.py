@@ -115,6 +115,20 @@ def test_knn_k1_memorizes_training_points():
     assert np.array_equal(p, y.astype(float))
 
 
+def test_knn_ties_take_the_lowest_training_index():
+    # rows 4 and 6 are the same point, labelled 0 and 1; every other row is
+    # one farther point, so the nearest distance ties only between them
+    X = np.full((8, 3), -2.0)
+    X[[4, 6], 1] = 0.0
+    y = np.array([0, 1, 0, 1, 0, 1, 1, 0])
+    model = train(spec_for("knn", k=1), X, y)
+    assert model.predict_proba(X[4:5])[0] == 0.0
+    assert model.predict_proba(X[6:7])[0] == 0.0
+    # k=2 takes rows 4 and 6; k=3 adds row 0, the lowest of the farther ones
+    assert train(spec_for("knn", k=2), X, y).predict_proba(X[4:5])[0] == 0.5
+    assert train(spec_for("knn", k=3), X, y).predict_proba(X[4:5])[0] == pytest.approx(1 / 3)
+
+
 def test_gbm_zero_rounds_is_prior():
     X, y = separable_data(30)
     model = train(spec_for("gbm", n_estimators=0), X, y)

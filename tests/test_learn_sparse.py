@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dupliq.learn import ClassifierSpec, evaluate, train
-from dupliq.learn._sparse import SparseColumns, grow_tree_sparse
-from dupliq.learn._tree import TreePack, gini_is_pure, gini_score, make_grad_score
+from dupliq.learn._tree import ColumnEntries, TreePack, gini, grow_tree, newton, residual
 
 from oracles import grow_tree_dense, knn_distances_oracle, tree_apply_dense
 
@@ -22,43 +21,26 @@ def sparse_dataset(n=120, d=15, density=0.3, seed=0):
     return X, y
 
 
-def grow_both(X, y, criterion, max_depth, min_samples_leaf=1, lam=1.0):
+def grow_both(X, y, kind, max_depth, min_samples_leaf=1, lam=1.0):
     n = len(y)
     counts = np.ones(n, dtype=np.int64)
-    if criterion == "gini":
-        a = y.astype(float)
-        b = np.ones(n)
-        kwargs = dict(
-            score_fn=gini_score,
-            leaf_value_fn=lambda rows: y[rows].mean(),
-            min_gain=-np.inf,
-            purity_fn=gini_is_pure,
-        )
+    p = np.random.default_rng(42).uniform(0.2, 0.8, size=n)
+    if kind == "gini":
+        criterion = gini(np.ones(n), y)
+    elif kind == "grad":
+        criterion = newton(p - y, p * (1 - p), lam, 0.0)
     else:
-        rng_margin = np.random.default_rng(42)
-        p = rng_margin.uniform(0.2, 0.8, size=n)
-        a = p - y
-        b = p * (1 - p)
-        kwargs = dict(
-            score_fn=make_grad_score(lam),
-            leaf_value_fn=lambda rows: -a[rows].sum() / (b[rows].sum() + lam),
-            score_scale=0.5,
-        )
-    dense = grow_tree_dense(
-        X, a=a, b=b, counts=counts,
-        max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-        max_features=None, rng=np.random.default_rng(0), **kwargs,
-    )
-    sparse, leaves = grow_tree_sparse(
-        SparseColumns(sp.csr_matrix(X)), a=a, b=b, counts=counts,
-        max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-        max_features=None, rng=np.random.default_rng(0), **kwargs,
+        criterion = residual(y - p, np.ones(n), p * (1 - p))
+    settings = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_features=None)
+    dense = grow_tree_dense(X, criterion, counts, rng=np.random.default_rng(0), **settings)
+    sparse, leaves = grow_tree(
+        ColumnEntries(sp.csr_matrix(X)), criterion, counts, rng=np.random.default_rng(0), **settings
     )
     assert np.array_equal(leaves, tree_apply(sparse, X))
     return dense, sparse
 
 
-@pytest.mark.parametrize("criterion", ["gini", "grad"])
+@pytest.mark.parametrize("criterion", ["gini", "grad", "residual"])
 @pytest.mark.parametrize("depth", [1, 3, 6])
 def test_sparse_builder_matches_dense(criterion, depth):
     X, y = sparse_dataset()
@@ -81,7 +63,7 @@ def test_sparse_apply_matches_dense_apply():
 def test_sparse_rejects_negative_values():
     X = sp.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="nonnegative"):
-        SparseColumns(X)
+        ColumnEntries(X)
 
 
 def test_min_samples_leaf_respected_sparse():

@@ -4,7 +4,8 @@ every kind's probabilities against the slow predict oracle.
 The oracle (``oracles.grow_tree_dense``) grows node by node and column by
 column on the dense view of the input.  It stands in for the library
 builder inside the unchanged model code, so both sides run the same
-boosting, reweighting and sampling loops and must agree exactly.
+boosting, reweighting and sampling loops on the same criteria and must
+agree exactly.
 ``oracles.predict_proba_oracle`` adds the trees' leaves one tree at a time
 and ranks knn neighbours from a scipy sparse product; a model's
 probabilities must equal it bit for bit, one row at a time as in a batch.
@@ -32,18 +33,18 @@ def oracle_builder(X):
     """Route the model code's tree growing through the oracle."""
     dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
 
-    def grow(sc, **kwargs):
-        tree = grow_tree_dense(dense, **kwargs)
+    def grow(entries, criterion, counts, *args, **kwargs):
+        tree = grow_tree_dense(dense, criterion, counts, *args, **kwargs)
         leaves = tree_apply_dense(tree, dense)
-        leaves[np.asarray(kwargs["counts"]) == 0] = np.nan
+        leaves[np.asarray(counts) == 0] = np.nan
         return tree, leaves
 
-    real = models.grow_tree_sparse
-    models.grow_tree_sparse = grow
+    real = models.grow_tree
+    models.grow_tree = grow
     try:
         yield
     finally:
-        models.grow_tree_sparse = real
+        models.grow_tree = real
 
 
 @st.composite
