@@ -703,7 +703,7 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p.add_argument("--analyzer", choices=["word", "char"], default="char")
     p.add_argument("--ngram-lo", type=int, default=1)
     p.add_argument("--ngram-hi", type=int, default=3)
-    p.add_argument("--max-features", type=int, default=50000)
+    p.add_argument("--max-features", type=_count, default=50000)
     p.add_argument("-o", "--output", required=True)
 
     p = add("tfidf-featurize", cmd_tfidf_featurize, help="pair vectors from a fitted model")
@@ -782,7 +782,7 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p.add_argument("--kinds", help="comma-separated subset of classifiers")
     p.add_argument("--ngram-lo", type=int, default=1)
     p.add_argument("--ngram-hi", type=int, default=3)
-    p.add_argument("--max-features", type=int, default=50000)
+    p.add_argument("--max-features", type=_count, default=50000)
     p.add_argument("-o", dest="report")
 
     for p in subparsers:
@@ -800,16 +800,12 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
 def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = config_defaults = None
-        if "--config" in raw:
-            after = raw[raw.index("--config") + 1 :]
-            if not after:
-                print("error: --config needs a path", file=sys.stderr)
-                return 1
-            config_path = after[0]
-            config_defaults = _load_config_defaults(config_path)
-        parser = build_parser(config_defaults, config_path)
-        args = parser.parse_args(raw)
+        # argparse finds the config path in every spelling it accepts
+        # (--config PATH, --config=PATH, --conf PATH); the file's defaults
+        # then go into a fresh parser
+        args = build_parser().parse_args(raw)
+        if args.config is not None:
+            args = build_parser(_load_config_defaults(args.config), args.config).parse_args(raw)
         for value in vars(args).values():
             if isinstance(value, CliError):
                 raise value

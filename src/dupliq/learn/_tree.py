@@ -9,12 +9,18 @@ others are implicit zeros, which go left of any positive threshold, so
 its values must be nonnegative.  A dense matrix keeps every entry, so its
 values may be signed.
 
-The entries and the rows stay partitioned by node: each node owns one
-contiguous block of each, in the (column, value, row) order, and a split
-moves every block's left part before its right part without reordering
-either.  One tree level then takes one vectorized pass over the entries
-of its open nodes, grouped by (node, column), plus one call of the
-criterion's ``leaf`` per new leaf.
+The rows stay partitioned by node: each node owns one contiguous block,
+and a split moves a block's left rows before its right ones without
+reordering either.  The entries are not carried from level to level.
+Each level gathers the ones it searches: without column sampling, those
+whose row is in an open node; with it, the column index's ranges of the
+columns any open node sampled, less the entries whose node did not
+sample their column.  A stable sort on the node key then puts them in
+(node, column, value, row) order.  The level takes one vectorized pass
+over them, grouped by (node, column), plus one call of the criterion's
+``leaf`` per new leaf.  Each winner's (node, column) group holds its
+rows' stored values in the split column, so routing reads only those
+entries, about one per row.
 
 Criteria.  A ``Criterion`` is all a tree optimizes: per-row stats ``a``
 and ``b``, a per-side ``score`` of their sums, the ``leaf`` value of a
@@ -33,7 +39,10 @@ exceed ``min_gain``, which is ``MIN_GAIN`` unless said otherwise.
   variance reduction on the residuals, and leaf ``R / H``, one Newton step.
 
 A leaf sums its own rows with ``.sum()``; the level's ``np.add.reduceat``
-totals round differently and would change saved models.
+totals round differently and would change saved models.  Likewise a
+candidate's left sums are differences of one running sum over the whole
+level, in (node, column, value, row) order, and not of one per group or
+per node.
 
 Candidates of a (node, column) group: the midpoints between consecutive
 distinct values, and for sparse input the zero boundary (zeros left,
@@ -201,7 +210,8 @@ class ColumnEntries:
     """A feature matrix as entry arrays sorted by (column, value, row):
     the stored entries of a sparse matrix, whose values must then be
     nonnegative, or every entry of a dense one.  Row and column indices
-    are stored as int32."""
+    are stored as int32.  ``colptr`` is the column index: column j's
+    entries are ``colptr[j]:colptr[j + 1]``."""
 
     def __init__(self, X):
         if sp.issparse(X):
@@ -223,6 +233,7 @@ class ColumnEntries:
         self.erow = rows.astype(np.int32)
         self.ecol = cols.astype(np.int32)
         self.evals = values.astype(np.float64)
+        self.colptr = np.searchsorted(self.ecol, np.arange(self.n_cols + 1))
 
 
 def grow_tree(
@@ -240,14 +251,15 @@ def grow_tree(
     a, b = criterion.a, criterion.b
     min_leaf = max(int(min_samples_leaf), 1)
     counts = np.asarray(counts, dtype=np.int64)
-    sample_cols = max_features is not None and max_features < entries.n_cols
+    n_cols = entries.n_cols
+    sample_cols = max_features is not None and max_features < n_cols
     rows = np.flatnonzero(counts > 0)
     # working copies index with intp, which numpy gathers fastest
     keep = np.flatnonzero(counts.take(entries.erow) > 0)
     erow = entries.erow.take(keep).astype(np.intp)
     ecol, evals = entries.ecol.take(keep), entries.evals.take(keep)
+    colptr = np.searchsorted(keep, entries.colptr)
     row_len = np.array([len(rows)])
-    ent_len = np.array([len(erow)])
     row_value = np.full(entries.n_rows, np.nan)
     levels = []
     n_done = 0
@@ -268,19 +280,16 @@ def grow_tree(
         threshold = np.zeros(k)
         gain = np.zeros(k)
         if open_.any():
-            e_node = np.repeat(np.arange(k), ent_len)
-            node, col, val, row = e_node, ecol, evals, erow
-            if sample_cols or not open_.all():
-                sel = open_[e_node]
-                if sample_cols:
-                    sampled = np.zeros((k, entries.n_cols), dtype=bool)
-                    for i in np.flatnonzero(open_):
-                        sampled[i, rng.choice(entries.n_cols, size=max_features, replace=False)] = True
-                    sel &= sampled[e_node, ecol]
-                idx = np.flatnonzero(sel)
-                node, col, val, row = e_node.take(idx), ecol.take(idx), evals.take(idx), erow.take(idx)
-            nodes, f, t, g = _best_splits(
-                node, col, val, row, counts, (tot_a, tot_b, tot_c), criterion, min_leaf, rng, random_thresholds
+            sampled = None
+            if sample_cols:
+                sampled = np.zeros((k + 1, n_cols), dtype=bool)  # row k: rows of no open node
+                for i in np.flatnonzero(open_):
+                    sampled[i, rng.choice(n_cols, size=max_features, replace=False)] = True
+            lcol, lval, lrow, node_len = _level_entries(
+                (ecol, evals, erow), colptr, rows, row_len, open_, sampled, entries.n_rows
+            )
+            nodes, f, t, g, wstart, wlen = _best_splits(
+                lcol, lval, lrow, node_len, counts, (tot_a, tot_b, tot_c), criterion, min_leaf, rng, random_thresholds
             )
             feature[nodes], threshold[nodes], gain[nodes] = f, t, g
         split = feature >= 0
@@ -299,29 +308,65 @@ def grow_tree(
         if not split.any():
             break
 
-        # route the rows of split nodes; rows without a stored entry in the
-        # split column hold an implicit zero
+        # route the rows of split nodes by their entries in the winning
+        # groups; rows without a stored entry there hold an implicit zero
         row_left = np.zeros(entries.n_rows, dtype=bool)
         row_left[rows] = np.repeat(threshold > 0.0, row_len)
-        on = np.flatnonzero(ecol == feature.take(e_node))
-        row_left[erow.take(on)] = evals.take(on) < threshold.take(e_node.take(on))
+        on = _ranges(wstart, wlen)
+        row_left[lrow.take(on)] = lval.take(on) < np.repeat(t, wlen)
         if not split.all():
             rows = rows.take(np.flatnonzero(np.repeat(split, row_len)))
-            e_keep = np.flatnonzero(np.repeat(split, ent_len))
-            erow, ecol, evals = erow.take(e_keep), ecol.take(e_keep), evals.take(e_keep)
         order, row_len = _left_first(row_left.take(rows), row_len[split])
         rows = rows.take(order)
-        if max_depth is not None and depth >= max_depth:
-            # the children are leaves: only their rows are needed
-            erow, ecol, evals = erow[:0], ecol[:0], evals[:0]
-            ent_len = np.zeros_like(row_len)
-        else:
-            order, ent_len = _left_first(row_left.take(erow), ent_len[split])
-            erow, ecol, evals = erow.take(order), ecol.take(order), evals.take(order)
 
     feature, threshold, left, right, value, gain, n_node = (np.concatenate(c) for c in zip(*levels))
     tree = Tree(feature=feature, threshold=threshold, left=left, right=right, value=value, gain=gain, n_node=n_node)
     return tree, row_value
+
+
+def _level_entries(entries, colptr, rows, row_len, open_, sampled, n_rows):
+    """The entries one level searches: those of the open nodes' rows, in
+    the columns each node searches (``sampled[node]``; every column when
+    ``sampled`` is None).  ``entries`` are the tree's (column, value, row)
+    arrays; returns the level's, sorted by (node, column, value, row), and
+    each node's number of them."""
+    ecol, erow = entries[0], entries[2]
+    k = len(row_len)
+    idx = None
+    if sampled is not None:
+        cols = np.flatnonzero(sampled.any(axis=0))
+        idx = _ranges(colptr.take(cols), colptr.take(cols + 1) - colptr.take(cols))
+    if k == 1:  # the root: every entry is its own
+        if idx is None:
+            return (*entries, np.array([len(erow)]))
+        return (*(x.take(idx) for x in entries), np.array([len(idx)]))
+    # 16-bit keys let numpy's stable sort run as a radix sort; rows of
+    # closed nodes are keyed k
+    row_node = np.full(n_rows, k, dtype=np.uint16 if k < 1 << 16 else np.intp)
+    row_node[rows] = np.repeat(np.where(open_, np.arange(k), k), row_len)
+    if idx is None:
+        key = row_node.take(erow)
+        node_len = np.bincount(key, minlength=k + 1)[:k]
+        # entries keyed k sort last, and are cut
+        idx = np.argsort(key, kind="stable")[: node_len.sum()]
+    else:
+        key = row_node.take(erow.take(idx))
+        # sampled[key, col], as a take from the flat array, which is faster
+        flat = key.astype(np.intp)
+        flat *= sampled.shape[1]
+        flat += ecol.take(idx)
+        sel = np.flatnonzero(sampled.ravel().take(flat))
+        key, idx = key.take(sel), idx.take(sel)
+        if open_.sum() > 1:
+            idx = idx.take(np.argsort(key, kind="stable"))
+        node_len = np.bincount(key, minlength=k)
+    return (*(x.take(idx) for x in entries), node_len)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]:starts[i] + lens[i]`` for every i, in order."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _left_first(go_left: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,93 +381,147 @@ def _left_first(go_left: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.n
     return np.argsort(key, kind="stable"), np.bincount(key, minlength=n_keys)
 
 
-def _best_splits(node, col, val, row, counts, totals, criterion, min_leaf, rng, random_thresholds):
-    """Best split per node from entries sorted by (node, column, value);
+def _best_splits(col, val, row, node_len, counts, totals, criterion, min_leaf, rng, random_thresholds):
+    """Best split per node from one level's entries: consecutive node
+    blocks ``node_len`` long, each sorted by (column, value, row);
     ``totals`` holds each node's sums of a, b and counts.
 
-    Returns (nodes, columns, thresholds, gains) for the nodes that split."""
-    m = len(node)
+    Returns (nodes, columns, thresholds, gains, group starts, group
+    lengths) for the nodes that split, where a winner's group is the
+    range of its node's entries in its column."""
+    m = len(col)
     if m == 0:  # no entries to split on
-        return node, col, val, val
+        none = np.empty(0, dtype=np.intp)
+        return none, none, val, val, none, none
     tot_a, tot_b, tot_c = totals
     score = criterion.score
     parent_score = score(tot_a, tot_b)
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(col[1:], col[:-1], out=first[1:])
-    first[1:] |= node[1:] != node[:-1]
+    nodes = np.flatnonzero(node_len)
+    nstart = np.cumsum(node_len).take(nodes) - node_len.take(nodes)
+    # a group is one (node, column): it starts where the column changes or
+    # a node block starts
+    first = _changes(col)
+    first[nstart] = True
     gstart = np.flatnonzero(first)
-    glen = np.diff(gstart, append=m)
+    n_groups = len(gstart)
+    glen = _lengths(gstart, m)
     glast = gstart + glen - 1
-    gnode = node.take(gstart)
+    node_first_group = np.searchsorted(gstart, nstart)
+    gnode = np.repeat(nodes, _lengths(node_first_group, n_groups))
 
-    # running sums over the whole level; a group's own sums are differences
-    ga, gb, gc = criterion.a.take(row), criterion.b.take(row), counts.take(row)
-    ca, cb = np.cumsum(ga), np.cumsum(gb)
-    before_a, before_b = ca[gstart] - ga[gstart], cb[gstart] - gb[gstart]
     # stats of each group's implicit zeros (none for dense input)
-    zero_c = tot_c[gnode] - np.add.reduceat(gc, gstart)
+    # a group's count is its length when no row counts more than once
+    zero_c = tot_c[gnode] - (glen if counts.max() <= 1 else np.add.reduceat(counts.take(row), gstart))
     has_zero = zero_c > 0
-    zero_a = np.where(has_zero, tot_a[gnode] - (ca[glast] - before_a), 0.0)
-    zero_b = np.where(has_zero, tot_b[gnode] - (cb[glast] - before_b), 0.0)
+    # s holds a side's sums of a and b as the two parts of a complex number:
+    # numpy adds and subtracts complex numbers part by part, so each part
+    # rounds as it would alone, and one cumsum runs both running sums
+    node_ab = _pair(tot_a, tot_b)[gnode]
+    s, before, zero = _running_sums(_pair(criterion.a, criterion.b).take(row), gstart, glast, node_ab, has_zero)
+
+    def per_candidate(x):  # each candidate takes its group's value
+        return x if random_thresholds else np.repeat(x, glen)
 
     if random_thresholds:
+        # one candidate per group
         lo = np.where(has_zero, 0.0, val[gstart])
         hi = val[glast]
         ok = hi > lo
-        thr = np.zeros(len(gstart))
+        thr = np.zeros(n_groups)
         thr[ok] = rng.uniform(lo[ok], hi[ok])
         zeros_left = has_zero & (thr > 0.0)
+        grp = np.repeat(np.arange(n_groups), glen)
         is_left = val < np.repeat(thr, glen)
-        grp = np.repeat(np.arange(len(gstart)), glen)
-        la = zero_a * zeros_left + np.bincount(grp, ga * is_left, len(gstart))
-        lb = zero_b * zeros_left + np.bincount(grp, gb * is_left, len(gstart))
-        lc = zero_c * zeros_left + np.bincount(grp, gc * is_left, len(gstart)).astype(np.int64)
+        s = _pair(
+            zero.real * zeros_left + np.bincount(grp, criterion.a.take(row) * is_left, n_groups),
+            zero.imag * zeros_left + np.bincount(grp, criterion.b.take(row) * is_left, n_groups),
+        )
+        lc = zero_c * zeros_left + np.bincount(grp, counts.take(row) * is_left, n_groups).astype(np.int64)
         ok &= (lc >= min_leaf) & (tot_c[gnode] - lc >= min_leaf)
-        cnode, ccol = gnode, col.take(gstart)
-        node_a, node_b, node_score = tot_a[cnode], tot_b[cnode], parent_score[cnode]
+        block_start = node_first_group
     else:
         # one candidate just below each entry: the zeros and the group's
         # earlier entries go left, at the midpoint with the previous value
         # (0 for a group's first entry, valid only if the group has zeros);
         # the candidates are then in (node, column, threshold) order
-        prev = np.empty(m)
-        prev[1:] = val[:-1]
-        prev[gstart] = 0.0
-        ok = prev < val
-        ok[gstart] &= has_zero
-        la = ca - ga + np.repeat(zero_a - before_a, glen)
-        lb = cb - gb + np.repeat(zero_b - before_b, glen)
-        cnode, ccol = node, col
-        node_len = np.bincount(gnode, glen, len(tot_a)).astype(np.int64)
-        node_a, node_b, node_score = (np.repeat(x, node_len) for x in (tot_a, tot_b, parent_score))
+        ok = np.empty(m, dtype=bool)
+        np.less(val[:-1], val[1:], out=ok[1:])
+        ok[gstart] = has_zero & (0.0 < val[gstart])
+        # the left side's sums, in place: (cumsum - own) + (zeros - before)
+        s += per_candidate(zero - before)
         # with min_leaf 1 every such candidate leaves a row on each side
         if min_leaf > 1:
-            cc = np.cumsum(gc)
-            lc = cc - gc + np.repeat(zero_c - (cc[gstart] - gc[gstart]), glen)
+            gc = counts.take(row)
+            lc = np.cumsum(gc) - gc
+            lc += per_candidate(zero_c - lc[gstart])
             ok &= lc >= min_leaf
-            ok &= np.repeat(tot_c, node_len) - lc >= min_leaf
-    raw = score(la, lb) + score(node_a - la, node_b - lb) - node_score
-    gains = criterion.scale * raw - criterion.penalty
-    ok &= gains > criterion.min_gain
-    pick = _pick_best(cnode, gains, np.flatnonzero(ok), parent_score)
-    if not random_thresholds:
-        thr = 0.5 * (prev + val)
-    return cnode[pick], ccol[pick], thr[pick], gains[pick]
+            ok &= per_candidate(tot_c[gnode]) - lc >= min_leaf
+        block_start = nstart
+    gains = score(s.real, s.imag)
+    # the right side's sums, in place: node total - left
+    np.subtract(per_candidate(node_ab), s, out=s)
+    gains += score(s.real, s.imag)
+    gains -= per_candidate(parent_score[gnode])
+    gains *= criterion.scale
+    gains -= criterion.penalty
+    np.putmask(gains, ~ok, -np.inf)
+    win = _pick_best(gains, block_start, parent_score.take(nodes), criterion.min_gain)
+    if random_thresholds:
+        wgrp, wthr = win, thr.take(win)
+    else:
+        wgrp = np.searchsorted(gstart, win, side="right") - 1
+        wthr = 0.5 * (np.where(first[win], 0.0, val[win - 1]) + val[win])
+    wstart = gstart.take(wgrp)
+    return gnode.take(wgrp), col.take(wstart), wthr, gains.take(win), wstart, glen.take(wgrp)
 
 
-def _pick_best(node, gain, ok, parent_score):
-    """Index of each node's winner under the tie rule; ``ok`` indexes the
-    valid candidates, which are sorted by (node, column, threshold)."""
-    if not len(ok):
-        return ok
-    cnode, cgain = node.take(ok), gain.take(ok)
-    starts = np.flatnonzero(np.r_[True, cnode[1:] != cnode[:-1]])
-    best = np.maximum.reduceat(cgain, starts)
-    floor = best - TIE_RTOL * (np.abs(best) + np.abs(parent_score[cnode[starts]]))
-    tied = np.flatnonzero(cgain >= np.repeat(floor, np.diff(starts, append=len(ok))))
-    first = tied[np.r_[True, cnode[tied[1:]] != cnode[tied[:-1]]]]
-    return ok[first]
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + bj``, part by part (``a + 1j * b`` would multiply)."""
+    out = np.empty(len(a), dtype=np.complex128)
+    out.real = a
+    out.imag = b
+    return out
+
+
+def _running_sums(x, gstart, glast, group_total, has_zero):
+    """The level-wide running sum of ``x`` before each entry (cumsum less
+    the entry's own), and per group that sum at its start and the sum of
+    its implicit zeros: its node's total less its entries' sum."""
+    cx = np.cumsum(x)
+    before = cx[gstart] - x[gstart]
+    zero = np.where(has_zero, group_total - (cx[glast] - before), 0.0)
+    cx -= x
+    return cx, before, zero
+
+
+def _pick_best(gain, starts, parent_score, min_gain):
+    """Index of each block's winner under the tie rule, for the blocks whose
+    best gain exceeds ``min_gain``.  Blocks start at ``starts``, one per
+    node, with ``parent_score`` its node's; candidates are sorted by (node,
+    column, threshold), and invalid ones have gain -inf."""
+    best = np.fmax.reduceat(gain, starts)  # fmax skips NaN gains, which are never valid
+    has = best > min_gain
+    floor = np.where(has, best - TIE_RTOL * (np.abs(best) + np.abs(parent_score)), np.inf)
+    tied = np.flatnonzero(gain >= np.repeat(floor, _lengths(starts, len(gain))))
+    tied = tied[gain.take(tied) > min_gain]
+    return tied[_changes(np.searchsorted(starts, tied, side="right"))]
+
+
+def _changes(x: np.ndarray) -> np.ndarray:
+    """True where ``x`` differs from the element before it, and at 0."""
+    out = np.empty(len(x), dtype=bool)
+    out[:1] = True
+    np.not_equal(x[1:], x[:-1], out=out[1:])
+    return out
+
+
+def _lengths(starts: np.ndarray, end: int) -> np.ndarray:
+    """Lengths of the consecutive blocks that begin at ``starts``, the last
+    of them ending at ``end``."""
+    lens = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lens[:-1])
+    lens[-1:] = end - starts[-1:]
+    return lens
 
 
 class TreePack:

@@ -89,9 +89,13 @@ def fit(
     ngram_range: tuple[int, int] = (1, 3),
     max_features: int | None = 50000,
 ) -> TfidfModel:
-    """Learn vocabulary and idf weights from a corpus of documents."""
+    """Learn vocabulary and idf weights from a corpus of documents; the
+    vocabulary keeps the ``max_features`` terms of highest document
+    frequency (all of them when None)."""
     if not corpus:
         raise ValueError("empty corpus")
+    if max_features is not None and max_features < 1:
+        raise ValueError(f"max_features must be at least 1, got {max_features}")
     df: Counter = Counter()
     for doc in corpus:
         df.update(set(analyze(doc, analyzer, ngram_range)))

@@ -646,6 +646,37 @@ def test_config_file_defaults_with_flag_override(workspace):
     assert doc2["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize("form", ["--config PATH", "--config=PATH", "--conf PATH"])
+def test_config_path_in_every_form_argparse_takes(workspace, form):
+    tmp, tsv, _ = workspace
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"config_version": 1, "defaults": {"seed": 9}}))
+    flag = [f"--config={config}"] if "=" in form else [form.split()[0], config]
+    assert run([
+        "split", tsv, *flag, "-o-train", tmp / "a.tsv", "-o-test", tmp / "b.tsv",
+        "--report", tmp / "s.json",
+    ]) == 0
+    assert json.loads((tmp / "s.json").read_text())["config"]["seed"] == 9
+
+
+BAD_MAX_FEATURES = {
+    "tfidf_fit_negative": ["tfidf-fit", "{tsv}", "--max-features=-1", "-o", "{tmp}/m.json"],
+    "tfidf_fit_zero": ["tfidf-fit", "{tsv}", "--max-features", "0", "-o", "{tmp}/m.json"],
+    "reproduce_zero": ["reproduce", "table7", "--tsv", "{tsv}", "--sample", "60", "--max-features", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MAX_FEATURES))
+def test_max_features_below_one_exit_code_1(workspace, capsys, case):
+    tmp, tsv, _ = workspace
+    argv = [a.format(tsv=tsv, tmp=tmp) for a in BAD_MAX_FEATURES[case]]
+    capsys.readouterr()
+    assert run(argv + ["--report", tmp / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert "--max-features" in err and "must be at least 1" in err and "Traceback" not in err, err
+    assert not (tmp / "r.json").exists() and not (tmp / "m.json").exists()
+
+
 BAD_CONFIGS = {
     "count_flag": ("reproduce", {"sample": 0}, "sample=0: must be at least 1, got 0"),
     "switch_as_string": ("stats", {"skip_bad_rows": "no"}, "skip_bad_rows='no': must be true or false"),

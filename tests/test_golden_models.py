@@ -40,7 +40,20 @@ def sparse_data():
     return sp.csr_matrix(X), y
 
 
-DATA = {"dense": dense_data, "sparse": sparse_data}
+def wide_sparse_data():
+    """A wide, mostly empty matrix: about 3% of 60 x 200 entries stored, so
+    most columns a forest node samples hold no entry among its rows."""
+    rng = np.random.default_rng(22)
+    n, d = 60, 200
+    X = np.round(rng.random((n, d)) * 4 + 0.5, 1) * (rng.random((n, d)) < 0.03)
+    y = (X[:, :20].sum(axis=1) + 0.5 * rng.random(n) > 0.6).astype(np.int64)
+    return sp.csr_matrix(X), y
+
+
+DATA = {"dense": dense_data, "sparse": sparse_data, "wide_sparse": wide_sparse_data}
+
+# 14 of 200 columns per node, where most sampled columns are empty
+WIDE_FOREST = {"n_estimators": 8, "max_depth": 6, "min_samples_leaf": 1, "max_features": 14}
 
 SPECS = {
     "decision_tree": ("decision_tree", {"max_depth": 6, "min_samples_leaf": 2}),
@@ -51,6 +64,8 @@ SPECS = {
     "gbm": ("gbm", {"n_estimators": 15, "max_depth": 3, "min_samples_leaf": 3}),
     "xgb_subsample": ("xgb", {"n_estimators": 15, "max_depth": 3, "subsample": 0.7}),
     "gbm_subsample": ("gbm", {"n_estimators": 15, "max_depth": 3, "subsample": 0.7}),
+    "random_forest_14": ("random_forest", WIDE_FOREST),
+    "extra_trees_14": ("extra_trees", WIDE_FOREST),
 }
 
 GOLDEN = {
@@ -70,6 +85,8 @@ GOLDEN = {
     ("sparse", "gbm"): "5a52eb77c64a92b460c78a1554281db095f9d7c5f5977d0890d54733d606cf7a",
     ("sparse", "xgb_subsample"): "465c605b1cc6c1576fea0cf9209a3f005faaa4b9035c44c00f2bf479d69c1fc2",
     ("sparse", "gbm_subsample"): "27ac22914c206e8019c89a6fbaa0ea6992a76c8196a8deaba852206b930510b7",
+    ("wide_sparse", "random_forest_14"): "67d9e51414bfe4482449a2458de8da89ebce24fbdd58c8322f8994820c31d9d6",
+    ("wide_sparse", "extra_trees_14"): "efe6e834410213ca78b32b1341cd23264f0175b937ab7e9d23d3bf69ee38d3e8",
 }
 
 

@@ -66,6 +66,12 @@ def test_fit_max_features_by_df():
     assert set(model2.vocabulary) == {"a", "b"}
 
 
+@pytest.mark.parametrize("max_features", [0, -1])
+def test_fit_refuses_max_features_below_one(max_features):
+    with pytest.raises(ValueError, match="max_features must be at least 1"):
+        fit(["a b", "b c"], analyzer="word", ngram_range=(1, 1), max_features=max_features)
+
+
 def test_fit_empty_corpus():
     with pytest.raises(ValueError):
         fit([], analyzer="word", ngram_range=(1, 1))

@@ -59,6 +59,20 @@ def datasets(draw, values, sparse):
     return (sp.csr_matrix(X) if sparse else X), y
 
 
+@st.composite
+def wide_sparse_datasets(draw):
+    """Up to 40 nonnegative columns, most of them empty or nearly so: the
+    columns a forest node samples often hold no entry among its rows."""
+    n = draw(st.integers(4, 24))
+    d = draw(st.integers(5, 40))
+    cells = draw(st.lists(st.integers(0, n * d - 1), max_size=n * d // 5))
+    X = np.zeros(n * d)
+    X[cells] = draw(st.lists(st.sampled_from(NONNEGATIVE[3:]), min_size=len(cells), max_size=len(cells)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = [0, 1]
+    return sp.csr_matrix(X.reshape(n, d)), y
+
+
 def hyperparameters(kind):
     if kind == "knn":
         return st.fixed_dictionaries({"k": st.integers(1, 6)})
@@ -75,24 +89,29 @@ def hyperparameters(kind):
     return st.fixed_dictionaries(common)
 
 
-def tree_nodes(model):
-    return [t.n_nodes for t in model.trees]
-
-
 def assert_engine_matches_oracle(kind, hp, X, y):
+    """Both builders grow the same trees: every node's feature, threshold,
+    children, value and row count, bit for bit; gains to rounding."""
     spec = ClassifierSpec(kind, hp)
     engine = train(spec, X, y)
     with oracle_builder(X):
         oracle = train(spec, X, y)
-    assert tree_nodes(engine) == tree_nodes(oracle)
+    assert len(engine.trees) == len(oracle.trees)
+    for got, want in zip(engine.trees, oracle.trees):
+        for field in ("feature", "threshold", "left", "right", "value", "n_node"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        np.testing.assert_allclose(got.gain, want.gain, rtol=1e-9)
     assert np.array_equal(engine.predict_proba(X), oracle.predict_proba(X))
 
 
 def check_kind(kind):
     @given(data=st.data())
     def check(data):
-        sparse = data.draw(st.booleans())
-        X, y = data.draw(datasets(NONNEGATIVE if sparse else SIGNED, sparse))
+        shape = data.draw(st.sampled_from(["dense", "sparse", "wide_sparse"]))
+        if shape == "wide_sparse":
+            X, y = data.draw(wide_sparse_datasets())
+        else:
+            X, y = data.draw(datasets(NONNEGATIVE if shape == "sparse" else SIGNED, shape == "sparse"))
         assert_engine_matches_oracle(kind, data.draw(hyperparameters(kind)), X, y)
 
     return check
