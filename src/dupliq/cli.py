@@ -423,6 +423,9 @@ def _build_net(args, vocab_index=None):
         )
     if args.vocab_size is None:
         raise CliError("--vocab-size is required without --toy")
+    # the vocabulary must fit --vocab-size with the padding index
+    if vocab_index is not None and len(vocab_index) + 1 > args.vocab_size:
+        raise CliError(f"--vocab-size {args.vocab_size} too small for {len(vocab_index)} tokens")
     if args.arch >= 2 and vocab_index is None:
         raise CliError(
             f"architecture {args.arch} needs --pairs without --toy: "
@@ -430,25 +433,20 @@ def _build_net(args, vocab_index=None):
         )
     frozen = None
     if args.arch >= 2:
-        frozen = embed.embedding_matrix_from_table(
-            vocab_index, _load_embeddings(args), args.vocab_size
-        )
+        # the vocabulary is lowercased, so the lookup's lowercase fallback
+        # needs no other form of its words
+        table = _load_embeddings(args, vocab_filter=set(vocab_index))
+        frozen = embed.embedding_matrix_from_table(vocab_index, table, args.vocab_size)
     return build_architecture(args.arch, args.vocab_size, frozen=frozen, seed=args.seed)
 
 
 def _pairs_vocab(args, limit=None):
     """The first ``limit`` rows of ``--pairs`` (all of them by default) and
-    the vocabulary of their questions, which must fit ``--vocab-size`` with
-    the padding index."""
+    the vocabulary of their questions."""
     from .neural import build_vocab
 
-    if args.vocab_size is None:
-        raise CliError("--vocab-size is required without --toy")
     rows = corpus.load_pairs(args.pairs).rows[:limit]
-    vocab = build_vocab([r.question1 for r in rows] + [r.question2 for r in rows])
-    if len(vocab) + 1 > args.vocab_size:
-        raise CliError(f"--vocab-size {args.vocab_size} too small for {len(vocab)} tokens")
-    return rows, vocab
+    return rows, build_vocab([r.question1 for r in rows] + [r.question2 for r in rows])
 
 
 def _net_of_args(args):

@@ -137,6 +137,24 @@ def _check_finite(X, what: str) -> None:
         raise ValueError(f"{what} features contain NaN or infinity")
 
 
+def _row_norms(X: sp.csr_matrix) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit as scipy's
+    ``sqrt(X.multiply(X).sum(axis=1))`` on canonical input: ``multiply``
+    keeps each row's squares that are not 0 in stored order, and the sum
+    takes one ``np.add.reduceat`` over the rows left non-empty."""
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    sq = X.data * X.data
+    kept = sq != 0
+    bounds = np.concatenate(([0], np.cumsum(kept)))[X.indptr]
+    starts = bounds[:-1]
+    nonempty = bounds[1:] > starts
+    sums = np.zeros(X.shape[0])
+    sums[nonempty] = np.add.reduceat(sq[kept], starts[nonempty])
+    return np.sqrt(sums)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -203,7 +221,7 @@ class KnnModel(_BaseModel):
         self.metric = "cosine" if self.sparse else "euclidean"
         if self.sparse:
             self._train = sp.csr_matrix(X, dtype=np.float64)
-            norms = np.sqrt(np.asarray(self._train.multiply(self._train).sum(axis=1)).ravel())
+            norms = _row_norms(self._train)
             inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
             self._train_unit = sp.diags(inv) @ self._train
         else:
@@ -234,7 +252,7 @@ class KnnModel(_BaseModel):
     def _distances(self, block) -> np.ndarray:
         if self.sparse:
             block = sp.csr_matrix(block, dtype=np.float64)
-            norms = np.sqrt(np.asarray(block.multiply(block).sum(axis=1)).ravel())
+            norms = _row_norms(block)
             inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
             # A dense unit query keeps the sums of the sparse formula
             # ``sp.diags(inv) @ block @ self._train_unit.T`` bit for bit, with

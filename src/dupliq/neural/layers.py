@@ -4,6 +4,11 @@ Everything is float64 numpy.  Each layer caches whatever its backward pass
 needs during forward; backward accumulates parameter gradients and returns
 the gradient with respect to its input.
 
+Layers work on whole sequences.  Two loops remain: ``LSTM`` steps through
+time only for the recurrent product and the activations (step t needs the
+hidden state of t - 1), and ``Conv1D.backward`` folds each kernel tap's
+input gradient back onto the sequence.
+
 Modes: "train" (stochastic layers active, batch-norm batch statistics and
 running updates), "infer" (deterministic, running statistics), "check"
 (gradient verification: stochastic layers disabled, batch-norm uses batch
@@ -13,6 +18,7 @@ statistics differentiably but leaves the running buffers untouched).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MODES = ("train", "infer", "check")
 
@@ -74,13 +80,8 @@ class Dense(Layer):
         return x @ self.w.value + self.b.value
 
     def backward(self, grad):
-        x = self._x
-        if x.ndim == 3:
-            flat_x = x.reshape(-1, self.n_in)
-            flat_g = grad.reshape(-1, self.n_out)
-        else:
-            flat_x, flat_g = x, grad
-        self.w.grad += flat_x.T @ flat_g
+        flat_g = grad.reshape(-1, self.n_out)
+        self.w.grad += self._x.reshape(-1, self.n_in).T @ flat_g
         self.b.grad += flat_g.sum(axis=0)
         return grad @ self.w.value.T
 
@@ -124,6 +125,8 @@ class LSTM(Layer):
     Gate order i, f, g, o packed along the last weight axis; the forget
     gate bias starts at one.  Recurrent dropout applies one fixed mask per
     sequence to the hidden state entering the gates (train mode only).
+    Backward overwrites each step's cached gates, once read, with their
+    gradients, so it runs once per forward.
     """
 
     def __init__(
@@ -150,62 +153,56 @@ class LSTM(Layer):
         self.b = Param(f"{name}.b", bias)
 
     def forward(self, x, mode):
-        batch, steps, _ = x.shape
+        batch, steps, n_in = x.shape
         u = self.units
         if mode == "train" and self.recurrent_dropout > 0.0:
             keep = 1.0 - self.recurrent_dropout
             mask = (self.dropout_rng.random((batch, u)) < keep) / keep
         else:
             mask = np.ones((batch, u))
+        # every step's input projection at once; the loop adds the recurrent term
+        gates = (x.reshape(-1, n_in) @ self.w.value).reshape(batch, steps, 4 * u)
+        gates += self.b.value
+        hp = np.zeros((batch, steps, u))  # masked hidden state entering each step
+        cs = np.zeros((batch, steps + 1, u))  # cell state, c_0 = 0 first
         h = np.zeros((batch, u))
-        c = np.zeros((batch, u))
-        cache = []
         for t in range(steps):
-            xt = x[:, t, :]
-            hp = h * mask
-            z = xt @ self.w.value + hp @ self.u.value + self.b.value
-            i = sigmoid(z[:, :u])
-            f = sigmoid(z[:, u : 2 * u])
-            g = np.tanh(z[:, 2 * u : 3 * u])
-            o = sigmoid(z[:, 3 * u :])
-            c_prev = c
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            cache.append((xt, hp, i, f, g, o, c_prev, tc))
-        self._cache = cache
-        self._mask = mask
-        self._x_shape = x.shape
+            np.multiply(h, mask, out=hp[:, t])
+            z = gates[:, t]
+            z += hp[:, t] @ self.u.value
+            z[:, : 2 * u] = sigmoid(z[:, : 2 * u])
+            z[:, 2 * u : 3 * u] = np.tanh(z[:, 2 * u : 3 * u])
+            z[:, 3 * u :] = sigmoid(z[:, 3 * u :])
+            i, f, g, o = np.split(z, 4, axis=1)
+            cs[:, t + 1] = f * cs[:, t] + i * g
+            h = o * np.tanh(cs[:, t + 1])
+        self._x, self._hp, self._gates, self._cs, self._mask = x, hp, gates, cs, mask
         return h
 
     def backward(self, grad):
-        u = self.units
-        dx = np.zeros(self._x_shape)
+        gates, cs = self._gates, self._cs
+        batch, steps, n_in = self._x.shape
         dh = grad
         dc = np.zeros_like(grad)
-        for t in range(len(self._cache) - 1, -1, -1):
-            xt, hp, i, f, g, o, c_prev, tc = self._cache[t]
-            do = dh * tc
+        for t in range(steps - 1, -1, -1):
+            z = gates[:, t]
+            i, f, g, o = np.split(z, 4, axis=1)
+            tc = np.tanh(cs[:, t + 1])
             dc = dc + dh * o * (1.0 - tc * tc)
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            self.w.grad += xt.T @ dz
-            self.u.grad += hp.T @ dz
-            self.b.grad += dz.sum(axis=0)
-            dx[:, t, :] = dz @ self.w.value.T
-            dh = (dz @ self.u.value.T) * self._mask
+            dz = [
+                dc * g * i * (1.0 - i),
+                dc * cs[:, t] * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tc * o * (1.0 - o),
+            ]
             dc = dc * f
-        return dx
+            np.concatenate(dz, axis=1, out=z)
+            dh = (z @ self.u.value.T) * self._mask
+        flat = gates.reshape(batch * steps, -1)
+        self.w.grad += self._x.reshape(batch * steps, -1).T @ flat
+        self.u.grad += self._hp.reshape(batch * steps, -1).T @ flat
+        self.b.grad += flat.sum(axis=0)
+        return (flat @ self.w.value.T).reshape(batch, steps, n_in)
 
     def params(self):
         return [self.w, self.u, self.b]
@@ -239,26 +236,28 @@ class Conv1D(Layer):
     def forward(self, x, mode):
         batch, steps, _ = x.shape
         left = (self.kernel - 1) // 2
-        right = self.kernel - 1 - left
-        padded = np.pad(x, ((0, 0), (left, right), (0, 0)))
-        self._padded = padded
-        self._steps = steps
+        self._padded = np.pad(x, ((0, 0), (left, self.kernel - 1 - left), (0, 0)))
         self._left = left
-        z = np.broadcast_to(self.b.value, (batch, steps, self.filters)).copy()
-        for j in range(self.kernel):
-            z += padded[:, j : j + steps, :] @ self.w.value[j]
-        return z
+        z = self._columns() @ self.w.value.reshape(-1, self.filters) + self.b.value
+        return z.reshape(batch, steps, self.filters)
+
+    def _columns(self):
+        """Row (b, t) holds the kernel's taps over padded steps t .. t + kernel - 1.
+        Backward rebuilds it rather than keep kernel times the input."""
+        windows = sliding_window_view(self._padded, self.kernel, axis=1)  # (b, t, in, tap)
+        return windows.transpose(0, 1, 3, 2).reshape(windows.shape[0] * windows.shape[1], -1)
 
     def backward(self, grad):
-        steps = self._steps
+        batch, steps, _ = grad.shape
+        flat_g = grad.reshape(-1, self.filters)
+        flat_w = self.w.value.reshape(-1, self.filters)
+        self.w.grad += (self._columns().T @ flat_g).reshape(self.w.value.shape)
+        self.b.grad += flat_g.sum(axis=0)
+        dcols = (flat_g @ flat_w.T).reshape(batch, steps, self.kernel, -1)
         dpadded = np.zeros_like(self._padded)
         for j in range(self.kernel):
-            self.w.grad[j] += np.einsum(
-                "btc,btf->cf", self._padded[:, j : j + steps, :], grad
-            )
-            dpadded[:, j : j + steps, :] += grad @ self.w.value[j].T
-        self.b.grad += grad.sum(axis=(0, 1))
-        return dpadded[:, self._left : self._left + steps, :]
+            dpadded[:, j : j + steps] += dcols[:, :, j]
+        return dpadded[:, self._left : self._left + steps]
 
     def params(self):
         return [self.w, self.b]

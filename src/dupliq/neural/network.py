@@ -19,6 +19,7 @@ import numpy as np
 
 from .layers import (
     LSTM,
+    MODES,
     BatchNorm,
     Conv1D,
     Dense,
@@ -85,6 +86,8 @@ class Network:
     def forward(self, x1: np.ndarray, x2: np.ndarray, mode: str = "infer") -> np.ndarray:
         """Probability of duplication per pair; inputs are (batch, seq_len)
         integer index arrays."""
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}: expected one of {', '.join(MODES)}")
         for name, x in (("question one", x1), ("question two", x2)):
             if x.ndim != 2 or x.shape[1] != self.seq_len:
                 raise ValueError(

@@ -4,12 +4,14 @@ Each oracle is deliberately the slow, obviously-correct formulation:
 full-matrix dynamic programming for subsequence length, exhaustive window
 scans, spanning-tree vertex enumeration for transport, straight-line
 per-formula loops for distances, moments and TF-IDF vectors, and node-by-node,
-column-by-column tree growing and row-by-row routing, and one Python-level
-addition per tree or a scipy sparse product for model probabilities.  None
-of them share code with the library implementations they check: the tree
-oracle only borrows the library's ``Tree`` container and its tie constant,
-and reads the fields of the library's ``Criterion``; the probability
-oracle reads a model's public fields and its training matrix.
+column-by-column tree growing and row-by-row routing, one Python-level
+addition per tree or a scipy sparse product for model probabilities, and
+one time step per LSTM iteration and one kernel tap per convolution
+product for the neural layers.  None of them share code with the library
+implementations they check: the tree oracle only borrows the library's
+``Tree`` container and its tie constant, and reads the fields of the
+library's ``Criterion``; the probability oracle reads a model's public
+fields and its training matrix.
 """
 
 from __future__ import annotations
@@ -483,3 +485,81 @@ def _knn_oracle(model, X):
         nearest = sorted(range(len(row)), key=lambda i: (row[i], i))[:k]
         out[r] = model.y[nearest].mean()
     return out
+
+
+def _sigmoid_oracle(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def lstm_oracle(x, w, u, b, grad, mode="infer", recurrent_dropout=0.0, dropout_rng=None):
+    """An LSTM one step at a time, forward and back: each step projects its
+    own input and adds its own weight gradients.  Gates i, f, g, o; in train
+    mode one recurrent dropout mask per sequence, drawn from ``dropout_rng``
+    as the layer draws it.  Returns the last hidden state, the input
+    gradient of ``grad`` and the gradients of ``w``, ``u`` and ``b``."""
+    batch, steps, _ = x.shape
+    n = u.shape[0]
+    if mode == "train" and recurrent_dropout > 0.0:
+        keep = 1.0 - recurrent_dropout
+        mask = (dropout_rng.random((batch, n)) < keep) / keep
+    else:
+        mask = np.ones((batch, n))
+    h = np.zeros((batch, n))
+    c = np.zeros((batch, n))
+    cache = []
+    for t in range(steps):
+        xt = x[:, t, :]
+        hp = h * mask
+        z = xt @ w + hp @ u + b
+        i = _sigmoid_oracle(z[:, :n])
+        f = _sigmoid_oracle(z[:, n : 2 * n])
+        g = np.tanh(z[:, 2 * n : 3 * n])
+        o = _sigmoid_oracle(z[:, 3 * n :])
+        c_prev = c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        cache.append((xt, hp, i, f, g, o, c_prev, tc))
+    dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
+    dx = np.zeros(x.shape)
+    dh = grad
+    dc = np.zeros_like(grad)
+    for t in range(steps - 1, -1, -1):
+        xt, hp, i, f, g, o, c_prev, tc = cache[t]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        df = dc * c_prev
+        di = dc * g
+        dg = dc * i
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        dw += xt.T @ dz
+        du += hp.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ w.T
+        dh = (dz @ u.T) * mask
+        dc = dc * f
+    return h, dx, dw, du, db
+
+
+def conv1d_oracle(x, w, b, grad):
+    """A same-padded, stride-one 1-d convolution with one product per kernel
+    tap, forward and back; ``w`` is (kernel, in, filters).  Returns the
+    output, the input gradient of ``grad`` and the gradients of ``w`` and
+    ``b``."""
+    batch, steps, _ = x.shape
+    kernel, _, filters = w.shape
+    left = (kernel - 1) // 2
+    padded = np.pad(x, ((0, 0), (left, kernel - 1 - left), (0, 0)))
+    z = np.broadcast_to(b, (batch, steps, filters)).copy()
+    for j in range(kernel):
+        z += padded[:, j : j + steps, :] @ w[j]
+    dw = np.zeros_like(w)
+    dpadded = np.zeros_like(padded)
+    for j in range(kernel):
+        dw[j] = np.einsum("btc,btf->cf", padded[:, j : j + steps, :], grad)
+        dpadded[:, j : j + steps, :] += grad @ w[j].T
+    return z, dpadded[:, left : left + steps, :], dw, grad.sum(axis=(0, 1))

@@ -516,6 +516,28 @@ def test_nn_build_frozen_rows_hold_glove_vectors(workspace, capsys, monkeypatch)
     assert "too small" in capsys.readouterr().err
 
 
+def test_nn_build_reads_only_the_vocabularys_embedding_rows(workspace, monkeypatch):
+    import dupliq.cli as cli
+    from dupliq.neural import build_vocab
+
+    tmp, tsv, glove = workspace
+    filters = []
+    real = cli.load_glove_text
+
+    def recording(path, vocab_filter=None):
+        filters.append(vocab_filter)
+        return real(path, vocab_filter=vocab_filter)
+
+    monkeypatch.setattr(cli, "load_glove_text", recording)
+    assert run([
+        "nn-build", "--arch", "2", "--pairs", tsv, "--glove", glove,
+        "--vocab-size", len(WORDS) + 1, "-o", tmp / "arch2", "--report", tmp / "b.json",
+    ]) == 0
+    rows = _tsv_rows(tsv)
+    assert filters == [set(build_vocab([r[3] for r in rows] + [r[4] for r in rows]))]
+    _assert_frozen_rows_hold_glove(tmp / "arch2", glove, rows)
+
+
 def _gzipped_vectors(glove, flag) -> bytearray:
     """The workspace's GloVe vectors, gzipped, as text or (``--w2v``) binary."""
     raw = glove.read_bytes()

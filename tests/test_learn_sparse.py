@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dupliq.learn import ClassifierSpec, evaluate, train
+from dupliq.learn._models import _row_norms
 from dupliq.learn._tree import ColumnEntries, TreePack, gini, grow_tree, newton, residual
 
 from oracles import grow_tree_dense, knn_distances_oracle, tree_apply_dense
@@ -143,6 +146,31 @@ def test_knn_sparse_distances_match_oracle_bit_for_bit():
     assert model._distances(sp.csr_matrix(Q)).tobytes() == want.tobytes()
     one_row = np.vstack([model._distances(sp.csr_matrix(Q[r : r + 1])) for r in range(len(Q))])
     assert one_row.tobytes() == want.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n_rows=st.integers(0, 6),
+    n_cols=st.integers(1, 400),
+    density=st.floats(0.0, 1.0),
+)
+def test_knn_row_norms_equal_scipys_bit_for_bit(seed, n_rows, n_cols, density):
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < density)
+    dense[rng.random(dense.shape) < 0.1] = 1e-170  # its square underflows to 0
+    X = sp.csr_matrix(dense)
+    X.data[rng.random(X.nnz) < 0.1] = 0.0  # stored zeros
+    want = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+    assert _row_norms(X).tobytes() == want.tobytes()
+    # each entry stored twice as halves, in shuffled order within its row
+    rows = np.repeat(np.arange(n_rows), np.diff(X.indptr))
+    order = rng.permutation(2 * X.nnz)
+    order = order[np.argsort(np.tile(rows, 2)[order], kind="stable")]
+    doubled = sp.csr_matrix(
+        (np.tile(X.data / 2, 2)[order], np.tile(X.indices, 2)[order], 2 * X.indptr), shape=X.shape
+    )
+    assert not doubled.has_canonical_format or X.nnz == 0
+    np.testing.assert_allclose(_row_norms(doubled), want, rtol=1e-14)
 
 
 @pytest.mark.parametrize("n_train, d", [(60, 30), (12, 80)])

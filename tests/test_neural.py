@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import conv1d_oracle, lstm_oracle
 
 from dupliq.neural import (
     LSTM,
@@ -31,6 +34,7 @@ from dupliq.neural import (
     save_network,
     train_network,
 )
+from dupliq.neural.layers import MODES
 from dupliq.neural.network import Network
 from dupliq.neural.training import ADAM_EPS
 
@@ -179,6 +183,13 @@ def test_dropout_rate_zero_train_equals_infer():
     assert not np.array_equal(p_train, p_train2)  # dropout masks differ
 
 
+def test_forward_refuses_an_unknown_mode():
+    net = toy_net(1)
+    x1, x2, _ = toy_batch(net)
+    with pytest.raises(ValueError, match="'eval'.*train, infer, check"):
+        net.forward(x1, x2, mode="eval")
+
+
 def test_micro_dense_sigmoid_hand_forward():
     rng = np.random.default_rng(0)
     dense = Dense(2, 1, rng)
@@ -256,6 +267,55 @@ def micro_net(layers, width, seq_len=3, vocab_size=9, seed=0):
         vocab_size=vocab_size,
         seed=seed,
     )
+
+
+# ------------------------------------------------------ layers vs oracles
+
+@given(
+    batch=st.integers(1, 4),
+    steps=st.integers(1, 6),
+    n_in=st.integers(1, 5),
+    units=st.integers(1, 5),
+    recurrent_dropout=st.sampled_from([0.0, 0.5]),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**16),
+)
+def test_lstm_matches_the_per_step_oracle(batch, steps, n_in, units, recurrent_dropout, mode, seed):
+    rng = np.random.default_rng(seed)
+    lstm = LSTM(n_in, units, rng, recurrent_dropout, dropout_rng=np.random.default_rng(seed))
+    lstm.b.value = rng.normal(size=4 * units)
+    x = rng.normal(size=(batch, steps, n_in))
+    grad = rng.normal(size=(batch, units))
+    h = lstm.forward(x, mode)
+    dx = lstm.backward(grad)
+    want = lstm_oracle(
+        x, lstm.w.value, lstm.u.value, lstm.b.value, grad, mode, recurrent_dropout,
+        np.random.default_rng(seed),  # the same dropout draws in train mode
+    )
+    for got, expected in zip((h, dx, lstm.w.grad, lstm.u.grad, lstm.b.grad), want):
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+@given(
+    batch=st.integers(1, 4),
+    steps=st.integers(1, 6),
+    n_in=st.integers(1, 5),
+    filters=st.integers(1, 5),
+    kernel=st.integers(1, 5),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**16),
+)
+def test_conv1d_matches_the_per_tap_oracle(batch, steps, n_in, filters, kernel, mode, seed):
+    rng = np.random.default_rng(seed)
+    conv = Conv1D(n_in, filters, kernel, rng)
+    conv.b.value = rng.normal(size=filters)
+    x = rng.normal(size=(batch, steps, n_in))
+    grad = rng.normal(size=(batch, steps, filters))
+    z = conv.forward(x, mode)
+    dx = conv.backward(grad)
+    want = conv1d_oracle(x, conv.w.value, conv.b.value, grad)
+    for got, expected in zip((z, dx, conv.w.grad, conv.b.grad), want):
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
 
 
 def test_gradient_check_dense_micro():
