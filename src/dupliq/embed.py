@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .textops import remove_stopwords, scrub_text, tokenize
 
@@ -262,6 +261,17 @@ def question_bag(text: str, table: EmbeddingTable) -> QuestionBag:
     )
 
 
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy's optimal assignment of ``cost``'s rows to its columns.
+
+    ``scipy.optimize`` is imported at the first transport solved, not with
+    this module: the import takes most of the start-up of ``dupliq.cli``,
+    and most commands solve no transport."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
 def solve_transport(counts1, counts2, costs: np.ndarray) -> float:
     """Minimum cost of moving the proportions ``counts1 / counts1.sum()``
     onto ``counts2 / counts2.sum()`` over the ground costs ``costs[i, j]``.
@@ -292,6 +302,8 @@ def solve_transport(counts1, counts2, costs: np.ndarray) -> float:
 
 def _transport_lp(weights1: np.ndarray, weights2: np.ndarray, costs: np.ndarray) -> float:
     """The transport optimum as the transportation linear program."""
+    from scipy.optimize import linprog
+
     m, n = costs.shape
     # flow conservation rows: one per source, one per sink (last sink row
     # is redundant and dropped to keep the system full rank)

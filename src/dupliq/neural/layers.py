@@ -9,6 +9,17 @@ time only for the recurrent product and the activations (step t needs the
 hidden state of t - 1), and ``Conv1D.backward`` folds each kernel tap's
 input gradient back onto the sequence.
 
+``LSTM`` and ``Dense`` can hold the ``Embedding`` that feeds them and take
+token ids.  Their input product then runs over the table rows of the
+distinct ids only (``Embedding.project``), not over every position of the
+batch, most of which are padding or repeats; its weight gradient, and the
+table's gradient when the table is trainable, come from the per-position
+gradients summed per id first.  Those sums add in another order than the
+unfused ``Embedding`` then layer, so the gradients agree with it to
+rounding, not bit for bit.  ``build_architecture`` folds the LSTM branches'
+embeddings and the frozen sum branches'; a frozen table gets no input
+gradient product at all.
+
 Modes: "train" (stochastic layers active, batch-norm batch statistics and
 running updates), "infer" (deterministic, running statistics), "check"
 (gradient verification: stochastic layers disabled, batch-norm uses batch
@@ -47,11 +58,12 @@ def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + exp(-z)), as exp(z) / (1 + exp(z)) where z < 0 so that no
+    exp overflows."""
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -67,29 +79,56 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer; 3-d input is treated time-distributed."""
+    """Fully connected layer; 3-d input is treated time-distributed.
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name="dense"):
+    Given an ``embedding``, it takes token ids and applies itself to their
+    rows by ``Embedding.project``; the embedding's table is then its first
+    parameter, and backward returns None.
+    """
+
+    def __init__(
+        self,
+        n_in: int,
+        n_out: int,
+        rng: np.random.Generator,
+        name="dense",
+        embedding: Embedding | None = None,
+    ):
         self.n_in = n_in
         self.n_out = n_out
+        self.embedding = embedding
         self.w = Param(f"{name}.w", glorot_uniform(rng, n_in, n_out, (n_in, n_out)))
         self.b = Param(f"{name}.b", np.zeros(n_out))
 
     def forward(self, x, mode):
+        if self.embedding is not None:
+            return self.embedding.project(x, self.w.value, self.b.value)
         self._x = x
         return x @ self.w.value + self.b.value
 
     def backward(self, grad):
         flat_g = grad.reshape(-1, self.n_out)
-        self.w.grad += self._x.reshape(-1, self.n_in).T @ flat_g
         self.b.grad += flat_g.sum(axis=0)
+        if self.embedding is not None:
+            self.w.grad += self.embedding.project_backward(flat_g, self.w.value)
+            return None
+        self.w.grad += self._x.reshape(-1, self.n_in).T @ flat_g
         return grad @ self.w.value.T
 
     def params(self):
-        return [self.w, self.b]
+        head = [] if self.embedding is None else self.embedding.params()
+        return head + [self.w, self.b]
 
 
 class Embedding(Layer):
+    """Rows of a table looked up by token id.
+
+    Besides feeding the next layer its rows (``forward``), it can stand in
+    front of that layer's input product: ``project`` and
+    ``project_backward`` are the lookup and the product as one step, with
+    one product row per distinct id.
+    """
+
     def __init__(
         self,
         vocab_size: int,
@@ -104,16 +143,41 @@ class Embedding(Layer):
             weights = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
         self.w = Param(f"{name}.w", weights, trainable=trainable)
 
-    def forward(self, x, mode):
-        self._idx = np.asarray(x)
-        if self._idx.max(initial=0) >= self.vocab_size:
+    def _ids(self, x) -> np.ndarray:
+        ids = np.asarray(x)
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab_size:
             raise ValueError("token index out of vocabulary range")
+        return ids
+
+    def forward(self, x, mode):
+        self._idx = self._ids(x)
         return self.w.value[self._idx]
 
     def backward(self, grad):
         if self.w.trainable:
             np.add.at(self.w.grad, self._idx, grad)
         return None  # integer inputs have no gradient
+
+    def project(self, x, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``forward(x) @ w + b``, computed once per distinct id of ``x``
+        and gathered to every position."""
+        ids = self._ids(x)
+        self._uniq, self._inverse, self._counts = np.unique(
+            ids.ravel(), return_inverse=True, return_counts=True
+        )
+        self._rows = self.w.value[self._uniq]
+        return (self._rows @ w + b)[self._inverse].reshape(*ids.shape, w.shape[1])
+
+    def project_backward(self, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Backward of the last ``project``: sum ``grad``'s rows (one per
+        position) per distinct id, add the table's gradient when it is
+        trainable, and return the gradient of ``w``."""
+        order = np.argsort(self._inverse, kind="stable")
+        starts = np.cumsum(self._counts) - self._counts
+        per_id = np.add.reduceat(grad.reshape(-1, w.shape[1])[order], starts, axis=0)
+        if self.w.trainable:
+            self.w.grad[self._uniq] += per_id @ w.T
+        return self._rows.T @ per_id
 
     def params(self):
         return [self.w]
@@ -127,6 +191,10 @@ class LSTM(Layer):
     sequence to the hidden state entering the gates (train mode only).
     Backward overwrites each step's cached gates, once read, with their
     gradients, so it runs once per forward.
+
+    Given an ``embedding``, it takes token ids, and every step's input
+    projection comes from ``Embedding.project``; the embedding's table is
+    then its first parameter, and backward returns None.
     """
 
     def __init__(
@@ -137,10 +205,12 @@ class LSTM(Layer):
         recurrent_dropout: float = 0.2,
         dropout_rng: np.random.Generator | None = None,
         name="lstm",
+        embedding: Embedding | None = None,
     ):
         self.units = units
         self.recurrent_dropout = recurrent_dropout
         self.dropout_rng = dropout_rng
+        self.embedding = embedding
         self.w = Param(
             f"{name}.w", glorot_uniform(rng, input_dim, units, (input_dim, 4 * units))
         )
@@ -153,7 +223,7 @@ class LSTM(Layer):
         self.b = Param(f"{name}.b", bias)
 
     def forward(self, x, mode):
-        batch, steps, n_in = x.shape
+        batch, steps = x.shape[:2]
         u = self.units
         if mode == "train" and self.recurrent_dropout > 0.0:
             keep = 1.0 - self.recurrent_dropout
@@ -161,8 +231,11 @@ class LSTM(Layer):
         else:
             mask = np.ones((batch, u))
         # every step's input projection at once; the loop adds the recurrent term
-        gates = (x.reshape(-1, n_in) @ self.w.value).reshape(batch, steps, 4 * u)
-        gates += self.b.value
+        if self.embedding is None:
+            gates = (x.reshape(batch * steps, -1) @ self.w.value).reshape(batch, steps, 4 * u)
+            gates += self.b.value
+        else:
+            gates = self.embedding.project(x, self.w.value, self.b.value)
         hp = np.zeros((batch, steps, u))  # masked hidden state entering each step
         cs = np.zeros((batch, steps + 1, u))  # cell state, c_0 = 0 first
         h = np.zeros((batch, u))
@@ -173,7 +246,7 @@ class LSTM(Layer):
             z[:, : 2 * u] = sigmoid(z[:, : 2 * u])
             z[:, 2 * u : 3 * u] = np.tanh(z[:, 2 * u : 3 * u])
             z[:, 3 * u :] = sigmoid(z[:, 3 * u :])
-            i, f, g, o = np.split(z, 4, axis=1)
+            i, f, g, o = z[:, :u], z[:, u : 2 * u], z[:, 2 * u : 3 * u], z[:, 3 * u :]
             cs[:, t + 1] = f * cs[:, t] + i * g
             h = o * np.tanh(cs[:, t + 1])
         self._x, self._hp, self._gates, self._cs, self._mask = x, hp, gates, cs, mask
@@ -181,12 +254,12 @@ class LSTM(Layer):
 
     def backward(self, grad):
         gates, cs = self._gates, self._cs
-        batch, steps, n_in = self._x.shape
+        batch, steps, u = self._hp.shape
         dh = grad
         dc = np.zeros_like(grad)
         for t in range(steps - 1, -1, -1):
             z = gates[:, t]
-            i, f, g, o = np.split(z, 4, axis=1)
+            i, f, g, o = z[:, :u], z[:, u : 2 * u], z[:, 2 * u : 3 * u], z[:, 3 * u :]
             tc = np.tanh(cs[:, t + 1])
             dc = dc + dh * o * (1.0 - tc * tc)
             dz = [
@@ -199,13 +272,17 @@ class LSTM(Layer):
             np.concatenate(dz, axis=1, out=z)
             dh = (z @ self.u.value.T) * self._mask
         flat = gates.reshape(batch * steps, -1)
-        self.w.grad += self._x.reshape(batch * steps, -1).T @ flat
         self.u.grad += self._hp.reshape(batch * steps, -1).T @ flat
         self.b.grad += flat.sum(axis=0)
-        return (flat @ self.w.value.T).reshape(batch, steps, n_in)
+        if self.embedding is not None:
+            self.w.grad += self.embedding.project_backward(flat, self.w.value)
+            return None
+        self.w.grad += self._x.reshape(batch * steps, -1).T @ flat
+        return (flat @ self.w.value.T).reshape(batch, steps, -1)
 
     def params(self):
-        return [self.w, self.u, self.b]
+        head = [] if self.embedding is None else self.embedding.params()
+        return head + [self.w, self.u, self.b]
 
 
 class LambdaSum(Layer):

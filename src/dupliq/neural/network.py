@@ -135,6 +135,11 @@ def build_architecture(
 
     Every architecture has two LSTM branches; 2-4 add two frozen branches
     of a time-distributed dense and a sum, and 4 two convolutional ones.
+    The LSTM and the time-distributed dense each hold their branch's
+    embedding and take the token ids themselves, so their input products
+    run once per distinct id (``Embedding.project``); the convolutional
+    branches start with a standalone embedding.  Either way a branch's
+    embedding table is its first parameter, as the manifests list it.
     The head is blocks of dense, PReLU, dropout and batch norm after a
     batch norm of the merge, then ``Dense(1)`` and a sigmoid; architecture
     4's blocks have no PReLU and no batch norm before them.  ``head_blocks``
@@ -169,8 +174,9 @@ def build_architecture(
     dense_units = dims["dense_units"]
 
     def lstm_branch(name):
+        # the table draws from rng before the LSTM's weights do
+        embedding = Embedding(vocab_size, dims["embed_dim"], rng, name=f"{name}.embedding")
         return [
-            Embedding(vocab_size, dims["embed_dim"], rng, name=f"{name}.embedding"),
             LSTM(
                 dims["embed_dim"],
                 dims["lstm_units"],
@@ -178,6 +184,7 @@ def build_architecture(
                 recurrent_dropout=drop,
                 dropout_rng=dropout_rng,
                 name=f"{name}.lstm",
+                embedding=embedding,
             ),
         ]
 
@@ -193,8 +200,13 @@ def build_architecture(
 
     def sum_branch(name):
         return [
-            frozen_embedding(name),
-            Dense(frozen_dim, dense_units, rng, name=f"{name}.tdd"),
+            Dense(
+                frozen_dim,
+                dense_units,
+                rng,
+                name=f"{name}.tdd",
+                embedding=frozen_embedding(name),
+            ),
             LambdaSum(),
         ]
 

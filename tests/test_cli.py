@@ -1,6 +1,10 @@
 import csv
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -814,3 +818,16 @@ def test_forest_without_trees_exit_code_1(workspace, capsys):
         else:
             assert code == 1 and str(model) in err and "tree" in err, err
         assert "Traceback" not in err
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the transport solvers import it at their first solve: it took most
+    # of the CLI's start-up, and most commands solve no transport
+    import dupliq
+
+    code = "import sys, dupliq.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dupliq.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

@@ -34,7 +34,7 @@ from dupliq.neural import (
     save_network,
     train_network,
 )
-from dupliq.neural.layers import MODES
+from dupliq.neural.layers import MODES, sigmoid
 from dupliq.neural.network import Network
 from dupliq.neural.training import ADAM_EPS
 
@@ -316,6 +316,149 @@ def test_conv1d_matches_the_per_tap_oracle(batch, steps, n_in, filters, kernel, 
     want = conv1d_oracle(x, conv.w.value, conv.b.value, grad)
     for got, expected in zip((z, dx, conv.w.grad, conv.b.grad), want):
         np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+def _masked_sigmoid(z):
+    # the two-exp form: each sign's half computed on its own copy
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 745.2, -745.2]),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    width=st.integers(1, 4),
+)
+def test_sigmoid_equals_the_masked_formula_bit_for_bit(values, width):
+    z = np.resize(np.array(values), (len(values), width))
+    want = _masked_sigmoid(z).view(np.int64)
+    assert np.array_equal(sigmoid(z).view(np.int64), want)
+    # a strided column view, as the LSTM's gate slices are
+    assert np.array_equal(sigmoid(z[:, ::2]).view(np.int64), want[:, ::2])
+
+
+@st.composite
+def token_ids(draw):
+    """(vocab_size, ids): a small vocabulary so that ids repeat; some rows
+    all padding (id 0); vocabulary 1 gives a single distinct id."""
+    vocab = draw(st.integers(1, 6))
+    batch, steps = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    ids = np.array(
+        draw(st.lists(st.integers(0, vocab - 1), min_size=batch * steps, max_size=batch * steps))
+    ).reshape(batch, steps)
+    padding = draw(st.lists(st.booleans(), min_size=batch, max_size=batch))
+    ids[np.array(padding)] = 0
+    return vocab, ids
+
+
+def _fold_pair(make, vocab, n_in, trainable, seed):
+    """The same layer twice with the same weights: once holding its own
+    embedding, once behind a standalone one."""
+    table = np.random.default_rng(seed).normal(size=(vocab, n_in))
+
+    def embedding():
+        return Embedding(vocab, n_in, None, weights=table.copy(), trainable=trainable)
+
+    folded_emb = embedding()
+    folded = make(folded_emb)
+    plain_emb, plain = embedding(), make(None)
+    for p, q in zip(folded.params()[1:], plain.params()):
+        q.value = p.value.copy()
+    return (folded_emb, folded), (plain_emb, plain)
+
+
+@given(
+    ids=token_ids(),
+    n_in=st.integers(1, 5),
+    units=st.integers(1, 5),
+    recurrent_dropout=st.sampled_from([0.0, 0.5]),
+    mode=st.sampled_from(MODES),
+    trainable=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_lstm_with_its_embedding_matches_the_composition(
+    ids, n_in, units, recurrent_dropout, mode, trainable, seed
+):
+    vocab, x = ids
+    rng = np.random.default_rng(seed + 1)
+
+    def make(embedding):
+        # the same dropout draws on both sides in train mode
+        lstm = LSTM(
+            n_in, units, rng, recurrent_dropout, np.random.default_rng(seed), embedding=embedding
+        )
+        lstm.b.value = np.random.default_rng(seed + 2).normal(size=4 * units)
+        return lstm
+
+    (folded_emb, folded), (plain_emb, plain) = _fold_pair(make, vocab, n_in, trainable, seed)
+    grad = rng.normal(size=(x.shape[0], units))
+    h = folded.forward(x, mode)
+    assert folded.backward(grad) is None
+    want_h = plain.forward(plain_emb.forward(x, mode), mode)
+    plain_emb.backward(plain.backward(grad))
+    oracle_h, dx, dw, du, db = lstm_oracle(
+        folded_emb.w.value[x], plain.w.value, plain.u.value, plain.b.value, grad, mode,
+        recurrent_dropout, np.random.default_rng(seed),
+    )
+    dtable = np.zeros((vocab, n_in))
+    if trainable:
+        np.add.at(dtable, x, dx)
+    got = (h, folded.w.grad, folded.u.grad, folded.b.grad, folded_emb.w.grad)
+    composed = (want_h, plain.w.grad, plain.u.grad, plain.b.grad, plain_emb.w.grad)
+    for a, b, c in zip(got, composed, (oracle_h, dw, du, db, dtable)):
+        np.testing.assert_allclose(a, b, rtol=1e-10)
+        np.testing.assert_allclose(a, c, rtol=1e-10)
+    assert [p.name for p in folded.params()] == [p.name for p in plain_emb.params() + plain.params()]
+
+
+@given(
+    ids=token_ids(),
+    n_in=st.integers(1, 5),
+    n_out=st.integers(1, 5),
+    mode=st.sampled_from(MODES),
+    trainable=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_with_its_embedding_matches_the_composition(ids, n_in, n_out, mode, trainable, seed):
+    vocab, x = ids
+    rng = np.random.default_rng(seed + 1)
+
+    def make(embedding):
+        dense = Dense(n_in, n_out, rng, embedding=embedding)
+        dense.b.value = np.random.default_rng(seed + 2).normal(size=n_out)
+        return dense
+
+    (folded_emb, folded), (plain_emb, plain) = _fold_pair(make, vocab, n_in, trainable, seed)
+    grad = rng.normal(size=(*x.shape, n_out))
+    z = folded.forward(x, mode)
+    assert folded.backward(grad) is None
+    want_z = plain.forward(plain_emb.forward(x, mode), mode)
+    plain_emb.backward(plain.backward(grad))
+    got = (z, folded.w.grad, folded.b.grad, folded_emb.w.grad)
+    composed = (want_z, plain.w.grad, plain.b.grad, plain_emb.w.grad)
+    for a, b in zip(got, composed):
+        np.testing.assert_allclose(a, b, rtol=1e-10)
+
+
+def test_embedding_refuses_token_ids_outside_the_table():
+    rng = np.random.default_rng(0)
+    emb = Embedding(9, 4, rng)
+    lstm = LSTM(4, 3, rng, embedding=Embedding(9, 4, rng))
+    dense = Dense(4, 3, rng, embedding=Embedding(9, 4, rng))
+    for ids in ([[-1, 2]], [[9, 2]]):
+        for forward in (emb.forward, lstm.forward, dense.forward):
+            with pytest.raises(ValueError, match="out of vocabulary range"):
+                forward(np.array(ids), "infer")
 
 
 def test_gradient_check_dense_micro():
