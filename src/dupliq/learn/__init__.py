@@ -215,7 +215,10 @@ def load_model(path: str | Path):
     """Rebuild a model saved by :func:`save_model`; a document that is not a
     valid model raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format")
     try:

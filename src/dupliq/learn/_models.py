@@ -14,7 +14,13 @@ of one tree grown on every column without bootstrap), ``AdaBoostModel``
 takes a weighted vote of stumps, and ``BoostedTreesModel`` adds leaf
 values to a logistic margin.  Each grows its trees with ``_tree``'s
 ``grow_tree``, passing the split criterion of its kind: ``gini`` for the
-forests and AdaBoost, ``newton`` for xgb and ``residual`` for gbm.
+forests and AdaBoost, ``newton`` for xgb and ``residual`` for gbm.  A
+forest grows its trees in batches (``trees_per_batch``), one level of a
+whole batch per pass.  Its trees draw from their own random streams,
+spawned from the seed (``np.random.SeedSequence(seed).spawn``): tree t
+draws its bootstrap counts, then its column samples and thresholds, from
+stream t, so the forest does not depend on the batches.  AdaBoost and the
+boosters grow one tree at a time, each round's on the last one's output.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numbers
 import numpy as np
 import scipy.sparse as sp
 
-from ._tree import ColumnEntries, Tree, TreePack, gini, grow_tree, newton, residual
+from ._tree import ColumnEntries, Tree, TreePack, gini, grow_tree, newton, residual, trees_per_batch
 
 # floats per knn distance block, and per dense query block of a sparse one
 DISTANCE_FLOATS = 2_000_000
@@ -281,7 +287,6 @@ class ForestModel(_TreeModel):
     def train(cls, kind, hp, X, y):
         entries = ColumnEntries(X)
         n, n_features = X.shape
-        rng = np.random.default_rng(hp["seed"])
         if kind == "decision_tree":
             n_trees, max_features, bootstrap = 1, None, False
         else:
@@ -289,23 +294,28 @@ class ForestModel(_TreeModel):
             bootstrap = kind == "random_forest" and hp["bootstrap"]
         if max_features == "sqrt":
             max_features = max(1, int(np.sqrt(n_features)))
+        # one stream per tree, so that a tree does not depend on the batch
+        # it grows in
+        streams = np.random.SeedSequence(hp["seed"]).spawn(n_trees)
+        per_batch = trees_per_batch(n, min(max_features or n_features, n_features))
         trees = []
-        for _ in range(n_trees):
+        for first in range(0, n_trees, per_batch):
+            rngs = [np.random.default_rng(s) for s in streams[first : first + per_batch]]
             if bootstrap:
-                counts = rng.multinomial(n, np.full(n, 1.0 / n)).astype(np.int64)
+                counts = np.stack([rng.multinomial(n, np.full(n, 1.0 / n)) for rng in rngs]).astype(np.int64)
             else:
-                counts = np.ones(n, dtype=np.int64)
-            tree, _ = grow_tree(
+                counts = np.ones((len(rngs), n), dtype=np.int64)
+            batch, _ = grow_tree(
                 entries,
-                gini(counts.astype(np.float64), y),
+                gini(counts.ravel().astype(np.float64), np.tile(y, len(rngs))),
                 counts,
                 max_depth=hp["max_depth"],
                 min_samples_leaf=hp["min_samples_leaf"],
                 max_features=max_features,
-                rng=rng,
+                rngs=rngs,
                 random_thresholds=kind == "extra_trees",
             )
-            trees.append(tree)
+            trees += batch
         return cls(kind, hp, n_features, trees)
 
     @classmethod
@@ -339,12 +349,12 @@ class AdaBoostModel(_TreeModel):
         n = X.shape[0]
         rng = np.random.default_rng(hp["seed"])
         w = np.full(n, 1.0 / n)
-        counts = np.ones(n, dtype=np.int64)
+        counts = np.ones((1, n), dtype=np.int64)
         stumps: list[Tree] = []
         alphas: list[float] = []
         for _ in range(hp["n_estimators"]):
-            stump, leaf = grow_tree(
-                entries, gini(w, y), counts, max_depth=1, min_samples_leaf=1, max_features=None, rng=rng
+            [stump], [leaf] = grow_tree(
+                entries, gini(w, y), counts, max_depth=1, min_samples_leaf=1, max_features=None, rngs=[rng]
             )
             miss = (leaf >= 0.5) != y
             err = float(w[miss].sum())
@@ -429,14 +439,14 @@ class BoostedTreesModel(_TreeModel):
                 criterion = newton((p - y) * csel, h, float(hp["lambda"]), float(hp["gamma"]))
             else:
                 criterion = residual((y - p) * csel, csel, h)
-            tree, leaf = grow_tree(
+            [tree], [leaf] = grow_tree(
                 entries,
                 criterion,
-                counts,
+                counts[None],
                 max_depth=hp["max_depth"],
                 min_samples_leaf=hp["min_samples_leaf"],
                 max_features=None,
-                rng=rng,
+                rngs=[rng],
             )
             trees.append(tree)
             if lr != 0.0:

@@ -9,18 +9,34 @@ others are implicit zeros, which go left of any positive threshold, so
 its values must be nonnegative.  A dense matrix keeps every entry, so its
 values may be signed.
 
+Batches.  ``grow_tree`` grows a batch of trees together, one level of all
+of them per pass: a forest's trees are independent (Breiman 2001), so
+they share each level's fixed cost.  Boosters, AdaBoost and the decision
+tree grow batches of one tree.  Row r of tree t is the virtual row ``t *
+n_rows + r``, and nodes are keyed (tree, node), tree-major, so a batch is
+grown as one tree over the virtual rows whose first level holds one root
+per tree.  A forest batches as many trees as keep a level's entries
+(rows times columns searched per node, over the batch) within
+``LEVEL_ENTRIES``.
+
 The rows stay partitioned by node: each node owns one contiguous block,
 and a split moves a block's left rows before its right ones without
-reordering either.  The entries are not carried from level to level.
-Each level gathers the ones it searches: without column sampling, those
-whose row is in an open node; with it, the column index's ranges of the
-columns any open node sampled, less the entries whose node did not
-sample their column.  A stable sort on the node key then puts them in
-(node, column, value, row) order.  The level takes one vectorized pass
-over them, grouped by (node, column), plus one call of the criterion's
-``leaf`` per new leaf.  Each winner's (node, column) group holds its
-rows' stored values in the split column, so routing reads only those
-entries, about one per row.
+reordering either.  The trees share the matrix's entries, shifting a
+stored row to the tree's virtual row, and no entries are carried from
+level to level.  Each level gathers the ones it searches: per tree, the
+column index's ranges of the columns any of its open nodes sampled (all
+columns without sampling), less the entries whose row is in no open
+node or whose node did not sample their column.  It gathers them a run
+of ranges at a time, each run ending within one window of
+``LEVEL_ENTRIES`` entries, so that its temporaries do not grow with the
+batch's whole matrix.  (A lone tree that counts every row and searches
+every column takes the matrix's arrays as they are.)  A stable sort on
+the node key then puts them in (node, column, value, row) order.  The
+level takes one vectorized pass over them, grouped by (node, column),
+plus one call of the criterion's ``leaf`` per new leaf (or one of its
+``leaf_of_sums`` for all of them).  Each winner's (node, column) group
+holds its rows' stored values in the split column, so routing reads
+only those entries, about one per row.
 
 Criteria.  A ``Criterion`` is all a tree optimizes: per-row stats ``a``
 and ``b``, a per-side ``score`` of their sums, the ``leaf`` value of a
@@ -32,22 +48,28 @@ exceed ``min_gain``, which is ``MIN_GAIN`` unless said otherwise.
 * ``gini(w, y)`` (forests, decision_tree, AdaBoost): a = w * y, b = w;
   the score ``-a (b - a) / b`` is the negative weighted impurity, and a
   leaf is the weighted share of class 1.  Pure nodes stay leaves, and
-  impure ones split on any valid candidate (``min_gain`` is -inf).
+  impure ones split on any valid candidate (``min_gain`` is -inf).  Whole
+  weights, such as a forest's bootstrap counts, sum exactly in any order,
+  so their leaves take their nodes' level totals.
 * ``newton(g, h, lam, gamma)`` (xgb): a = gradient, b = hessian, score
   ``a^2 / (b + lam)``, scale 0.5, penalty gamma, leaf ``-G / (H + lam)``.
 * ``residual(r, weight, h)`` (gbm): score ``r^2 / weight``, which is
   variance reduction on the residuals, and leaf ``R / H``, one Newton step.
 
-A leaf sums its own rows with ``.sum()``; the level's ``np.add.reduceat``
-totals round differently and would change saved models.  Likewise a
-candidate's left sums are differences of one running sum over the whole
-level, in (node, column, value, row) order, and not of one per group or
-per node.
+Otherwise a leaf sums its own rows with ``.sum()``; the level's
+``np.add.reduceat`` totals round differently and would change saved
+models.  Likewise a candidate's left sums are differences of one running
+sum over its tree's entries of the level, in (node, column, value, row)
+order, and not of one per group or per node; as each tree's running sum
+starts at its own first entry, no tree's sums depend on its batch.
 
 Candidates of a (node, column) group: the midpoints between consecutive
 distinct values, and for sparse input the zero boundary (zeros left,
-stored values right) at half the smallest stored value.  Each child must
-hold a count of at least ``max(min_samples_leaf, 1)``.
+stored values right) at half the smallest stored value.  Extra trees
+(Geurts, Ernst & Wehenkel 2006) have one candidate per group instead, a
+uniform threshold between its lowest value (0 if it has zeros) and its
+highest; the entries below it are the group's first ones.  Each child
+must hold a count of at least ``max(min_samples_leaf, 1)``.
 
 Tie rule.  Among a node's candidates, ``best`` is the largest gain; every
 candidate with ``gain >= best - TIE_RTOL * (|best| + |parent score|)`` is
@@ -57,19 +79,24 @@ columns inducing the same partition, for instance) thus never depend on
 the order in which floats were summed.
 
 A node is open, and searched, when it is above ``max_depth``, holds at
-least two rows with a positive count, and is not pure.  Random draws come
-level by level: one column sample per open node (when ``max_features`` is
-below the column count), in node order, then one threshold per (open
-node, sampled column) pair whose values in the node are not all equal
-(extra trees), in (node, column) order.
+least two rows with a positive count, and is not pure.  Random draws:
+each tree draws from its own stream (``rngs[t]``), so a tree is the same
+whatever batch it grows in.  Its caller draws its bootstrap counts from
+it first.  Then, level by level, when ``max_features`` is below the
+column count, the tree draws one uniform key per (open node, column), in
+node order (``LEVEL_ENTRIES`` at a time, which leaves the values those
+of one array), and each open node searches the columns whose key is at most
+its ``max_features``-th smallest; then, for extra trees, one threshold
+per (open node, sampled column) pair whose values in the node are not
+all equal, in (node, column) order.
 
-Node numbering is level order: the root is 0, and the children of the
-split nodes of one depth are numbered after that whole depth, left before
-right, in the order of their parents.  Routing only needs every child
-index to exceed its parent's, which preorder numbering (used by models
-saved before the builder became level-wise) satisfies as well, so such
-models still load and predict the same.  ``Tree.from_dict`` enforces it,
-so a corrupt model cannot make routing loop.
+Each tree numbers its own nodes in level order: the root is 0, and the
+children of the split nodes of one depth are numbered after that whole
+depth, left before right, in the order of their parents.  Routing only
+needs every child index to exceed its parent's, which preorder numbering
+(used by models saved before the builder became level-wise) satisfies as
+well, so such models still load and predict the same.  ``Tree.from_dict``
+enforces it, so a corrupt model cannot make routing loop.
 """
 
 from __future__ import annotations
@@ -84,6 +111,10 @@ MIN_GAIN = 1e-12
 TIE_RTOL = 1e-9
 # (row, tree) pairs routed per pass; bounds the routing temporaries
 ROUTE_PAIRS = 1 << 14
+# entries searched per level of a batch of trees (rows times columns
+# searched per node, over the batch), and entries gathered or column keys
+# drawn per pass; bounds the level temporaries
+LEVEL_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -153,6 +184,9 @@ class Criterion:
     score: Callable  # (summed a, summed b) -> score of a side
     leaf: Callable  # training row indices -> leaf value
     is_pure: Callable | None = None  # (summed a, summed b) -> no split wanted
+    # (summed a, summed b) -> leaf values, in place of ``leaf`` when a and b
+    # sum exactly in any order, so that a node's totals are its leaf's sums
+    leaf_of_sums: Callable | None = None
     min_gain: float = MIN_GAIN
     scale: float = 1.0
     penalty: float = 0.0
@@ -168,6 +202,10 @@ def _gini_is_pure(a, b):
     return (a == 0.0) | (a == b)
 
 
+def _gini_leaf_of_sums(a, b):
+    return np.divide(a, b, out=np.full(len(a), 0.5), where=b > 0)
+
+
 def gini(w: np.ndarray, y: np.ndarray) -> Criterion:
     """Gini impurity over rows of weight ``w`` and 0/1 label ``y``."""
 
@@ -175,7 +213,13 @@ def gini(w: np.ndarray, y: np.ndarray) -> Criterion:
         tw = w[rows].sum()
         return (w[rows] * y[rows]).sum() / tw if tw > 0 else 0.5
 
-    return Criterion(w * y, w, _gini_score, leaf, is_pure=_gini_is_pure, min_gain=-np.inf)
+    # whole weights (a forest's counts) below 2^53 in all sum exactly in any
+    # order, so a node's totals are its leaf's own sums
+    whole = bool(np.all(np.floor(w) == w)) and w.sum() < 2.0**53
+    return Criterion(
+        w * y, w, _gini_score, leaf, is_pure=_gini_is_pure, min_gain=-np.inf,
+        leaf_of_sums=_gini_leaf_of_sums if whole else None,
+    )
 
 
 def newton(g: np.ndarray, h: np.ndarray, lam: float, gamma: float) -> Criterion:
@@ -209,9 +253,9 @@ def residual(r: np.ndarray, weight: np.ndarray, h: np.ndarray) -> Criterion:
 class ColumnEntries:
     """A feature matrix as entry arrays sorted by (column, value, row):
     the stored entries of a sparse matrix, whose values must then be
-    nonnegative, or every entry of a dense one.  Row and column indices
-    are stored as int32.  ``colptr`` is the column index: column j's
-    entries are ``colptr[j]:colptr[j + 1]``."""
+    nonnegative, or every entry of a dense one.  Rows are stored as intp,
+    which numpy gathers fastest, and columns as int32.  ``colptr`` is the
+    column index: column j's entries are ``colptr[j]:colptr[j + 1]``."""
 
     def __init__(self, X):
         if sp.issparse(X):
@@ -230,10 +274,17 @@ class ColumnEntries:
             cols = np.repeat(np.arange(X.shape[1]), X.shape[0])
             values = np.take_along_axis(X, order, axis=0).T.ravel()
         self.n_rows, self.n_cols = X.shape
-        self.erow = rows.astype(np.int32)
+        self.erow = rows.astype(np.intp)
         self.ecol = cols.astype(np.int32)
         self.evals = values.astype(np.float64)
         self.colptr = np.searchsorted(self.ecol, np.arange(self.n_cols + 1))
+
+
+def trees_per_batch(n_rows: int, n_cols_searched: int) -> int:
+    """How many trees ``grow_tree`` grows in one pass, when each node of a
+    tree searches ``n_cols_searched`` columns of ``n_rows`` rows: as many
+    as keep a level within ``LEVEL_ENTRIES`` entries, and at least one."""
+    return max(1, LEVEL_ENTRIES // max(1, n_rows * n_cols_searched))
 
 
 def grow_tree(
@@ -243,24 +294,29 @@ def grow_tree(
     max_depth: int | None,
     min_samples_leaf: int,
     max_features: int | None,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     random_thresholds: bool = False,
-) -> tuple[Tree, np.ndarray]:
-    """Grow one tree; returns it with each training row's leaf value (NaN
-    for rows whose count is 0, which take no part in the growing)."""
+) -> tuple[list[Tree], np.ndarray]:
+    """Grow a batch of trees together: tree t on the rows that
+    ``counts[t]`` counts (shape (n_trees, n_rows); every tree counts at
+    least one row), drawing from ``rngs[t]``.  The criterion's a and b are
+    indexed by virtual row ``t * n_rows + row``.  Returns the trees and
+    each (tree, training row)'s leaf value, NaN where the row's count is 0:
+    it takes no part in that tree."""
     a, b = criterion.a, criterion.b
+    ab = _pair(a, b)
     min_leaf = max(int(min_samples_leaf), 1)
     counts = np.asarray(counts, dtype=np.int64)
-    n_cols = entries.n_cols
-    sample_cols = max_features is not None and max_features < n_cols
-    rows = np.flatnonzero(counts > 0)
-    # working copies index with intp, which numpy gathers fastest
-    keep = np.flatnonzero(counts.take(entries.erow) > 0)
-    erow = entries.erow.take(keep).astype(np.intp)
-    ecol, evals = entries.ecol.take(keep), entries.evals.take(keep)
-    colptr = np.searchsorted(keep, entries.colptr)
-    row_len = np.array([len(rows)])
-    row_value = np.full(entries.n_rows, np.nan)
+    n_trees, n_rows = counts.shape
+    vcounts = counts.ravel()
+    sample_cols = max_features is not None and max_features < entries.n_cols
+    rows = np.flatnonzero(vcounts > 0)
+    # the trees share the matrix's entries, each shifting their rows to its
+    # virtual rows; a lone tree that counts every row needs no shift
+    shift = None if n_trees == 1 and len(rows) == n_rows else np.arange(n_trees) * n_rows
+    row_len = np.bincount(rows // n_rows, minlength=n_trees)
+    node_tree = np.arange(n_trees)
+    row_value = np.full(n_trees * n_rows, np.nan)
     levels = []
     n_done = 0
     depth = 0
@@ -269,7 +325,7 @@ def grow_tree(
         rstart = np.cumsum(row_len) - row_len
         tot_a = np.add.reduceat(a.take(rows), rstart)
         tot_b = np.add.reduceat(b.take(rows), rstart)
-        tot_c = np.add.reduceat(counts.take(rows), rstart)
+        tot_c = np.add.reduceat(vcounts.take(rows), rstart)
         open_ = row_len >= 2
         if max_depth is not None and depth >= max_depth:
             open_[:] = False
@@ -280,29 +336,31 @@ def grow_tree(
         threshold = np.zeros(k)
         gain = np.zeros(k)
         if open_.any():
-            sampled = None
-            if sample_cols:
-                sampled = np.zeros((k + 1, n_cols), dtype=bool)  # row k: rows of no open node
-                for i in np.flatnonzero(open_):
-                    sampled[i, rng.choice(n_cols, size=max_features, replace=False)] = True
+            sampled = _sample_columns(rngs, node_tree, open_, entries.n_cols, max_features) if sample_cols else None
             lcol, lval, lrow, node_len = _level_entries(
-                (ecol, evals, erow), colptr, rows, row_len, open_, sampled, entries.n_rows
+                entries, shift, rows, row_len, open_, node_tree, sampled, n_trees * n_rows
             )
             nodes, f, t, g, wstart, wlen = _best_splits(
-                lcol, lval, lrow, node_len, counts, (tot_a, tot_b, tot_c), criterion, min_leaf, rng, random_thresholds
+                lcol, lval, lrow, node_len, node_tree, ab, vcounts, (tot_a, tot_b, tot_c), criterion, min_leaf, rngs,
+                random_thresholds,
             )
             feature[nodes], threshold[nodes], gain[nodes] = f, t, g
         split = feature >= 0
 
         value = np.zeros(k)
-        for i in np.flatnonzero(~split):
-            leaf_rows = rows[rstart[i] : rstart[i] + row_len[i]]
-            value[i] = criterion.leaf(leaf_rows)
-            row_value[leaf_rows] = value[i]
+        leaves = np.flatnonzero(~split)
+        if criterion.leaf_of_sums is not None:
+            value[leaves] = criterion.leaf_of_sums(tot_a.take(leaves), tot_b.take(leaves))
+        else:
+            for i in leaves:
+                value[i] = criterion.leaf(rows[rstart[i] : rstart[i] + row_len[i]])
+        # a row's last value is that of its leaf
+        row_value[rows] = np.repeat(value, row_len)
+        # nodes are numbered across the batch in level order here, and per
+        # tree at the end
         left = np.full(k, -1, dtype=np.int64)
         left[split] = n_done + k + 2 * np.arange(split.sum())
-        right = np.where(split, left + 1, -1)
-        levels.append((feature, threshold, left, right, value, gain, tot_c))
+        levels.append((node_tree, feature, threshold, left, value, gain, tot_c))
         n_done += k
         depth += 1
         if not split.any():
@@ -310,7 +368,7 @@ def grow_tree(
 
         # route the rows of split nodes by their entries in the winning
         # groups; rows without a stored entry there hold an implicit zero
-        row_left = np.zeros(entries.n_rows, dtype=bool)
+        row_left = np.zeros(n_trees * n_rows, dtype=bool)
         row_left[rows] = np.repeat(threshold > 0.0, row_len)
         on = _ranges(wstart, wlen)
         row_left[lrow.take(on)] = lval.take(on) < np.repeat(t, wlen)
@@ -318,49 +376,101 @@ def grow_tree(
             rows = rows.take(np.flatnonzero(np.repeat(split, row_len)))
         order, row_len = _left_first(row_left.take(rows), row_len[split])
         rows = rows.take(order)
+        node_tree = np.repeat(node_tree[split], 2)
 
-    feature, threshold, left, right, value, gain, n_node = (np.concatenate(c) for c in zip(*levels))
-    tree = Tree(feature=feature, threshold=threshold, left=left, right=right, value=value, gain=gain, n_node=n_node)
-    return tree, row_value
+    # a stable sort by tree puts each tree's nodes in its own level order;
+    # a node's number in its tree is then its place among them
+    node_tree, feature, threshold, left, value, gain, n_node = (np.concatenate(c) for c in zip(*levels))
+    order = np.argsort(node_tree, kind="stable")
+    size = np.bincount(node_tree, minlength=n_trees)
+    end = np.cumsum(size)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order)) - np.repeat(end - size, size)
+    internal = feature >= 0
+    left[internal] = number.take(left[internal])
+    fields = [x.take(order) for x in (feature, threshold, left, np.where(internal, left + 1, -1), value, gain, n_node)]
+    trees = [Tree(*(x[e - n : e] for x in fields)) for n, e in zip(size, end)]
+    return trees, row_value.reshape(n_trees, n_rows)
 
 
-def _level_entries(entries, colptr, rows, row_len, open_, sampled, n_rows):
+def _sample_columns(rngs, node_tree, open_, n_cols, max_features):
+    """The columns each open node searches, as a (nodes + 1, n_cols) mask
+    whose last row (for rows of no open node) is empty.  Each tree draws
+    one uniform key per (open node, column) from its own stream, for all
+    its open nodes in node order; a node takes the columns whose key is at
+    most its ``max_features``-th smallest.  The keys are drawn and ranked
+    ``LEVEL_ENTRIES`` at a time, which leaves each stream's draws as one
+    array's."""
+    nodes = np.flatnonzero(open_)
+    otree = node_tree.take(nodes)
+    sampled = np.zeros((len(open_) + 1, n_cols), dtype=bool)
+    step = max(1, LEVEL_ENTRIES // n_cols)
+    keys = np.empty((min(step, len(nodes)), n_cols))
+    for lo in range(0, len(nodes), step):
+        chunk = keys[: min(step, len(nodes) - lo)]
+        for start, end in zip(*_runs(otree[lo : lo + len(chunk)])):
+            rngs[otree[lo + start]].random(out=chunk[start:end])
+        kth = np.partition(chunk, max_features - 1, axis=1)[:, max_features - 1 : max_features]
+        sampled[nodes[lo : lo + len(chunk)]] = chunk <= kth
+    return sampled
+
+
+def _level_entries(entries, shift, rows, row_len, open_, node_tree, sampled, n_virtual):
     """The entries one level searches: those of the open nodes' rows, in
     the columns each node searches (``sampled[node]``; every column when
-    ``sampled`` is None).  ``entries`` are the tree's (column, value, row)
-    arrays; returns the level's, sorted by (node, column, value, row), and
-    each node's number of them."""
-    ecol, erow = entries[0], entries[2]
+    ``sampled`` is None).  Tree t's virtual rows are the stored rows plus
+    ``shift[t]``; with no shift, the batch is one tree that counts every
+    row.  Returns the level's (column, value, virtual row) arrays, sorted
+    by (node, column, value, row), and each node's number of entries."""
+    ecol, evals, erow, colptr = entries.ecol, entries.evals, entries.erow, entries.colptr
     k = len(row_len)
-    idx = None
-    if sampled is not None:
-        cols = np.flatnonzero(sampled.any(axis=0))
-        idx = _ranges(colptr.take(cols), colptr.take(cols + 1) - colptr.take(cols))
-    if k == 1:  # the root: every entry is its own
-        if idx is None:
-            return (*entries, np.array([len(erow)]))
-        return (*(x.take(idx) for x in entries), np.array([len(idx)]))
     # 16-bit keys let numpy's stable sort run as a radix sort; rows of
     # closed nodes are keyed k
-    row_node = np.full(n_rows, k, dtype=np.uint16 if k < 1 << 16 else np.intp)
+    row_node = np.full(n_virtual, k, dtype=np.uint16 if k < 1 << 16 else np.intp)
     row_node[rows] = np.repeat(np.where(open_, np.arange(k), k), row_len)
-    if idx is None:
+    if shift is None and sampled is None:
+        if k == 1:  # the root of a lone tree: every entry is its own
+            return ecol, evals, erow, np.array([len(erow)])
         key = row_node.take(erow)
         node_len = np.bincount(key, minlength=k + 1)[:k]
         # entries keyed k sort last, and are cut
         idx = np.argsort(key, kind="stable")[: node_len.sum()]
+        return ecol.take(idx), evals.take(idx), erow.take(idx), node_len
+    # tree by tree, the ranges of the columns its open nodes search
+    if sampled is None:
+        tree = np.unique(node_tree[open_])
+        lo, hi = np.zeros_like(tree), np.full_like(tree, len(erow))
     else:
-        key = row_node.take(erow.take(idx))
-        # sampled[key, col], as a take from the flat array, which is faster
-        flat = key.astype(np.intp)
-        flat *= sampled.shape[1]
-        flat += ecol.take(idx)
-        sel = np.flatnonzero(sampled.ravel().take(flat))
-        key, idx = key.take(sel), idx.take(sel)
-        if open_.sum() > 1:
-            idx = idx.take(np.argsort(key, kind="stable"))
-        node_len = np.bincount(key, minlength=k)
-    return (*(x.take(idx) for x in entries), node_len)
+        # a tree's closed nodes sampled no column
+        starts = _runs(node_tree)[0]
+        i, col = np.nonzero(np.logical_or.reduceat(sampled[:k], starts, axis=0))
+        tree = node_tree.take(starts.take(i))
+        lo, hi = colptr.take(col), colptr.take(col + 1)
+    vshift = np.zeros_like(tree) if shift is None else shift.take(tree)
+    # gathered and filtered a run of ranges at a time, each run ending in
+    # one window of LEVEL_ENTRIES entries, which bounds the temporaries
+    lens = hi - lo
+    parts = []
+    for a, b in zip(*_runs(np.cumsum(lens) // LEVEL_ENTRIES)):
+        n = lens[a:b]
+        idx = _ranges(lo[a:b], n)
+        vrow = erow.take(idx)
+        vrow += np.repeat(vshift[a:b], n)
+        key = row_node.take(vrow)
+        if sampled is None:
+            sel = np.flatnonzero(key < k)
+        else:
+            # sampled[key, col], as a take from the flat array, which is faster
+            flat = key.astype(np.intp)
+            flat *= sampled.shape[1]
+            flat += np.repeat(col[a:b], n)
+            sel = np.flatnonzero(sampled.ravel().take(flat))
+        parts.append((idx.take(sel), vrow.take(sel), key.take(sel)))
+    idx, vrow, key = (np.concatenate(x) for x in zip(*parts))
+    if open_.sum() > 1:
+        order = np.argsort(key, kind="stable")
+        idx, vrow = idx.take(order), vrow.take(order)
+    return ecol.take(idx), evals.take(idx), vrow, np.bincount(key, minlength=k)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -381,10 +491,12 @@ def _left_first(go_left: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.n
     return np.argsort(key, kind="stable"), np.bincount(key, minlength=n_keys)
 
 
-def _best_splits(col, val, row, node_len, counts, totals, criterion, min_leaf, rng, random_thresholds):
+def _best_splits(col, val, row, node_len, node_tree, ab, counts, totals, criterion, min_leaf, rngs, random_thresholds):
     """Best split per node from one level's entries: consecutive node
-    blocks ``node_len`` long, each sorted by (column, value, row);
-    ``totals`` holds each node's sums of a, b and counts.
+    blocks ``node_len`` long, each sorted by (column, value, row), whose
+    nodes belong to trees ``node_tree``; ``ab`` holds each virtual row's a
+    and b as one complex number, and ``totals`` each node's sums of a, b
+    and counts.
 
     Returns (nodes, columns, thresholds, gains, group starts, group
     lengths) for the nodes that split, where a winner's group is the
@@ -411,32 +523,50 @@ def _best_splits(col, val, row, node_len, counts, totals, criterion, min_leaf, r
 
     # stats of each group's implicit zeros (none for dense input)
     # a group's count is its length when no row counts more than once
-    zero_c = tot_c[gnode] - (glen if counts.max() <= 1 else np.add.reduceat(counts.take(row), gstart))
+    unit_counts = counts.max() <= 1
+    zero_c = tot_c[gnode] - (glen if unit_counts else np.add.reduceat(counts.take(row), gstart))
     has_zero = zero_c > 0
     # s holds a side's sums of a and b as the two parts of a complex number:
     # numpy adds and subtracts complex numbers part by part, so each part
     # rounds as it would alone, and one cumsum runs both running sums
     node_ab = _pair(tot_a, tot_b)[gnode]
-    s, before, zero = _running_sums(_pair(criterion.a, criterion.b).take(row), gstart, glast, node_ab, has_zero)
+    # each tree's running sums start at its first entry, so that a tree's
+    # sums do not depend on the trees grown beside it
+    ntree = node_tree.take(nodes)
+    tree_start = nstart.take(_runs(ntree)[0]) if ntree[0] != ntree[-1] else nstart[:1]
+    s, before, zero = _running_sums(ab.take(row), tree_start, gstart, glast, node_ab, has_zero)
 
     def per_candidate(x):  # each candidate takes its group's value
         return x if random_thresholds else np.repeat(x, glen)
 
     if random_thresholds:
-        # one candidate per group
+        # one candidate per group, at a uniform threshold in [lo, hi), where
+        # lo is 0 for a group with zeros; a group whose values are all equal
+        # keeps thr = lo and sends nothing left
         lo = np.where(has_zero, 0.0, val[gstart])
         hi = val[glast]
         ok = hi > lo
-        thr = np.zeros(n_groups)
-        thr[ok] = rng.uniform(lo[ok], hi[ok])
+        thr = lo.copy()
+        # each tree draws its groups' thresholds in (node, column) order
+        drawn = np.flatnonzero(ok)
+        dtree = node_tree.take(gnode.take(drawn))
+        for start, end in zip(*_runs(dtree)):
+            g = drawn[start:end]
+            thr[g] = rngs[dtree[start]].uniform(lo.take(g), hi.take(g))
         zeros_left = has_zero & (thr > 0.0)
-        grp = np.repeat(np.arange(n_groups), glen)
-        is_left = val < np.repeat(thr, glen)
-        s = _pair(
-            zero.real * zeros_left + np.bincount(grp, criterion.a.take(row) * is_left, n_groups),
-            zero.imag * zeros_left + np.bincount(grp, criterion.b.take(row) * is_left, n_groups),
-        )
-        lc = zero_c * zeros_left + np.bincount(grp, counts.take(row) * is_left, n_groups).astype(np.int64)
+        # the entries below the threshold are the group's first ones, so
+        # the left side's sums are the running sum at the first one above
+        # it, less the group's start, plus the zeros
+        cut = gstart + np.add.reduceat(val < np.repeat(thr, glen), gstart, dtype=np.intp)
+        s = s.take(cut)
+        s += zero * zeros_left - before
+        if unit_counts:
+            lc = cut - gstart
+        else:
+            gc = counts.take(row)
+            cc = np.cumsum(gc) - gc
+            lc = cc.take(cut) - cc.take(gstart)
+        lc += zero_c * zeros_left
         ok &= (lc >= min_leaf) & (tot_c[gnode] - lc >= min_leaf)
         block_start = node_first_group
     else:
@@ -483,11 +613,14 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _running_sums(x, gstart, glast, group_total, has_zero):
-    """The level-wide running sum of ``x`` before each entry (cumsum less
-    the entry's own), and per group that sum at its start and the sum of
-    its implicit zeros: its node's total less its entries' sum."""
-    cx = np.cumsum(x)
+def _running_sums(x, tree_start, gstart, glast, group_total, has_zero):
+    """The running sum of ``x`` before each entry (cumsum less the entry's
+    own) over its tree's entries of the level, which start at
+    ``tree_start``, and per group that sum at its start and the sum of its
+    implicit zeros: its node's total less its entries' sum."""
+    cx = np.empty_like(x)
+    for start, end in zip(tree_start, [*tree_start[1:], len(x)]):
+        np.cumsum(x[start:end], out=cx[start:end])
     before = cx[gstart] - x[gstart]
     zero = np.where(has_zero, group_total - (cx[glast] - before), 0.0)
     cx -= x
@@ -505,6 +638,12 @@ def _pick_best(gain, starts, parent_score, min_gain):
     tied = np.flatnonzero(gain >= np.repeat(floor, _lengths(starts, len(gain))))
     tied = tied[gain.take(tied) > min_gain]
     return tied[_changes(np.searchsorted(starts, tied, side="right"))]
+
+
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of each run of equal consecutive elements of ``x``."""
+    starts = np.flatnonzero(_changes(x))
+    return starts, np.append(starts[1:], len(x))
 
 
 def _changes(x: np.ndarray) -> np.ndarray:

@@ -57,18 +57,33 @@ class Adam:
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
         self.t = 0
+        # scratch for one parameter's update, shared by all of them
+        size = max((p.value.size for p in self.params), default=0)
+        self._scratch = np.empty(size), np.empty(size)
 
     def step(self) -> None:
+        """One update of every parameter, in place.  The operations and
+        their order are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v +
+        ((1 - b2) g) g`` and ``value -= lr (m / bias1) / (sqrt(v / bias2)
+        + eps)``, so the values are the same bit for bit."""
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
+            step, denom = (x[: g.size].reshape(g.shape) for x in self._scratch)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p.value -= self.config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+            v += np.multiply(step, g, out=step)
+            np.divide(m, bias1, out=step)
+            step *= self.config.learning_rate
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            p.value -= step
 
 
 def train_network(

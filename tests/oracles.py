@@ -308,15 +308,17 @@ def best_stump_accuracy(x, y) -> float:
 def grow_tree_dense(
     X, criterion, counts, max_depth, min_samples_leaf, max_features, rng, random_thresholds=False
 ):
-    """Tree growing on a dense matrix, one node and one column at a time.
+    """One tree grown on a dense matrix, one node and one column at a time.
 
     It follows the documented contract of the library builder, so both
     give the same tree: level-order node numbering; a node is open when
     above ``max_depth``, holding at least two rows with a positive count,
-    and not pure; per level, one column sample per open node, then one
-    random threshold per (open node, sampled column) whose values are not
-    all equal; candidates are midpoints between consecutive distinct
-    values (or one uniform draw), a candidate's gain is
+    and not pure; per level, one uniform key per (open node, column) drawn
+    from ``rng`` as one array, each node taking the columns whose key is at
+    most its ``max_features``-th smallest, then one random threshold per
+    (open node, sampled column) whose values are not all equal; candidates
+    are midpoints between consecutive distinct values (or one uniform
+    draw), a candidate's gain is
     ``scale * (score_left + score_right - score_parent) - penalty`` and
     must exceed ``min_gain``, and the choice among candidates follows
     the TIE_RTOL tie rule: lowest column, then lowest threshold, among
@@ -338,13 +340,12 @@ def grow_tree_dense(
             if ok and is_pure is not None:
                 ok = not is_pure(a[rows].sum(), b[rows].sum())
             is_open.append(ok)
-        columns = {}
-        for i, rows in enumerate(level):
-            if is_open[i]:
-                if max_features is not None and max_features < n_features:
-                    columns[i] = np.sort(rng.choice(n_features, size=max_features, replace=False))
-                else:
-                    columns[i] = np.arange(n_features)
+        open_nodes = [i for i in range(len(level)) if is_open[i]]
+        columns = dict.fromkeys(open_nodes, np.arange(n_features))
+        if open_nodes and max_features is not None and max_features < n_features:
+            keys = rng.random((len(open_nodes), n_features))
+            for i, node_keys in zip(open_nodes, keys):
+                columns[i] = np.flatnonzero(node_keys <= np.sort(node_keys)[max_features - 1])
         base = len(nodes) + len(level)
         next_level = []
         for i, rows in enumerate(level):

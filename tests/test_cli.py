@@ -209,6 +209,45 @@ def test_corrupt_tree_model_exit_code_1(workspace, capsys):
     assert "Traceback" not in err
 
 
+def damaged(blob: bytes, how: str) -> bytes:
+    """``blob`` cut in half, or with one byte's high bit flipped, which
+    leaves a byte that cannot start a UTF-8 character."""
+    if how == "truncated":
+        return blob[: len(blob) // 2]
+    i = len(blob) // 3
+    return blob[:i] + bytes([blob[i] ^ 0x80]) + blob[i + 1 :]
+
+
+@pytest.mark.parametrize("how", ["truncated", "byte_flipped"])
+def test_damaged_model_file_is_named_on_eval(workspace, capsys, how):
+    tmp, tsv, glove = workspace
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "tree.json"
+    assert run([
+        "train", "--model", "decision_tree", "--features", features, "-o", model, "--report", tmp / "t.json",
+    ]) == 0
+    model.write_bytes(damaged(model.read_bytes(), how))
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--features", features, "--report", tmp / "e.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(model) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("how", ["truncated", "byte_flipped"])
+def test_damaged_tfidf_model_file_is_named(workspace, capsys, how):
+    tmp, tsv, _ = workspace
+    model = tmp / "tfidf.json"
+    assert run(["tfidf-fit", tsv, "--analyzer", "word", "-o", model, "--report", tmp / "tf.json"]) == 0
+    model.write_bytes(damaged(model.read_bytes(), how))
+    capsys.readouterr()
+    assert run(["tfidf-featurize", tsv, "--model", model, "-o", tmp / "vectors.npz", "--report", tmp / "tv.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(model) in err
+    assert "Traceback" not in err
+
+
 def test_malformed_model_and_nan_features_exit_code_1(workspace, capsys):
     tmp, tsv, glove = workspace
     features = tmp / "features.csv"

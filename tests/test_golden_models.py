@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dupliq.learn import ClassifierSpec, save_model, train
+from dupliq.learn import ClassifierSpec, _models, _tree, save_model, train
 
 
 def dense_data():
@@ -70,23 +70,23 @@ SPECS = {
 
 GOLDEN = {
     ("dense", "decision_tree"): "d446bc16cf581a842fcbafda2701f04ac43bc8ecdc8afc81eb617b2758b24bb6",
-    ("dense", "random_forest"): "dcdcd42b2508e0c0fb10f9661455a97e79568f58125b56f992aee2851dad6bb6",
-    ("dense", "extra_trees"): "3d0e15040994679436358362ea6a5a640012308b6b3011cf690f54709c851904",
+    ("dense", "random_forest"): "3af0b4fdd43cef38488acd74ed9670782a95a299cf96e739e583fe3f3ff68125",
+    ("dense", "extra_trees"): "f052019572d8f634f7c36e2c0e62f3a2d54c364488d47f45de76e8f3570445e6",
     ("dense", "adaboost"): "2b9649d088bdc8941da139bccbc233b9cd8f819236ff21f12362d9cf8f252ee6",
     ("dense", "xgb"): "d9414d78d93831bea528cd103715d78357980c965c0715ce7e4f12cb30334afd",
     ("dense", "gbm"): "2abd1322fc20ac2634345d6aee84c8f588d83f228e7984cda7118d462aa6a23f",
     ("dense", "xgb_subsample"): "e1ba98c9f6756320ebdf0c4fc22b2e96ad72ed85a7c8cd917fb8a39898b96960",
     ("dense", "gbm_subsample"): "f59062a12d57a96cb51623d0ee1486de695be65bdbbaa4fd907ed7326c3227d7",
     ("sparse", "decision_tree"): "3fa0c8624140e7ab73d00c212e8df305c39f9744859c01dd3309fbf60c32470a",
-    ("sparse", "random_forest"): "cd8d4a0578a4233c5f389ef72c97b0a4dfcf3b35c1f3e94ddc216e9024017b89",
-    ("sparse", "extra_trees"): "47903cb71c6d068da3cbcb3e5b105eb691ff60edb29b0cd78c4860d119a6ec66",
+    ("sparse", "random_forest"): "7f8ad0d9bc975608f6739d1fe8c454b83570950bcad52d792d7808e09f54b9c7",
+    ("sparse", "extra_trees"): "6c977a6cd2a4c4b5c0a5f84dcd8e57118446746e450e0516fbd6f20742265aee",
     ("sparse", "adaboost"): "99d86c00ba98fe09109f2ccd19d735b704a36b3816cc59d7d30451f37d7f5c16",
     ("sparse", "xgb"): "f351dc352a658a59cdfbfc868258ca9b8abd9178bc0b51f0419a853e5b8dca53",
     ("sparse", "gbm"): "5a52eb77c64a92b460c78a1554281db095f9d7c5f5977d0890d54733d606cf7a",
     ("sparse", "xgb_subsample"): "465c605b1cc6c1576fea0cf9209a3f005faaa4b9035c44c00f2bf479d69c1fc2",
     ("sparse", "gbm_subsample"): "27ac22914c206e8019c89a6fbaa0ea6992a76c8196a8deaba852206b930510b7",
-    ("wide_sparse", "random_forest_14"): "67d9e51414bfe4482449a2458de8da89ebce24fbdd58c8322f8994820c31d9d6",
-    ("wide_sparse", "extra_trees_14"): "efe6e834410213ca78b32b1341cd23264f0175b937ab7e9d23d3bf69ee38d3e8",
+    ("wide_sparse", "random_forest_14"): "4bec4ab18915102b10b93c52ddae46894ac0733ba5716dc313aaff21be565e98",
+    ("wide_sparse", "extra_trees_14"): "1fef2f01501ed2df8f913487f13a99d9926b45120e9707ed11cdf4d85ec1eb7a",
 }
 
 
@@ -101,3 +101,36 @@ def saved_model_sha256(data: str, name: str, directory) -> str:
 @pytest.mark.parametrize("data, name", sorted(GOLDEN))
 def test_saved_model_matches_golden_sha256(tmp_path, data, name):
     assert saved_model_sha256(data, name, tmp_path) == GOLDEN[data, name]
+
+
+FORESTS = sorted((data, name) for data, name in GOLDEN if "forest" in name or "extra" in name)
+
+
+@pytest.mark.parametrize("data, name", FORESTS)
+def test_forest_does_not_depend_on_how_its_trees_are_batched(tmp_path, monkeypatch, data, name):
+    """Each tree draws from its own stream and sums over its own entries, so
+    one tree per batch, or batches of three with a shorter last one, save
+    the same bytes as the default batches, which hold every tree here."""
+    X, y = DATA[data]()
+    kind, hp = SPECS[name]
+    columns = hp.get("max_features") or max(1, int(np.sqrt(X.shape[1])))
+    assert _tree.trees_per_batch(X.shape[0], columns) >= hp["n_estimators"]
+    want = saved_model_sha256(data, name, tmp_path)
+    for per_batch in (1, 3):
+        monkeypatch.setattr(_tree, "LEVEL_ENTRIES", per_batch * X.shape[0] * columns)
+        assert _tree.trees_per_batch(X.shape[0], columns) == per_batch
+        assert saved_model_sha256(data, name, tmp_path) == want, per_batch
+
+
+@pytest.mark.parametrize("data, name", FORESTS)
+def test_forest_does_not_depend_on_how_its_draws_and_gathers_are_chunked(tmp_path, monkeypatch, data, name):
+    """With every tree in one batch, drawing the column keys one or two
+    nodes at a time (a pass of two may span two trees) leaves each stream's
+    values those of one array, and gathering a level's entries in windows
+    of that size keeps their order: the saved bytes are the default's."""
+    X, y = DATA[data]()
+    want = saved_model_sha256(data, name, tmp_path)
+    monkeypatch.setattr(_models, "trees_per_batch", lambda n_rows, n_cols: 1000)
+    for nodes_per_pass in (1, 2):
+        monkeypatch.setattr(_tree, "LEVEL_ENTRIES", nodes_per_pass * X.shape[1])
+        assert saved_model_sha256(data, name, tmp_path) == want, nodes_per_pass

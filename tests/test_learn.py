@@ -23,6 +23,7 @@ from dupliq.learn import (
 )
 
 from dupliq.learn._models import _sigmoid
+from dupliq.learn import _tree
 from dupliq.learn._tree import Tree, TreePack
 
 from oracles import best_stump_accuracy, tree_apply_dense
@@ -571,9 +572,11 @@ def saved_model_bytes(tmp_path, kind, X, y) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-# sha256 of the saved models of pinned_model on pinned_matrices(); every
-# kind but decision_tree as the first model format wrote them, and
-# decision_tree since it is saved as a one-tree forest ("trees": [tree])
+# sha256 of the saved models of pinned_model on pinned_matrices(): knn,
+# adaboost, xgb and gbm as the first model format wrote them; decision_tree
+# since it is saved as a one-tree forest ("trees": [tree]); random_forest and
+# extra_trees since each tree draws its bootstrap, column samples and
+# thresholds from its own random stream, whatever batch it grows in
 MODEL_SHA256 = {
     ("knn", "dense"): "957c9eca291b11367f116118ee94426c8c613950835af9d79bb9765d1ee4f506",
     ("knn", "sparse"): "fb92453fc7b1251be89233a62148ae2d62b7d7bd770ae54d42ac07faeb95b61d",
@@ -585,10 +588,10 @@ MODEL_SHA256 = {
     ("gbm", "sparse"): "dd2995d3617de7d72ddd935e8cfc9981f8fbc8bfb0cc9a0b40220104006f8682",
     ("decision_tree", "dense"): "86f5e4618a3255fbd90322662e779caa9ea8e1db4131feaf2686b8f5b45537c4",
     ("decision_tree", "sparse"): "77ce9a5b607fcfc5fb4ce9191ae5668e20c7d9c67a2eceb43fc2df16a7f2c4b4",
-    ("random_forest", "dense"): "8245ea2af91b0fb3311833f5616141c16875e7bbd78df5eb5178860af26a4920",
-    ("random_forest", "sparse"): "f6be149762e11597a57976a7be3fcd3f3bc8baf9f6daccc4c10ec5ae6df520e4",
-    ("extra_trees", "dense"): "77b89c909fddd8f4e1badc9f5bc0901026eea2ca9c5107db182666e2fd97ff2c",
-    ("extra_trees", "sparse"): "c2e6e5906a816bde23015ed8dc23259e95a6fa8260199d6ec0efe0bfa0d74f9d",
+    ("random_forest", "dense"): "80f121ab564e31e360af8145ae3e2a17d9cdd04680ce6e7a4cb4562aa10f0e17",
+    ("random_forest", "sparse"): "2e37e982900251db61cf0e3ef6c77d44b68d8f58ca213f789ba1c4542ca3d947",
+    ("extra_trees", "dense"): "33bea7d3a5d8a8218a20a8e476d1dfcb49a752cd8ac0f812f77d39421a3c4d3a",
+    ("extra_trees", "sparse"): "a206d08838b3313841ecf4e093ebdee9125d75e30b8e965c022399ab15a4a5ee",
 }
 
 
@@ -696,3 +699,20 @@ def test_from_dict_refuses_what_is_not_a_spec():
             ClassifierSpec.from_dict(entry)
     with pytest.raises(ValueError, match="unknown classifier kind 'svm'"):
         ClassifierSpec.from_dict({"kind": "svm"})
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "extra_trees"])
+def test_forest_grows_its_trees_in_one_level_pass_per_batch(monkeypatch, kind):
+    """A 100-tree forest of depth 12 searches each level of a batch of trees
+    in one pass: at most 13 passes a batch, not 13 a tree."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(300, 16))
+    y = (X[:, 0] + X[:, 1] + rng.normal(scale=0.5, size=300) > 0).astype(np.int64)
+    calls = []
+    search = _tree._best_splits
+    monkeypatch.setattr(_tree, "_best_splits", lambda *args: calls.append(1) or search(*args))
+    model = train(ClassifierSpec(kind, {"n_estimators": 100, "max_depth": 12, "min_samples_leaf": 1}), X, y)
+    assert len(model.trees) == 100
+    per_batch = _tree.trees_per_batch(300, 4)
+    assert 1 < per_batch < 100
+    assert len(calls) <= math.ceil(100 / per_batch) * 13

@@ -36,8 +36,8 @@ def grow_both(X, y, kind, max_depth, min_samples_leaf=1, lam=1.0):
         criterion = residual(y - p, np.ones(n), p * (1 - p))
     settings = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_features=None)
     dense = grow_tree_dense(X, criterion, counts, rng=np.random.default_rng(0), **settings)
-    sparse, leaves = grow_tree(
-        ColumnEntries(sp.csr_matrix(X)), criterion, counts, rng=np.random.default_rng(0), **settings
+    [sparse], [leaves] = grow_tree(
+        ColumnEntries(sp.csr_matrix(X)), criterion, counts[None], rngs=[np.random.default_rng(0)], **settings
     )
     assert np.array_equal(leaves, tree_apply(sparse, X))
     return dense, sparse

@@ -34,9 +34,9 @@ from dupliq.neural import (
     save_network,
     train_network,
 )
-from dupliq.neural.layers import MODES, sigmoid
+from dupliq.neural.layers import MODES, Param, sigmoid
 from dupliq.neural.network import Network
-from dupliq.neural.training import ADAM_EPS
+from dupliq.neural.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 TOY = {"seq_len": 5, "embed_dim": 8, "lstm_units": 10, "dense_units": 12,
        "conv_filters": 6, "conv_kernel": 3, "dropout": 0.2}
@@ -617,6 +617,28 @@ def test_adam_step_matches_hand_computation():
         v_hat = g * g
         want = start - 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         assert np.allclose(param.value, want, atol=1e-15)
+
+
+def test_adam_steps_match_the_textbook_formula_bit_for_bit():
+    # parameters of several shapes share the optimizer's scratch buffers
+    rng = np.random.default_rng(3)
+    params = [Param(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate([(3, 4), (5,), (2, 3, 2), (1,)])]
+    config = TrainConfig(learning_rate=0.003)
+    opt = Adam(params, config)
+    want = [p.value.copy() for p in params]
+    m = [np.zeros_like(w) for w in want]
+    v = [np.zeros_like(w) for w in want]
+    for t in range(1, 6):
+        for p in params:
+            p.grad[...] = rng.normal(size=p.value.shape) * 10.0 ** rng.integers(-8, 3)
+        opt.step()
+        bias1, bias2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+        for i, p in enumerate(params):
+            g = p.grad
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+            want[i] = want[i] - config.learning_rate * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + ADAM_EPS)
+            assert p.value.tobytes() == want[i].tobytes(), (t, p.name)
 
 
 def test_loss_non_increasing_first_epochs_small_step():

@@ -12,6 +12,7 @@ probabilities must equal it bit for bit, one row at a time as in a batch.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,11 +34,22 @@ def oracle_builder(X):
     """Route the model code's tree growing through the oracle."""
     dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
 
-    def grow(entries, criterion, counts, *args, **kwargs):
-        tree = grow_tree_dense(dense, criterion, counts, *args, **kwargs)
-        leaves = tree_apply_dense(tree, dense)
-        leaves[np.asarray(counts) == 0] = np.nan
-        return tree, leaves
+    def grow(entries, criterion, counts, max_depth, min_samples_leaf, max_features, rngs, random_thresholds=False):
+        # one tree at a time, each on its own rows of the batch's criterion
+        n = dense.shape[0]
+        trees, leaves = [], np.empty(counts.shape)
+        for t, rng in enumerate(rngs):
+            rows = slice(t * n, (t + 1) * n)
+            one = replace(
+                criterion, a=criterion.a[rows], b=criterion.b[rows], leaf=lambda r, o=t * n: criterion.leaf(r + o)
+            )
+            tree = grow_tree_dense(
+                dense, one, counts[t], max_depth, min_samples_leaf, max_features, rng, random_thresholds
+            )
+            trees.append(tree)
+            leaves[t] = tree_apply_dense(tree, dense)
+        leaves[counts == 0] = np.nan
+        return trees, leaves
 
     real = models.grow_tree
     models.grow_tree = grow
@@ -82,7 +94,7 @@ def hyperparameters(kind):
     if kind in ("gbm", "xgb"):
         common["n_estimators"] = st.integers(1, 4)
     if kind in ("random_forest", "extra_trees"):
-        common["n_estimators"] = st.integers(1, 3)
+        common["n_estimators"] = st.integers(1, 5)
         common["max_features"] = st.sampled_from(["sqrt", 1, 2, None])
     if kind == "random_forest":
         common["bootstrap"] = st.booleans()
