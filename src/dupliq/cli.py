@@ -18,9 +18,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__, corpus, embed, featmat, sparse_io, tfidf
 from . import learn as learn_mod
+from ._files import read_json
 from .embed import EmbeddingTable, load_glove_text, load_word2vec_binary
 from .learn import ClassifierSpec
 
@@ -83,7 +85,7 @@ def _describe_version() -> str:
             ["git", "describe", "--always", "--dirty"],
             cwd=here,
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=5,
         )
         if out.returncode == 0 and out.stdout.strip():
@@ -152,16 +154,35 @@ def _load_embeddings(args, vocab_filter=None) -> EmbeddingTable:
     raise CliError("an embedding file is required: pass --glove or --w2v")
 
 
+def _feature_embeddings(args, table) -> EmbeddingTable:
+    """The embeddings of ``table``'s words, for the 28 features, whose
+    moments need vectors of at least 2 components."""
+    embeddings = _load_embeddings(args, vocab_filter=embed.corpus_vocabulary(table))
+    if embeddings.dim < 2:
+        path = getattr(args, "glove", None) or args.w2v
+        raise CliError(f"{path}: {embeddings.dim}-component vectors; the features need at least 2 components")
+    return embeddings
+
+
 def _load_features(args):
     """Matrix, labels, column names (None for a sparse file stored without
-    them) and path of the feature input."""
+    them) and path of the feature input, whose labels must be 0 or 1 and
+    whose values must be finite."""
     if getattr(args, "sparse", None):
-        X, y = sparse_io.load_sparse_features(args.sparse)
-        return X, y, sparse_io.load_column_names(args.sparse), args.sparse
-    if getattr(args, "features", None):
-        m = featmat.load_matrix(args.features)
-        return m.rows, m.labels, m.column_names, args.features
-    raise CliError("feature input required: pass --features CSV or --sparse NPZ")
+        path = args.sparse
+        X, y = sparse_io.load_sparse_features(path)
+        names = sparse_io.load_column_names(path)
+    elif getattr(args, "features", None):
+        path = args.features
+        m = featmat.load_matrix(path)
+        X, y, names = m.rows, m.labels, m.column_names
+    else:
+        raise CliError("feature input required: pass --features CSV or --sparse NPZ")
+    if not np.isin(y, (0, 1)).all():
+        raise CliError(f"{path}: labels must be 0 or 1")
+    if not np.isfinite(X.data if sp.issparse(X) else X).all():
+        raise CliError(f"{path}: features contain NaN or infinity")
+    return X, y, names, path
 
 
 # ------------------------------------------------------------ subcommands
@@ -232,7 +253,7 @@ def cmd_featurize(args):
     dropped = len(table) - len(cleaned)
     if dropped:
         print(f"dropped {dropped} too-short rows before extraction")
-    embeddings = _load_embeddings(args, vocab_filter=embed.corpus_vocabulary(cleaned))
+    embeddings = _feature_embeddings(args, cleaned)
     matrix = featmat.extract_matrix(cleaned, embeddings)
     if args.drop_paper_eight:
         matrix = featmat.drop_features(matrix, featmat.DEFAULT_DROP_LIST)
@@ -314,7 +335,11 @@ def cmd_train(args):
     hp = _parse_params(args.param)
     hp.setdefault("seed", args.seed)
     spec = ClassifierSpec(args.model, hp)
-    model = learn_mod.train(spec, X, y)
+    spec.resolved()  # a fault in the hyperparameters is not the data's
+    try:
+        model = learn_mod.train(spec, X, y)
+    except ValueError as exc:
+        raise CliError(f"{data_path}: {exc}") from None
     learn_mod.save_model(model, args.output, train_data_path=data_path, column_names=names)
     metrics = learn_mod.evaluate(model, X, y)
     print(f"trained {args.model}: train accuracy {metrics.accuracy:.4f}")
@@ -376,11 +401,13 @@ def cmd_importance(args):
 
 
 def cmd_grid(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = read_json(args.spec)
     if not isinstance(entries, list):
         raise CliError(f"{args.spec}: a grid spec is a JSON list of {{kind, hyperparameters}} objects")
-    grid = [ClassifierSpec.from_dict(e) for e in entries]
+    try:
+        grid = [ClassifierSpec.from_dict(e) for e in entries]
+    except ValueError as exc:
+        raise CliError(f"{args.spec}: {exc}") from None
     X, y, _names, _path = _load_features(args)
     best, table = learn_mod.grid_search(
         grid, X, y, val_fraction=args.val_fraction, seed=args.seed
@@ -577,7 +604,7 @@ def cmd_reproduce(args):
     payload: dict = {"rows_used": len(sampled), "train_rows": len(train_t), "test_rows": len(test_t)}
 
     if args.table in ("table5", "table6"):
-        embeddings = _load_embeddings(args, vocab_filter=embed.corpus_vocabulary(sampled))
+        embeddings = _feature_embeddings(args, sampled)
         train_m = featmat.extract_matrix(train_t, embeddings)
         test_m = featmat.extract_matrix(test_t, embeddings)
         if args.table == "table6":
@@ -616,8 +643,7 @@ CONFIG_VERSION = 1
 
 
 def _load_config_defaults(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: a config file holds a JSON object, not {type(doc).__name__}")
     if doc.get("config_version") != CONFIG_VERSION:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import named_faults
+
 EXPECTED_HEADER = ["id", "qid1", "qid2", "question1", "question2", "is_duplicate"]
 
 # Rows with either question this short are just punctuation or stray
@@ -23,11 +25,14 @@ MIN_QUESTION_LENGTH = 6
 
 
 class RowError(ValueError):
-    """A data row that violates the TSV contract, with its line number."""
+    """A data row that violates the TSV contract, with its line number and,
+    once known, its file's path."""
 
-    def __init__(self, line_num: int, message: str):
-        super().__init__(f"line {line_num}: {message}")
+    def __init__(self, line_num: int, message: str, path: str | Path | None = None):
+        where = f"line {line_num}" if path is None else f"{path}: line {line_num}"
+        super().__init__(f"{where}: {message}")
         self.line_num = line_num
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ def _parse_row(row: list[str], line_num: int) -> QuestionPair:
 
 def load_pairs(path: str | Path, skip_bad_rows: bool = False) -> PairTable:
     """Load a question-pair TSV. Bad rows raise RowError unless skipped."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, named_faults(path):
         reader = csv.reader(fh, delimiter="\t", quotechar='"')
         try:
             header = next(reader)
@@ -101,9 +106,9 @@ def load_pairs(path: str | Path, skip_bad_rows: bool = False) -> PairTable:
         for row in reader:
             try:
                 rows.append(_parse_row(row, reader.line_num))
-            except RowError:
+            except RowError as exc:
                 if not skip_bad_rows:
-                    raise
+                    raise RowError(exc.line_num, exc.message, path) from None
     return PairTable(tuple(rows))
 
 

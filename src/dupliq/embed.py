@@ -37,9 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import named_faults
 from .textops import remove_stopwords, scrub_text, tokenize
 
 WMD_EMPTY_SENTINEL = 1.0
+
+# word vectors are float32 data (word2vec's binary format stores them so): a
+# component that is NaN or beyond float32's range marks a damaged file, and
+# would overflow the distances' squares
+MAX_COMPONENT = float(np.finfo(np.float32).max)
 
 # Largest scaled token total L solved as an assignment.  Measured on one
 # core of a shared 2-vCPU x86 box with 300-d word vectors: at L = 128 the
@@ -78,20 +84,23 @@ class EmbeddingTable:
 
 @contextmanager
 def _open_maybe_gzip(path: str | Path, mode: str):
-    """The file, decompressed when it is gzip; a gzip stream cut short or
-    damaged, or a bad gzip header or CRC, raises ValueError naming ``path``
-    wherever it is read."""
+    """The file, decompressed when it is gzip, and read as UTF-8 in text
+    mode; a gzip stream cut short or damaged, a bad gzip header or CRC, or
+    text that is not UTF-8 raises ValueError naming ``path`` wherever it is
+    read."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    if magic != b"\x1f\x8b":
-        with open(path, mode) as fh:
-            yield fh
-        return
-    try:
-        with gzip.open(path, mode) as fh:
-            yield fh
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise ValueError(f"{path}: damaged gzip stream: {exc}") from None
+    encoding = "utf-8" if "t" in mode else None
+    with named_faults(path):
+        if magic != b"\x1f\x8b":
+            with open(path, mode, encoding=encoding) as fh:
+                yield fh
+            return
+        try:
+            with gzip.open(path, mode, encoding=encoding) as fh:
+                yield fh
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: damaged gzip stream: {exc}") from None
 
 
 def load_glove_text(path: str | Path, vocab_filter: set[str] | None = None) -> EmbeddingTable:
@@ -123,6 +132,8 @@ def load_glove_text(path: str | Path, vocab_filter: set[str] | None = None) -> E
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path} line {line_num}: {exc}") from None
+            if not (np.abs(vec) <= MAX_COMPONENT).all():
+                raise ValueError(f"{path} line {line_num}: a vector component is NaN or beyond float32's range")
             vocab[parts[0]] = vec
     if dim is None:
         raise ValueError(f"{path}: empty embedding file")
@@ -181,6 +192,8 @@ def load_word2vec_binary(
             if vocab_filter is not None and text not in vocab_filter:
                 continue
             vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            if not (np.abs(vec) <= MAX_COMPONENT).all():
+                raise ValueError(f"{path}: word {text!r}: a vector component is NaN or infinite")
             vocab[text] = vec
     return EmbeddingTable(dim=dim, vocab=vocab)
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, fuzzy, textops
+from ._files import named_faults
 from .corpus import PairTable, QuestionPair
 from .embed import EmbeddingTable
 
@@ -170,7 +171,7 @@ def save_matrix(m: FeatureMatrix, path: str | Path) -> None:
 
 def load_matrix(path: str | Path) -> FeatureMatrix:
     """Read a CSV written by save_matrix (or schema-compatible)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, named_faults(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)

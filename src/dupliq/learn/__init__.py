@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .._files import read_json
 from ..corpus import stratified_indices
 from ._models import (
     DEFAULT_HYPERPARAMETERS,
@@ -214,11 +215,7 @@ def save_model(
 def load_model(path: str | Path):
     """Rebuild a model saved by :func:`save_model`; a document that is not a
     valid model raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format")
     try:

@@ -388,9 +388,7 @@ class AdaBoostModel(_TreeModel):
         if not total > 0:
             return np.full(X.shape[0], 0.5)
         # each tree's vote alpha * (leaf >= 0.5), added left to right
-        leaves = self._pack.leaf_values(X)
-        votes = np.greater_equal(leaves, 0.5, out=leaves)
-        votes *= self.alphas
+        votes = (self._pack.leaf_values(X) >= 0.5) * self.alphas
         return np.add.accumulate(votes, axis=1, out=votes)[:, -1] / total
 
     def native_importance(self) -> np.ndarray:

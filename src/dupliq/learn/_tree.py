@@ -33,35 +33,34 @@ batch's whole matrix.  (A lone tree that counts every row and searches
 every column takes the matrix's arrays as they are.)  A stable sort on
 the node key then puts them in (node, column, value, row) order.  The
 level takes one vectorized pass over them, grouped by (node, column),
-plus one call of the criterion's ``leaf`` per new leaf (or one of its
-``leaf_of_sums`` for all of them).  Each winner's (node, column) group
-holds its rows' stored values in the split column, so routing reads
-only those entries, about one per row.
+and one call of the criterion's ``leaf`` on its nodes' totals.  Each
+winner's (node, column) group holds its rows' stored values in the split
+column, so routing reads only those entries, about one per row.
 
 Criteria.  A ``Criterion`` is all a tree optimizes: per-row stats ``a``
-and ``b``, a per-side ``score`` of their sums, the ``leaf`` value of a
-set of rows, and an optional ``is_pure`` test that keeps a node from
-being searched.  A split's recorded gain,
-``scale * (score_left + score_right - score_parent) - penalty``, must
-exceed ``min_gain``, which is ``MIN_GAIN`` unless said otherwise.
+and ``b`` (and ``h``, which only leaves read), a per-side ``score`` of
+the sums of a and b, a node's ``leaf`` value from its sums, and an
+optional ``is_pure`` test that keeps a node from being searched.  Each
+level sums the stats over each node's rows in row order
+(``np.add.reduceat``) and takes every leaf from those totals.  A split's
+recorded gain, ``scale * (score_left + score_right - score_parent) -
+penalty``, must exceed ``min_gain``, which is ``MIN_GAIN`` unless said
+otherwise.
 
 * ``gini(w, y)`` (forests, decision_tree, AdaBoost): a = w * y, b = w;
   the score ``-a (b - a) / b`` is the negative weighted impurity, and a
-  leaf is the weighted share of class 1.  Pure nodes stay leaves, and
-  impure ones split on any valid candidate (``min_gain`` is -inf).  Whole
-  weights, such as a forest's bootstrap counts, sum exactly in any order,
-  so their leaves take their nodes' level totals.
+  leaf ``A / B`` is the weighted share of class 1.  Pure nodes stay
+  leaves, and impure ones split on any valid candidate (``min_gain`` is
+  -inf).
 * ``newton(g, h, lam, gamma)`` (xgb): a = gradient, b = hessian, score
-  ``a^2 / (b + lam)``, scale 0.5, penalty gamma, leaf ``-G / (H + lam)``.
+  ``a^2 / (b + lam)``, scale 0.5, penalty gamma, leaf ``-A / (B + lam)``.
 * ``residual(r, weight, h)`` (gbm): score ``r^2 / weight``, which is
   variance reduction on the residuals, and leaf ``R / H``, one Newton step.
 
-Otherwise a leaf sums its own rows with ``.sum()``; the level's
-``np.add.reduceat`` totals round differently and would change saved
-models.  Likewise a candidate's left sums are differences of one running
-sum over its tree's entries of the level, in (node, column, value, row)
-order, and not of one per group or per node; as each tree's running sum
-starts at its own first entry, no tree's sums depend on its batch.
+A candidate's left sums are differences of one running sum over its
+tree's entries of the level, in (node, column, value, row) order, and
+not of one per group or per node; as each tree's running sum starts at
+its own first entry, no tree's sums depend on its batch.
 
 Candidates of a (node, column) group: the midpoints between consecutive
 distinct values, and for sparse input the zero boundary (zeros left,
@@ -182,11 +181,9 @@ class Criterion:
     a: np.ndarray
     b: np.ndarray
     score: Callable  # (summed a, summed b) -> score of a side
-    leaf: Callable  # training row indices -> leaf value
+    leaf: Callable  # (summed a, summed b, summed h or None) -> leaf values
+    h: np.ndarray | None = None  # a per-row stat summed for ``leaf`` alone
     is_pure: Callable | None = None  # (summed a, summed b) -> no split wanted
-    # (summed a, summed b) -> leaf values, in place of ``leaf`` when a and b
-    # sum exactly in any order, so that a node's totals are its leaf's sums
-    leaf_of_sums: Callable | None = None
     min_gain: float = MIN_GAIN
     scale: float = 1.0
     penalty: float = 0.0
@@ -202,24 +199,13 @@ def _gini_is_pure(a, b):
     return (a == 0.0) | (a == b)
 
 
-def _gini_leaf_of_sums(a, b):
+def _gini_leaf(a, b, _):
     return np.divide(a, b, out=np.full(len(a), 0.5), where=b > 0)
 
 
 def gini(w: np.ndarray, y: np.ndarray) -> Criterion:
     """Gini impurity over rows of weight ``w`` and 0/1 label ``y``."""
-
-    def leaf(rows):
-        tw = w[rows].sum()
-        return (w[rows] * y[rows]).sum() / tw if tw > 0 else 0.5
-
-    # whole weights (a forest's counts) below 2^53 in all sum exactly in any
-    # order, so a node's totals are its leaf's own sums
-    whole = bool(np.all(np.floor(w) == w)) and w.sum() < 2.0**53
-    return Criterion(
-        w * y, w, _gini_score, leaf, is_pure=_gini_is_pure, min_gain=-np.inf,
-        leaf_of_sums=_gini_leaf_of_sums if whole else None,
-    )
+    return Criterion(w * y, w, _gini_score, _gini_leaf, is_pure=_gini_is_pure, min_gain=-np.inf)
 
 
 def newton(g: np.ndarray, h: np.ndarray, lam: float, gamma: float) -> Criterion:
@@ -230,8 +216,8 @@ def newton(g: np.ndarray, h: np.ndarray, lam: float, gamma: float) -> Criterion:
         # saturated probabilities can drive the hessian sum to exactly 0
         return (a * a) / np.maximum(b + lam, 1e-300)
 
-    def leaf(rows):
-        return -g[rows].sum() / max(h[rows].sum() + lam, 1e-300)
+    def leaf(a, b, _):
+        return -a / np.maximum(b + lam, 1e-300)
 
     return Criterion(g, h, score, leaf, scale=0.5, penalty=gamma)
 
@@ -243,11 +229,10 @@ def residual(r: np.ndarray, weight: np.ndarray, h: np.ndarray) -> Criterion:
     def score(a, b):
         return (a * a) / np.maximum(b, 1e-300)
 
-    def leaf(rows):
-        denom = h[rows].sum()
-        return r[rows].sum() / denom if denom > 1e-12 else 0.0
+    def leaf(a, _, h):
+        return np.divide(a, h, out=np.zeros(len(a)), where=h > 1e-12)
 
-    return Criterion(r, weight, score, leaf)
+    return Criterion(r, weight, score, leaf, h=h)
 
 
 class ColumnEntries:
@@ -326,6 +311,7 @@ def grow_tree(
         tot_a = np.add.reduceat(a.take(rows), rstart)
         tot_b = np.add.reduceat(b.take(rows), rstart)
         tot_c = np.add.reduceat(vcounts.take(rows), rstart)
+        tot_h = None if criterion.h is None else np.add.reduceat(criterion.h.take(rows), rstart)
         open_ = row_len >= 2
         if max_depth is not None and depth >= max_depth:
             open_[:] = False
@@ -347,13 +333,7 @@ def grow_tree(
             feature[nodes], threshold[nodes], gain[nodes] = f, t, g
         split = feature >= 0
 
-        value = np.zeros(k)
-        leaves = np.flatnonzero(~split)
-        if criterion.leaf_of_sums is not None:
-            value[leaves] = criterion.leaf_of_sums(tot_a.take(leaves), tot_b.take(leaves))
-        else:
-            for i in leaves:
-                value[i] = criterion.leaf(rows[rstart[i] : rstart[i] + row_len[i]])
+        value = np.where(split, 0.0, criterion.leaf(tot_a, tot_b, tot_h))
         # a row's last value is that of its leaf
         row_value[rows] = np.repeat(value, row_len)
         # nodes are numbered across the batch in level order here, and per

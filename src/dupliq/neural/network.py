@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._files import read_json
 from .layers import (
     LSTM,
     MODES,
@@ -288,11 +289,7 @@ def load_network(prefix: str | Path) -> Network:
     """Rebuild a network saved by :func:`save_network`; a manifest or weight
     blob that does not describe one raises ValueError naming ``prefix``."""
     prefix = Path(prefix)
-    with open(prefix.with_suffix(".json"), "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{prefix}: manifest is not JSON: {exc}") from None
+    manifest = read_json(prefix.with_suffix(".json"))
     if not isinstance(manifest, dict):
         raise ValueError(f"{prefix}: manifest is not a JSON object")
     if manifest.get("format_version") != WEIGHTS_FORMAT_VERSION:

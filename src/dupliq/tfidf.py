@@ -29,7 +29,12 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from ._files import read_json
+
 FORMAT_VERSION = 1
+# ``fit``'s idf, ln((1 + N) / (1 + df)) + 1, is at least 1 and below this
+# for any corpus of fewer than 2^64 documents
+MAX_IDF = 1.0 + 64 * math.log(2)
 
 
 @dataclass
@@ -193,11 +198,7 @@ def save_model(model: TfidfModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TfidfModel:
     """Rebuild a model saved by :func:`save_model`; a document that is not a
     valid model raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version")
     try:
@@ -217,6 +218,8 @@ def _model_from_doc(doc: dict) -> TfidfModel:
     idf = np.zeros(len(vocabulary))
     for t, _, w in terms:
         idf[vocabulary[t]] = w
+    if not ((idf >= 1.0) & (idf <= MAX_IDF)).all():
+        raise ValueError(f"an idf is not a number in [1, {MAX_IDF:.2f}]")
     model = TfidfModel(
         analyzer=doc["analyzer"],
         ngram_range=tuple(doc["ngram_range"]),

@@ -322,7 +322,8 @@ def grow_tree_dense(
     ``scale * (score_left + score_right - score_parent) - penalty`` and
     must exceed ``min_gain``, and the choice among candidates follows
     the TIE_RTOL tie rule: lowest column, then lowest threshold, among
-    the gains within tolerance of the best.  ``criterion`` is the
+    the gains within tolerance of the best; a leaf's value is the
+    criterion's ``leaf`` of its node's sums.  ``criterion`` is the
     library's ``Criterion``, read field by field.  Returns the tree only."""
     from dupliq.learn._tree import Tree
 
@@ -354,7 +355,8 @@ def grow_tree_dense(
                 split = _oracle_best_split(X, rows, criterion, counts, columns[i], min_leaf, rng, random_thresholds)
             count = int(counts[rows].sum())
             if split is None:
-                nodes.append([-1, 0.0, -1, -1, float(criterion.leaf(rows)), 0.0, count])
+                sums = [None if x is None else _node_sum(x[rows]) for x in (a, b, criterion.h)]
+                nodes.append([-1, 0.0, -1, -1, float(criterion.leaf(*sums)[0]), 0.0, count])
                 continue
             feature, threshold, gain = split
             left_id = base + len(next_level)
@@ -369,6 +371,12 @@ def grow_tree_dense(
         right=right.astype(np.int64), value=v.astype(np.float64), gain=g.astype(np.float64),
         n_node=c.astype(np.int64),
     )
+
+
+def _node_sum(x):
+    """A node's sum of a per-row stat, over its rows in ascending order and
+    as the builder takes it (``np.add.reduceat``), in a length-1 array."""
+    return np.add.reduceat(x, [0])
 
 
 def _oracle_best_split(X, rows, criterion, counts, columns, min_leaf, rng, random_thresholds):

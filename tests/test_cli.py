@@ -830,6 +830,50 @@ def test_bad_hyperparameters_and_grid_specs_exit_code_1(workspace, capsys):
         assert named in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize(
+    "cell, value, named", [(-1, "8", "labels must be 0 or 1"), (0, "inf", "features contain NaN or infinity")]
+)
+def test_feature_file_with_a_bad_label_or_value_is_named(workspace, capsys, cell, value, named):
+    tmp, tsv, glove = workspace
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "tree.json"
+    assert run(["train", "--model", "decision_tree", "--features", features, "-o", model, "--report", tmp / "t.json"]) == 0
+    spec = tmp / "grid.json"
+    spec.write_text(json.dumps([{"kind": "decision_tree"}]))
+    lines = features.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[cell] = value
+    bad = tmp / "bad.csv"
+    bad.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    for argv in (["eval", "--model", model], ["importance", "--model", model], ["grid", "--spec", spec]):
+        capsys.readouterr()
+        assert run([*argv, "--features", bad, "--report", tmp / "r.json"]) == 1, argv
+        err = capsys.readouterr().err
+        assert f"{bad}: {named}" in err, err
+
+
+@pytest.mark.parametrize("how", ["truncated", "empty", "byte_flipped"])
+@pytest.mark.parametrize("flag", ["--config", "--spec"])
+def test_damaged_config_or_grid_spec_is_named(workspace, capsys, how, flag):
+    tmp, tsv, glove = workspace
+    if flag == "--config":
+        path = tmp / "config.json"
+        path.write_text(json.dumps({"config_version": 1, "defaults": {"skip-bad-rows": True}}))
+        argv = ["stats", tsv, "--config", path]
+    else:
+        features = tmp / "features.csv"
+        run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+        path = tmp / "grid.json"
+        path.write_text(json.dumps([{"kind": "decision_tree", "hyperparameters": {"max_depth": 2}}]))
+        argv = ["grid", "--spec", path, "--features", features]
+    path.write_bytes(b"" if how == "empty" else damaged(path.read_bytes(), how))
+    capsys.readouterr()
+    assert run([*argv, "--report", tmp / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err, err
+
+
 def test_forest_without_trees_exit_code_1(workspace, capsys):
     tmp, tsv, glove = workspace
     features = tmp / "features.csv"
@@ -870,3 +914,41 @@ def test_cli_import_leaves_out_scipy_optimize():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def test_text_files_are_read_as_utf8_whatever_the_locale(workspace):
+    """Under the C locale with UTF-8 mode off, the locale's encoding is
+    ASCII: a GloVe word such as "café" loads only because every text open
+    in dupliq names its encoding.  Each open that leaves it out also warns
+    (``-X warn_default_encoding``), and such a warning from dupliq's code is
+    made an error."""
+    import dupliq
+
+    tmp, tsv, glove = workspace
+    with open(glove, "a", encoding="utf-8") as fh:
+        fh.write("café 0.5 0.5 0.5 0.5 0.5 0.5\n")
+    model = tmp / "tree.json"
+    runs = [
+        ["featurize", tsv, "--glove", glove, "-o", tmp / "f.csv", "--report", tmp / "f.json"],
+        ["train", "--model", "decision_tree", "--features", tmp / "f.csv", "-o", model, "--report", tmp / "t.json"],
+        ["tfidf-fit", tsv, "-o", tmp / "tfidf.json", "--report", tmp / "tf.json"],
+        ["eval", "--model", model, "--features", tmp / "f.csv", "--report", tmp / "e.json"],
+    ]
+    code = (
+        "import json, sys, warnings; "
+        "warnings.filterwarnings('error', category=EncodingWarning, module='dupliq'); "
+        "from dupliq.cli import main; "
+        "print([main(argv) for argv in json.loads(sys.argv[1])])"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(dupliq.__file__).parents[1]),
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+    out = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-X", "warn_default_encoding", "-c", code,
+         json.dumps([[str(a) for a in argv] for argv in runs])],
+        capture_output=True, encoding="utf-8", env=env,
+    )
+    assert out.returncode == 0 and out.stdout.strip().endswith("[0, 0, 0, 0]"), out.stderr

@@ -65,6 +65,16 @@ def test_load_wrong_field_count(tmp_path):
         load_pairs(path)
 
 
+def test_load_faults_name_the_file(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text(HEADER + "0\t1\t2\tonly one question\t1\n")
+    with pytest.raises(RowError, match=f"^{path}: line 2: expected 6 fields, found 5$"):
+        load_pairs(path)
+    path.write_bytes((HEADER + "0\t1\t2\tq\xffone\tquestion two\t1\n").encode("latin-1"))
+    with pytest.raises(ValueError, match=f"{path}: not UTF-8 text"):
+        load_pairs(path)
+
+
 def test_save_load_roundtrip(tmp_path):
     table = make_table(
         [("What is AI?", "what\tis \"AI\"?"), ("over six", "multi\nline q")],

@@ -107,6 +107,28 @@ def test_damaged_gzip_stream_names_the_file(tmp_path, loader):
         loader(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e39"])
+def test_glove_refuses_a_component_beyond_float32_naming_file_and_line(tmp_path, value):
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"hello 1.0 2.0\nworld 0.5 {value}\n")
+    with pytest.raises(ValueError, match=f"{path} line 2: .*NaN"):
+        load_glove_text(path)
+
+
+def test_word2vec_refuses_a_nan_component_naming_file_and_word(tmp_path):
+    path = tmp_path / "vectors.bin"
+    path.write_bytes(_w2v_bytes([("a", [1.0, 2.0]), ("b", [math.nan, 4.0])], dim=2))
+    with pytest.raises(ValueError, match=f"{path}: word 'b': .*NaN"):
+        load_word2vec_binary(path)
+
+
+def test_glove_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(b"hello 1.0 2.0\nw\xffrld 0.5 0.5\n")
+    with pytest.raises(ValueError, match=f"{path}: not UTF-8 text"):
+        load_glove_text(path)
+
+
 def test_word2vec_truncated(tmp_path):
     vecs = [("a", [1.0, 2.0]), ("b", [3.0, 4.0])]
     blob = _w2v_bytes(vecs, dim=2)

@@ -231,3 +231,10 @@ def test_load_matrix_errors(tmp_path):
     path.write_text("a,is_duplicate\nabc,1\n")
     with pytest.raises(ValueError, match="row 0"):
         load_matrix(path)
+
+
+def test_load_matrix_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,is_duplicate\n1.0,1\n\xff,0\n")
+    with pytest.raises(ValueError, match=f"{path}: not UTF-8 text"):
+        load_matrix(path)

@@ -72,19 +72,19 @@ GOLDEN = {
     ("dense", "decision_tree"): "d446bc16cf581a842fcbafda2701f04ac43bc8ecdc8afc81eb617b2758b24bb6",
     ("dense", "random_forest"): "3af0b4fdd43cef38488acd74ed9670782a95a299cf96e739e583fe3f3ff68125",
     ("dense", "extra_trees"): "f052019572d8f634f7c36e2c0e62f3a2d54c364488d47f45de76e8f3570445e6",
-    ("dense", "adaboost"): "2b9649d088bdc8941da139bccbc233b9cd8f819236ff21f12362d9cf8f252ee6",
-    ("dense", "xgb"): "d9414d78d93831bea528cd103715d78357980c965c0715ce7e4f12cb30334afd",
-    ("dense", "gbm"): "2abd1322fc20ac2634345d6aee84c8f588d83f228e7984cda7118d462aa6a23f",
-    ("dense", "xgb_subsample"): "e1ba98c9f6756320ebdf0c4fc22b2e96ad72ed85a7c8cd917fb8a39898b96960",
-    ("dense", "gbm_subsample"): "f59062a12d57a96cb51623d0ee1486de695be65bdbbaa4fd907ed7326c3227d7",
+    ("dense", "adaboost"): "e40f2dc21f7529049559d6851cdbc5650692371bf88deb1dc665e365e8607f77",
+    ("dense", "xgb"): "256ab2a92d80eb1b5456b26a20ceb65422f29afc6cc620aa49608f9859d91f12",
+    ("dense", "gbm"): "a7bf1924580e8d8ee9e08ca8448b312fdaa40be334137b23c67fb46079f91a1f",
+    ("dense", "xgb_subsample"): "6b287ce6a540123d1271c9871e900bf084aae84c3f247eb2f194d21fc4a4f9a2",
+    ("dense", "gbm_subsample"): "cd3aaf3478678aa7f7f3c7ede790b059c1e720155bbb595ee896211500e2b663",
     ("sparse", "decision_tree"): "3fa0c8624140e7ab73d00c212e8df305c39f9744859c01dd3309fbf60c32470a",
     ("sparse", "random_forest"): "7f8ad0d9bc975608f6739d1fe8c454b83570950bcad52d792d7808e09f54b9c7",
     ("sparse", "extra_trees"): "6c977a6cd2a4c4b5c0a5f84dcd8e57118446746e450e0516fbd6f20742265aee",
-    ("sparse", "adaboost"): "99d86c00ba98fe09109f2ccd19d735b704a36b3816cc59d7d30451f37d7f5c16",
-    ("sparse", "xgb"): "f351dc352a658a59cdfbfc868258ca9b8abd9178bc0b51f0419a853e5b8dca53",
-    ("sparse", "gbm"): "5a52eb77c64a92b460c78a1554281db095f9d7c5f5977d0890d54733d606cf7a",
-    ("sparse", "xgb_subsample"): "465c605b1cc6c1576fea0cf9209a3f005faaa4b9035c44c00f2bf479d69c1fc2",
-    ("sparse", "gbm_subsample"): "27ac22914c206e8019c89a6fbaa0ea6992a76c8196a8deaba852206b930510b7",
+    ("sparse", "adaboost"): "0bbc72f5a9292e9283f0dfdf0be643068d99d7f060d564df43f3a78e4f87fc07",
+    ("sparse", "xgb"): "42269d3bfb738d53f0558d8ecd87e4895314d2186fc969f6b43b0d3ffc71eef9",
+    ("sparse", "gbm"): "99fabd8a60b036243bebb10e1b7f750fc8dbcf0aaca4d26be4e96b0af86e0ae5",
+    ("sparse", "xgb_subsample"): "f9c80c53cdde0499c681e127505df84b5eb6fcc4eff7630198418d475a8061df",
+    ("sparse", "gbm_subsample"): "22e34c749d900daa8fb76ac8b2384f257513fd5fa1a9a4581e51958d4e4c02e8",
     ("wide_sparse", "random_forest_14"): "4bec4ab18915102b10b93c52ddae46894ac0733ba5716dc313aaff21be565e98",
     ("wide_sparse", "extra_trees_14"): "1fef2f01501ed2df8f913487f13a99d9926b45120e9707ed11cdf4d85ec1eb7a",
 }

@@ -580,11 +580,11 @@ def saved_model_bytes(tmp_path, kind, X, y) -> bytes:
 MODEL_SHA256 = {
     ("knn", "dense"): "957c9eca291b11367f116118ee94426c8c613950835af9d79bb9765d1ee4f506",
     ("knn", "sparse"): "fb92453fc7b1251be89233a62148ae2d62b7d7bd770ae54d42ac07faeb95b61d",
-    ("adaboost", "dense"): "5afc185a7d5a33bfeec1a40356288e2384ddc309c6884e5d860263f126e2a365",
-    ("adaboost", "sparse"): "ab38dee56be7412281cd7a5e0c26bad68efd4d50c18730eb0adf609ec46a29d7",
-    ("xgb", "dense"): "c2905ebccbab23fb64081abc239956d60b7f9892edc76a3405e04aeeb7a6fdca",
+    ("adaboost", "dense"): "5dff8c50300500637ec09e6b0a42d961343136351b9f9df85de4edb69a19de93",
+    ("adaboost", "sparse"): "483f9aa18a4141ec7a5365b37d59acb3c3a29edb85187992bdf2cee326469281",
+    ("xgb", "dense"): "ecb992def26d6a991eaab243ae685b8f8d66c428658c4758c0ec65a383d93c16",
     ("xgb", "sparse"): "584da8efe0947026a72e08fe05e8c05b9cc6f48d09d2df08629b6b0b25d38022",
-    ("gbm", "dense"): "9d54f351753b1726c8d422ec5dc3993ef429a395294d087942564f670618179e",
+    ("gbm", "dense"): "0daf23832f15df0181fb38b977bdedcf18c238e45467b79a4c72e35646ed8be2",
     ("gbm", "sparse"): "dd2995d3617de7d72ddd935e8cfc9981f8fbc8bfb0cc9a0b40220104006f8682",
     ("decision_tree", "dense"): "86f5e4618a3255fbd90322662e779caa9ea8e1db4131feaf2686b8f5b45537c4",
     ("decision_tree", "sparse"): "77ce9a5b607fcfc5fb4ce9191ae5668e20c7d9c67a2eceb43fc2df16a7f2c4b4",

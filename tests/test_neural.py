@@ -741,6 +741,14 @@ def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):
             load_network(prefix)
 
 
+def test_load_names_a_manifest_that_is_not_utf8(tmp_path):
+    prefix, _ = _saved_toy(tmp_path)
+    manifest = prefix.with_suffix(".json")
+    manifest.write_bytes(b'{"arch": "\xff"}')
+    with pytest.raises(ValueError, match=f"{manifest}: not a JSON document"):
+        load_network(prefix)
+
+
 @pytest.mark.parametrize("key", ["arch", "vocab_size", "dims", "head_blocks", "frozen_embed_dim", "params", "seed"])
 def test_load_rejects_a_manifest_without_a_key(tmp_path, key):
     prefix, manifest = _saved_toy(tmp_path)

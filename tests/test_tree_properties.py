@@ -41,7 +41,7 @@ def oracle_builder(X):
         for t, rng in enumerate(rngs):
             rows = slice(t * n, (t + 1) * n)
             one = replace(
-                criterion, a=criterion.a[rows], b=criterion.b[rows], leaf=lambda r, o=t * n: criterion.leaf(r + o)
+                criterion, a=criterion.a[rows], b=criterion.b[rows], h=None if criterion.h is None else criterion.h[rows]
             )
             tree = grow_tree_dense(
                 dense, one, counts[t], max_depth, min_samples_leaf, max_features, rng, random_thresholds
