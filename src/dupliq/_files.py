@@ -30,3 +30,17 @@ def read_json(path: str | Path):
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not a JSON document: {exc}") from None
+
+
+def read_document(path: str | Path, version: int, what: str, build):
+    """``build(doc)`` of the saved ``what`` in ``path``, a JSON object of
+    ``format_version`` ``version``; every fault raises ValueError naming it."""
+    doc = read_json(path)
+    found = doc.get("format_version", "(none)") if isinstance(doc, dict) else "(none)"
+    if type(found) is not int or found != version:  # JSON true would equal 1
+        raise ValueError(f"{path}: {what} format version {found}; this dupliq reads version {version}")
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: cannot load {what}: {detail}") from None

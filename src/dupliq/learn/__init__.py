@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .._files import read_json
+from .._files import read_document
 from ..corpus import stratified_indices
 from ._models import (
     DEFAULT_HYPERPARAMETERS,
@@ -44,7 +44,7 @@ __all__ = [
     "log_loss",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -190,13 +190,15 @@ def save_model(
     train_data_path: str | None = None,
     column_names: list[str] | None = None,
 ) -> None:
-    """Persist a model as versioned JSON.
+    """Persist a model as JSON, in format 2.
 
-    Tree ensembles serialize completely; the nearest-neighbour model saves
-    its metadata plus the absolute path and sha256 of the training feature
-    file, which it re-reads at load time and refuses if it has changed.
-    ``column_names``, the training matrix's, are recorded when given, and
-    come back as the loaded model's ``column_names``.
+    Tree ensembles serialize completely, each tree as its node arrays in
+    level order, where an internal node's children are ``left`` and ``left
+    + 1``.  The nearest-neighbour model saves its metadata plus the absolute
+    path and sha256 of the training feature file, which it re-reads at load
+    time and refuses if it has changed.  ``column_names``, the training
+    matrix's, are recorded when given, and come back as the loaded model's
+    ``column_names``.
     """
     doc = {"format_version": MODEL_FORMAT_VERSION, **model.to_dict()}
     if column_names is not None:
@@ -215,24 +217,15 @@ def save_model(
 def load_model(path: str | Path):
     """Rebuild a model saved by :func:`save_model`; a document that is not a
     valid model raises ValueError naming the file."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format")
-    try:
-        return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{path}: cannot load model: {detail}") from None
+    return read_document(path, MODEL_FORMAT_VERSION, "model", _model_from_doc)
 
 
 def _model_from_doc(doc: dict):
     kind, hp, n_features, state = doc["kind"], doc["hyperparameters"], doc["n_features"], doc["state"]
     check_hyperparameters(kind, hp)
     if kind == "knn":
-        path = state["train_data"]
-        # models saved before the hash was recorded have none
-        digest = state.get("train_sha256")
-        if digest is not None and _sha256(path) != digest:
+        path = os.fspath(state["train_data"])  # a TypeError unless a path
+        if _sha256(path) != state["train_sha256"]:
             raise ValueError(f"its training data {path} changed after it was saved")
         state = {**state, "training": _load_training_features(path)}
     model = MODEL_CLASS[kind].from_state(kind, hp, n_features, state)

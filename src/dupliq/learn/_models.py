@@ -170,6 +170,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _probability_trees(saved: list, n_features: int) -> list[Tree]:
+    # the saved trees of a forest or of AdaBoost, whose leaves are probabilities
+    trees = [Tree.from_dict(t, n_features) for t in saved]
+    if any(((t.value < 0) | (t.value > 1)).any() for t in trees):
+        raise ValueError("a leaf value is not a probability in [0, 1]")
+    return trees
+
+
 class _BaseModel:
     # the training matrix's column names, when the saved model records them
     column_names: list[str] | None = None
@@ -320,11 +328,9 @@ class ForestModel(_TreeModel):
 
     @classmethod
     def from_state(cls, kind, hp, n_features, state):
-        # decision-tree files saved before it became a one-tree forest hold "tree"
-        saved = [state["tree"]] if kind == "decision_tree" and "tree" in state else state["trees"]
-        if not saved:
+        if not state["trees"]:
             raise ValueError(f"a {kind} needs at least one tree")
-        return cls(kind, hp, n_features, [Tree.from_dict(t, n_features) for t in saved])
+        return cls(kind, hp, n_features, _probability_trees(state["trees"], n_features))
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
@@ -376,10 +382,13 @@ class AdaBoostModel(_TreeModel):
 
     @classmethod
     def from_state(cls, kind, hp, n_features, state):
-        trees = [Tree.from_dict(t, n_features) for t in state["stumps"]]
+        trees = _probability_trees(state["stumps"], n_features)
         alphas = list(state["alphas"])
         if len(alphas) != len(trees):
             raise ValueError(f"adaboost has {len(trees)} stumps but {len(alphas)} alphas")
+        # training weighs every stump by a positive alpha
+        if not all(map(_number(lambda v: 0 < v < math.inf), alphas)) or not math.isfinite(sum(alphas)):
+            raise ValueError("an adaboost alpha is not a finite number > 0, or their sum is not finite")
         return cls(kind, hp, n_features, trees, alphas)
 
     def predict_proba(self, X) -> np.ndarray:
@@ -456,7 +465,14 @@ class BoostedTreesModel(_TreeModel):
     @classmethod
     def from_state(cls, kind, hp, n_features, state):
         trees = [Tree.from_dict(t, n_features) for t in state["trees"]]
-        return cls(kind, hp, n_features, state["base_margin"], trees)
+        base_margin = state["base_margin"]
+        if not _number(math.isfinite)(base_margin):
+            raise ValueError(f"base_margin is not a finite number: {base_margin!r}")
+        # a bound on every margin predict_proba sums, so that none overflows
+        reach = sum(float(abs(t.value).max()) for t in trees)
+        if not math.isfinite(abs(base_margin) + abs(hp["learning_rate"]) * reach):
+            raise ValueError("the leaf values can take a margin past the float range")
+        return cls(kind, hp, n_features, base_margin, trees)
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)

@@ -91,11 +91,10 @@ all equal, in (node, column) order.
 
 Each tree numbers its own nodes in level order: the root is 0, and the
 children of the split nodes of one depth are numbered after that whole
-depth, left before right, in the order of their parents.  Routing only
-needs every child index to exceed its parent's, which preorder numbering
-(used by models saved before the builder became level-wise) satisfies as
-well, so such models still load and predict the same.  ``Tree.from_dict``
-enforces it, so a corrupt model cannot make routing loop.
+depth, left before right, in the order of their parents.  So a split
+node's children are adjacent, and a tree stores only the left one; the
+right is ``left + 1``.  ``Tree.from_dict`` checks that both follow their
+parent, so a corrupt model cannot make routing loop.
 """
 
 from __future__ import annotations
@@ -120,8 +119,7 @@ LEVEL_ENTRIES = 1 << 15
 class Tree:
     feature: np.ndarray  # int, -1 marks a leaf
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray  # int, the left child of an internal node; the right is left + 1
     value: np.ndarray  # leaf payload
     gain: np.ndarray  # recorded gain at internal nodes
     n_node: np.ndarray  # row count per node
@@ -131,40 +129,30 @@ class Tree:
         return len(self.feature)
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "gain": self.gain.tolist(),
-            "n_node": self.n_node.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _NODE_ARRAYS}
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "Tree":
         """Rebuild a saved tree; raises ValueError unless every array has
-        one entry per node, every feature id is in [-1, n_features) and
-        every internal node's children come after it."""
-        tree = cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            value=np.asarray(d["value"], dtype=np.float64),
-            gain=np.asarray(d["gain"], dtype=np.float64),
-            n_node=np.asarray(d["n_node"], dtype=np.int64),
-        )
+        one finite number per node (an integer where int64 is stored), every
+        feature id is in [-1, n_features), and every internal node's
+        children, ``left`` and ``left + 1``, come after it within the tree."""
+        arrays = {}
+        for name, kinds in _NODE_ARRAYS.items():
+            arr = np.asarray(d[name])
+            if arr.size and (arr.dtype.kind not in kinds or not np.isfinite(arr).all()):
+                raise ValueError(f"corrupt tree: {name} is not all {'integers' if kinds == 'i' else 'finite numbers'}")
+            arrays[name] = arr.astype(np.int64 if kinds == "i" else np.float64)
+        tree = cls(**arrays)
         n = tree.n_nodes
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.gain, tree.n_node)
-        if n == 0 or any(arr.shape != (n,) for arr in arrays):
+        if n == 0 or any(getattr(tree, name).shape != (n,) for name in _NODE_ARRAYS):
             raise ValueError("corrupt tree: node arrays are empty or differ in length")
         if ((tree.feature < -1) | (tree.feature >= n_features)).any():
             raise ValueError(f"corrupt tree: feature id outside [-1, {n_features})")
         internal = np.flatnonzero(tree.feature >= 0)
-        for child in (tree.left[internal], tree.right[internal]):
-            if ((child <= internal) | (child >= n)).any():
-                raise ValueError("corrupt tree: a child index does not follow its parent")
+        left = tree.left[internal]
+        if ((left <= internal) | (left >= n - 1)).any():
+            raise ValueError("corrupt tree: a node's children, left and left + 1, do not follow it within the tree")
         return tree
 
     def feature_gains(self, n_features: int) -> np.ndarray:
@@ -187,6 +175,10 @@ class Criterion:
     min_gain: float = MIN_GAIN
     scale: float = 1.0
     penalty: float = 0.0
+
+
+# a tree's saved arrays, each with the numpy kinds of number it holds
+_NODE_ARRAYS = {"feature": "i", "threshold": "if", "left": "i", "value": "if", "gain": "if", "n_node": "i"}
 
 
 def _gini_score(a, b):
@@ -368,7 +360,7 @@ def grow_tree(
     number[order] = np.arange(len(order)) - np.repeat(end - size, size)
     internal = feature >= 0
     left[internal] = number.take(left[internal])
-    fields = [x.take(order) for x in (feature, threshold, left, np.where(internal, left + 1, -1), value, gain, n_node)]
+    fields = [x.take(order) for x in (feature, threshold, left, value, gain, n_node)]
     trees = [Tree(*(x[e - n : e] for x in fields)) for n, e in zip(size, end)]
     return trees, row_value.reshape(n_trees, n_rows)
 
@@ -644,8 +636,8 @@ def _lengths(starts: np.ndarray, end: int) -> np.ndarray:
 
 
 class TreePack:
-    """Several trees as one set of node arrays (child indices offset per
-    tree), so that all (row, tree) pairs are routed together, one
+    """Several trees as one set of node arrays (left-child indices offset
+    per tree), so that all (row, tree) pairs are routed together, one
     vectorized step per depth."""
 
     def __init__(self, trees: list[Tree]):
@@ -656,7 +648,6 @@ class TreePack:
         self.threshold = np.concatenate([t.threshold for t in trees] + [np.empty(0)])
         self.value = np.concatenate([t.value for t in trees] + [np.empty(0)])
         self.left = np.concatenate([t.left + o for t, o in zip(trees, offsets)] + [np.empty(0, np.int64)])
-        self.right = np.concatenate([t.right + o for t, o in zip(trees, offsets)] + [np.empty(0, np.int64)])
 
     def leaf_values(self, X) -> np.ndarray:
         """Leaf value of every row in every tree, shape (n_rows, n_trees)."""
@@ -673,8 +664,8 @@ class TreePack:
             live = np.flatnonzero(self.feature[cur] >= 0)
             while live.size:
                 node = cur[live]
-                go_left = value_at(pair_row[live], self.feature[node]) < self.threshold[node]
-                node = np.where(go_left, self.left[node], self.right[node])
+                # left below the threshold, else right: left + 1
+                node = self.left[node] + (value_at(pair_row[live], self.feature[node]) >= self.threshold[node])
                 cur[live] = node
                 live = live[self.feature[node] >= 0]
             out[start:stop] = self.value[cur].reshape(stop - start, n_trees)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._files import read_json
+from .._files import read_document
 from .layers import (
     LSTM,
     MODES,
@@ -287,22 +287,12 @@ def save_network(net: Network, prefix: str | Path) -> None:
 
 def load_network(prefix: str | Path) -> Network:
     """Rebuild a network saved by :func:`save_network`; a manifest or weight
-    blob that does not describe one raises ValueError naming ``prefix``."""
-    prefix = Path(prefix)
-    manifest = read_json(prefix.with_suffix(".json"))
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{prefix}: manifest is not a JSON object")
-    if manifest.get("format_version") != WEIGHTS_FORMAT_VERSION:
-        raise ValueError(f"{prefix}: unsupported weights format")
-    blob = prefix.with_suffix(".bin").read_bytes()
-    try:
-        return _network_from(manifest, blob)
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{prefix}: cannot load network: {detail}") from None
+    blob that does not describe one raises ValueError naming the manifest."""
+    manifest = Path(prefix).with_suffix(".json")
+    return read_document(manifest, WEIGHTS_FORMAT_VERSION, "network", lambda doc: _network_from(doc, manifest))
 
 
-def _network_from(manifest: dict, blob: bytes) -> Network:
+def _network_from(manifest: dict, manifest_path: Path) -> Network:
     # architectures 1 and 2 save 0 blocks for their fixed one
     head_blocks = manifest["head_blocks"]
     frozen = None
@@ -323,6 +313,7 @@ def _network_from(manifest: dict, blob: bytes) -> Network:
         if p.name != meta["name"] or list(p.value.shape) != meta["shape"]:
             raise ValueError(f"parameter mismatch at {meta['name']}")
     total = sum(p.size for p in params)
+    blob = manifest_path.with_suffix(".bin").read_bytes()
     if len(blob) != 8 * total:
         raise ValueError(
             f"weight blob holds {len(blob)} bytes, but the manifest's "

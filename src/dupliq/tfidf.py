@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from ._files import read_json
+from ._files import read_document
 
 FORMAT_VERSION = 1
 # ``fit``'s idf, ln((1 + N) / (1 + df)) + 1, is at least 1 and below this
@@ -198,14 +198,7 @@ def save_model(model: TfidfModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TfidfModel:
     """Rebuild a model saved by :func:`save_model`; a document that is not a
     valid model raises ValueError naming the file."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
-    try:
-        return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{path}: cannot load TF-IDF model: {detail}") from None
+    return read_document(path, FORMAT_VERSION, "TF-IDF model", _model_from_doc)
 
 
 def _model_from_doc(doc: dict) -> TfidfModel:

@@ -331,7 +331,7 @@ def grow_tree_dense(
     X = np.asarray(X, dtype=np.float64)
     n_features = X.shape[1]
     min_leaf = max(min_samples_leaf, 1)
-    nodes = []  # per node: [feature, threshold, left, right, value, gain, count]
+    nodes = []  # per node: [feature, threshold, left, value, gain, count]; the right child is left + 1
     level = [np.flatnonzero(counts > 0)]
     depth = 0
     while level:
@@ -356,20 +356,19 @@ def grow_tree_dense(
             count = int(counts[rows].sum())
             if split is None:
                 sums = [None if x is None else _node_sum(x[rows]) for x in (a, b, criterion.h)]
-                nodes.append([-1, 0.0, -1, -1, float(criterion.leaf(*sums)[0]), 0.0, count])
+                nodes.append([-1, 0.0, -1, float(criterion.leaf(*sums)[0]), 0.0, count])
                 continue
             feature, threshold, gain = split
             left_id = base + len(next_level)
-            nodes.append([feature, threshold, left_id, left_id + 1, 0.0, gain, count])
+            nodes.append([feature, threshold, left_id, 0.0, gain, count])
             mask = X[rows, feature] < threshold
             next_level += [rows[mask], rows[~mask]]
         level = next_level
         depth += 1
-    f, t, left, right, v, g, c = (np.array(col) for col in zip(*nodes))
+    f, t, left, v, g, c = (np.array(col) for col in zip(*nodes))
     return Tree(
         feature=f.astype(np.int64), threshold=t.astype(np.float64), left=left.astype(np.int64),
-        right=right.astype(np.int64), value=v.astype(np.float64), gain=g.astype(np.float64),
-        n_node=c.astype(np.int64),
+        value=v.astype(np.float64), gain=g.astype(np.float64), n_node=c.astype(np.int64),
     )
 
 
@@ -430,7 +429,7 @@ def tree_apply_dense(tree, X):
         node = 0
         while tree.feature[node] >= 0:
             go_left = X[r, tree.feature[node]] < tree.threshold[node]
-            node = tree.left[node] if go_left else tree.right[node]
+            node = tree.left[node] if go_left else tree.left[node] + 1
         out[r] = tree.value[node]
     return out
 

@@ -637,8 +637,9 @@ def _replace_term_id(doc, new_id):
 
 
 BAD_TFIDF_MODELS = {
-    "list": (lambda doc: [], "unsupported format version"),
+    "list": (lambda doc: [], "TF-IDF model format version (none); this dupliq reads version 1"),
     "no_terms": (lambda doc: {"format_version": 1}, "missing key 'terms'"),
+    "version_true": (lambda doc: {**doc, "format_version": True}, "TF-IDF model format version True; this dupliq reads"),
     "id_past_the_end": (lambda doc: _replace_term_id(doc, len(doc["terms"])), "term ids"),
     "negative_id": (lambda doc: _replace_term_id(doc, -1), "term ids"),
 }

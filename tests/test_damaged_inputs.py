@@ -4,12 +4,17 @@ lets an exception out of ``main``.
 
 The fixtures are tiny and built once; each example copies one of them,
 cuts it short, empties it or flips some of its bytes, and runs the one
-command that reads that kind of input in-process.
+command that reads that kind of input in-process.  Saved tree models are
+also damaged value by value: one number of their state replaced by a
+value training never writes.
 """
 
 import contextlib
+import copy
 import io
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dupliq.cli import main
+from dupliq.featmat import load_matrix
+from dupliq.learn import load_model
 
 from test_cli import WORDS, write_corpus, write_glove
 
@@ -32,6 +39,15 @@ COMMANDS = {
     "glove": ("vectors.txt", ["featurize", "pairs.tsv", "--glove", "{bad}", "-o", "f.csv"]),
     "config": ("config.json", ["stats", "pairs.tsv", "--config", "{bad}"]),
     "grid_spec": ("grid.json", ["grid", "--spec", "{bad}", "--features", "features.csv"]),
+}
+
+
+# the kinds whose saved state is damaged value by value, with the
+# hyperparameters that keep them small
+STATE_MODELS = {
+    "random_forest": ["--param", "n_estimators=3", "--param", "max_depth=3", "--param", "min_samples_leaf=1"],
+    "adaboost": ["--param", "n_estimators=4"],
+    "xgb": ["--param", "n_estimators=4", "--param", "max_depth=2"],
 }
 
 
@@ -63,9 +79,27 @@ def inputs(tmp_path_factory):
         ["train", "--model", "decision_tree", "--features", "features.csv", "-o", "tree.json"],
         ["tfidf-fit", "pairs.tsv", "--analyzer", "word", "-o", "tfidf.json"],
         ["tfidf-featurize", "pairs.tsv", "--model", "tfidf.json", "-o", "vectors.npz"],
+        *(
+            ["train", "--model", kind, "--features", "features.csv", "-o", f"{kind}.json", *params]
+            for kind, params in STATE_MODELS.items()
+        ),
     ):
         assert run_in(d, argv) == (0, "")
     return d
+
+
+STATE_VALUES = [math.nan, math.inf, -math.inf, 1e308, -0.5, 2.0, "abc", "0.5"]
+
+
+def number_paths(node, path=()):
+    """The key path of every number in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [found for key, value in items for found in number_paths(value, (*path, key))]
 
 
 @st.composite
@@ -96,5 +130,35 @@ def test_damaged_input_exits_cleanly_and_names_its_file(inputs, kind):
         assert code in (0, 1, 2), err
         if code != 0:
             assert str(bad) in err, err
+
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_MODELS))
+def test_model_with_a_bad_state_value_exits_1_or_predicts_probabilities(inputs, kind):
+    """``eval`` refuses the model naming its file, or runs and the model's
+    probabilities are finite and in [0, 1]; no RuntimeWarning is raised."""
+    good = json.loads((inputs / f"{kind}.json").read_text())
+    bad = inputs / f"bad-{kind}.json"
+    X = load_matrix(inputs / "features.csv").rows
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(number_paths(good["state"])), st.sampled_from(STATE_VALUES))
+    def check(path, value):
+        doc = copy.deepcopy(good)
+        node = doc["state"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, err = run_in(inputs, ["eval", "--model", str(bad), "--features", "features.csv"])
+            proba = load_model(bad).predict_proba(X) if code == 0 else None
+        assert code in (0, 1), err
+        if code == 1:
+            assert str(bad) in err, err
+        else:
+            assert np.isfinite(proba).all() and ((proba >= 0) & (proba <= 1)).all(), (path, value)
 
     check()

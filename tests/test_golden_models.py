@@ -69,24 +69,24 @@ SPECS = {
 }
 
 GOLDEN = {
-    ("dense", "decision_tree"): "d446bc16cf581a842fcbafda2701f04ac43bc8ecdc8afc81eb617b2758b24bb6",
-    ("dense", "random_forest"): "3af0b4fdd43cef38488acd74ed9670782a95a299cf96e739e583fe3f3ff68125",
-    ("dense", "extra_trees"): "f052019572d8f634f7c36e2c0e62f3a2d54c364488d47f45de76e8f3570445e6",
-    ("dense", "adaboost"): "e40f2dc21f7529049559d6851cdbc5650692371bf88deb1dc665e365e8607f77",
-    ("dense", "xgb"): "256ab2a92d80eb1b5456b26a20ceb65422f29afc6cc620aa49608f9859d91f12",
-    ("dense", "gbm"): "a7bf1924580e8d8ee9e08ca8448b312fdaa40be334137b23c67fb46079f91a1f",
-    ("dense", "xgb_subsample"): "6b287ce6a540123d1271c9871e900bf084aae84c3f247eb2f194d21fc4a4f9a2",
-    ("dense", "gbm_subsample"): "cd3aaf3478678aa7f7f3c7ede790b059c1e720155bbb595ee896211500e2b663",
-    ("sparse", "decision_tree"): "3fa0c8624140e7ab73d00c212e8df305c39f9744859c01dd3309fbf60c32470a",
-    ("sparse", "random_forest"): "7f8ad0d9bc975608f6739d1fe8c454b83570950bcad52d792d7808e09f54b9c7",
-    ("sparse", "extra_trees"): "6c977a6cd2a4c4b5c0a5f84dcd8e57118446746e450e0516fbd6f20742265aee",
-    ("sparse", "adaboost"): "0bbc72f5a9292e9283f0dfdf0be643068d99d7f060d564df43f3a78e4f87fc07",
-    ("sparse", "xgb"): "42269d3bfb738d53f0558d8ecd87e4895314d2186fc969f6b43b0d3ffc71eef9",
-    ("sparse", "gbm"): "99fabd8a60b036243bebb10e1b7f750fc8dbcf0aaca4d26be4e96b0af86e0ae5",
-    ("sparse", "xgb_subsample"): "f9c80c53cdde0499c681e127505df84b5eb6fcc4eff7630198418d475a8061df",
-    ("sparse", "gbm_subsample"): "22e34c749d900daa8fb76ac8b2384f257513fd5fa1a9a4581e51958d4e4c02e8",
-    ("wide_sparse", "random_forest_14"): "4bec4ab18915102b10b93c52ddae46894ac0733ba5716dc313aaff21be565e98",
-    ("wide_sparse", "extra_trees_14"): "1fef2f01501ed2df8f913487f13a99d9926b45120e9707ed11cdf4d85ec1eb7a",
+    ("dense", "decision_tree"): "dd17887ebdfba085259cb4e99af296e3c57c28efaafb1365b1f56e67e2cdb76c",
+    ("dense", "random_forest"): "40c1a17fb8af0d3fc8609d27f2c0bacd5b641966ea092c75d6cdd59df18d1aaa",
+    ("dense", "extra_trees"): "3716b2da430b2b4e87e3fde71d814ffb7d5614f06114bc37cca500c4f9a1b972",
+    ("dense", "adaboost"): "ca1143157b4df5f6e3e72c39b09ce3fc0555940700e29193f47787307419b0c6",
+    ("dense", "xgb"): "bd214256356d2b47db9d5593bcb010993396c97a7a735df359c172256d26fa4a",
+    ("dense", "gbm"): "af250a06813255fd04c0a006581c544289b8e1122a208595a6a0c1155e17ee5b",
+    ("dense", "xgb_subsample"): "c4ea7509d253b461906aaacc917bff936cf11e9cbaca3af0fba9161a8ddb9c4d",
+    ("dense", "gbm_subsample"): "b0473cabd1f791400144a072a5dfcfb1cc56e5b18678b3e71203e015d3fa7b76",
+    ("sparse", "decision_tree"): "e23eb64e8c07bc2315f3d5d1b44895618994e21ff7f3ac0376e0f5c716d83695",
+    ("sparse", "random_forest"): "f85deafc17377760bdf169458432819d31f52a2d8eb3e6906202b71e83ff6592",
+    ("sparse", "extra_trees"): "cf35dd70dc5a63d7f4c167bdf0020a7187d8b109b7cf1386089cda2a07663884",
+    ("sparse", "adaboost"): "33a420d2c8b98c1004dfc2f8ae6b3038f8cbf8a2ad7d85a72f0459dd70eee43c",
+    ("sparse", "xgb"): "bc73d8b52f2d1f36705b867d132f3d9ae3c66c8c9bb6766c081400e4d7fe9caf",
+    ("sparse", "gbm"): "6284ee2242df145ec77a7097eb35777e75b91dc7be70cd65b1dc277201ffcecd",
+    ("sparse", "xgb_subsample"): "ff7f32e85f0848db97c23e0fb2e330cf68413f315b74c9584d22612ebd7fe41c",
+    ("sparse", "gbm_subsample"): "011e2f920a037d0e3e6bb01e6ad3554c8263bbe53e963ef0cb0844e06c106520",
+    ("wide_sparse", "random_forest_14"): "aa133b3dcddb30ec3e05c81c78ec701a761e4c26446126404d208f4d114cf0c5",
+    ("wide_sparse", "extra_trees_14"): "814497d805437e2ed7213b3f991642b64b0bf35ec170d5208b4e668889c10d35",
 }
 
 

