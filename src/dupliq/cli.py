@@ -170,8 +170,7 @@ def _load_features(args):
     whose values must be finite."""
     if getattr(args, "sparse", None):
         path = args.sparse
-        X, y = sparse_io.load_sparse_features(path)
-        names = sparse_io.load_column_names(path)
+        X, y, names = sparse_io.load_sparse_features(path)
     elif getattr(args, "features", None):
         path = args.features
         m = featmat.load_matrix(path)
@@ -717,7 +716,7 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p.add_argument("tsv")
     p.add_argument("--glove")
     p.add_argument("--w2v")
-    p.add_argument("--max-words", type=int, help="cap words read from --w2v")
+    p.add_argument("--max-words", type=_count, help="cap words read from --w2v")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--drop-paper-eight", action="store_true",
                    help="drop the eight lowest-importance features")
@@ -756,7 +755,7 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p.add_argument("--model", required=True)
     p.add_argument("--features")
     p.add_argument("--sparse")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top", type=int, default=28)
 
@@ -799,7 +798,7 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p.add_argument("--tsv", required=True)
     p.add_argument("--glove")
     p.add_argument("--w2v")
-    p.add_argument("--max-words", type=int)
+    p.add_argument("--max-words", type=_count)
     p.add_argument("--sample", type=_count)
     p.add_argument("--test", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)

@@ -102,6 +102,8 @@ def feature_importance(
     """Importance weights: normalized split gain for tree models,
     permutation accuracy drop (clipped at zero, then normalized) for the
     nearest-neighbour model."""
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be at least 1, got {n_repeats}")
     native = model.native_importance()
     if native is not None:
         weights = native
@@ -223,11 +225,13 @@ def load_model(path: str | Path):
 def _model_from_doc(doc: dict):
     kind, hp, n_features, state = doc["kind"], doc["hyperparameters"], doc["n_features"], doc["state"]
     check_hyperparameters(kind, hp)
+    if not isinstance(state, dict):
+        raise ValueError("state is not an object")
     if kind == "knn":
         path = os.fspath(state["train_data"])  # a TypeError unless a path
         if _sha256(path) != state["train_sha256"]:
             raise ValueError(f"its training data {path} changed after it was saved")
-        state = {**state, "training": _load_training_features(path)}
+        state = {**state, "training": _load_training_features(path, state["metric"])}
     model = MODEL_CLASS[kind].from_state(kind, hp, n_features, state)
     # models saved before column names were recorded have none
     names = doc.get("column_names")
@@ -249,12 +253,15 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _load_training_features(path: str):
-    """Load (X, y) from a dense feature CSV or a sparse .npz file."""
-    if path.endswith(".npz"):
+def _load_training_features(path: str, metric: str):
+    """(X, y) of a knn model's training file: a sparse feature file for the
+    cosine metric, a dense feature CSV for the euclidean one."""
+    if metric == "cosine":
         from .. import sparse_io
 
-        return sparse_io.load_sparse_features(path)
+        return sparse_io.load_sparse_features(path)[:2]
+    if metric != "euclidean":
+        raise ValueError(f"knn metric {metric!r} is neither cosine nor euclidean")
     from ..featmat import load_matrix
 
     m = load_matrix(path)

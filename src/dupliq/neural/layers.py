@@ -9,16 +9,16 @@ time only for the recurrent product and the activations (step t needs the
 hidden state of t - 1), and ``Conv1D.backward`` folds each kernel tap's
 input gradient back onto the sequence.
 
-``LSTM`` and ``Dense`` can hold the ``Embedding`` that feeds them and take
-token ids.  Their input product then runs over the table rows of the
-distinct ids only (``Embedding.project``), not over every position of the
-batch, most of which are padding or repeats; its weight gradient, and the
-table's gradient when the table is trainable, come from the per-position
-gradients summed per id first.  Those sums add in another order than the
-unfused ``Embedding`` then layer, so the gradients agree with it to
-rounding, not bit for bit.  ``build_architecture`` folds the LSTM branches'
-embeddings and the frozen sum branches'; a frozen table gets no input
-gradient product at all.
+``LSTM`` always holds the ``Embedding`` that feeds it and takes token ids;
+``Dense`` may hold one.  Their input product then runs over the table rows
+of the distinct ids only (``Embedding.project``), not over every position
+of the batch, most of which are padding or repeats; its weight gradient,
+and the table's gradient when the table is trainable, come from the
+per-position gradients summed per id first.  Those sums add in another
+order than a standalone ``Embedding`` then the layer, so the gradients
+agree with it to rounding, not bit for bit.  ``build_architecture`` folds
+the frozen sum branches' embeddings into their ``Dense``; a frozen table
+gets no input gradient product at all.
 
 Modes: "train" (stochastic layers active, batch-norm batch statistics and
 running updates), "infer" (deterministic, running statistics), "check"
@@ -192,21 +192,21 @@ class LSTM(Layer):
     Backward overwrites each step's cached gates, once read, with their
     gradients, so it runs once per forward.
 
-    Given an ``embedding``, it takes token ids, and every step's input
-    projection comes from ``Embedding.project``; the embedding's table is
-    then its first parameter, and backward returns None.
+    It takes token ids: every step's input projection comes from its
+    ``embedding`` by ``Embedding.project``, whose table width is the input
+    width.  The table is its first parameter, and backward returns None.
     """
 
     def __init__(
         self,
-        input_dim: int,
+        embedding: Embedding,
         units: int,
         rng: np.random.Generator,
         recurrent_dropout: float = 0.2,
         dropout_rng: np.random.Generator | None = None,
         name="lstm",
-        embedding: Embedding | None = None,
     ):
+        input_dim = embedding.w.value.shape[1]
         self.units = units
         self.recurrent_dropout = recurrent_dropout
         self.dropout_rng = dropout_rng
@@ -231,11 +231,7 @@ class LSTM(Layer):
         else:
             mask = np.ones((batch, u))
         # every step's input projection at once; the loop adds the recurrent term
-        if self.embedding is None:
-            gates = (x.reshape(batch * steps, -1) @ self.w.value).reshape(batch, steps, 4 * u)
-            gates += self.b.value
-        else:
-            gates = self.embedding.project(x, self.w.value, self.b.value)
+        gates = self.embedding.project(x, self.w.value, self.b.value)
         hp = np.zeros((batch, steps, u))  # masked hidden state entering each step
         cs = np.zeros((batch, steps + 1, u))  # cell state, c_0 = 0 first
         h = np.zeros((batch, u))
@@ -249,7 +245,7 @@ class LSTM(Layer):
             i, f, g, o = z[:, :u], z[:, u : 2 * u], z[:, 2 * u : 3 * u], z[:, 3 * u :]
             cs[:, t + 1] = f * cs[:, t] + i * g
             h = o * np.tanh(cs[:, t + 1])
-        self._x, self._hp, self._gates, self._cs, self._mask = x, hp, gates, cs, mask
+        self._hp, self._gates, self._cs, self._mask = hp, gates, cs, mask
         return h
 
     def backward(self, grad):
@@ -274,15 +270,11 @@ class LSTM(Layer):
         flat = gates.reshape(batch * steps, -1)
         self.u.grad += self._hp.reshape(batch * steps, -1).T @ flat
         self.b.grad += flat.sum(axis=0)
-        if self.embedding is not None:
-            self.w.grad += self.embedding.project_backward(flat, self.w.value)
-            return None
-        self.w.grad += self._x.reshape(batch * steps, -1).T @ flat
-        return (flat @ self.w.value.T).reshape(batch, steps, -1)
+        self.w.grad += self.embedding.project_backward(flat, self.w.value)
+        return None
 
     def params(self):
-        head = [] if self.embedding is None else self.embedding.params()
-        return head + [self.w, self.u, self.b]
+        return self.embedding.params() + [self.w, self.u, self.b]
 
 
 class LambdaSum(Layer):

@@ -33,7 +33,7 @@ from .layers import (
     Sigmoid,
 )
 
-WEIGHTS_FORMAT_VERSION = 1
+WEIGHTS_FORMAT_VERSION = 2
 
 DEFAULT_DIMS = {
     "seq_len": 40,
@@ -45,21 +45,19 @@ DEFAULT_DIMS = {
     "dropout": 0.2,
 }
 
-# head blocks after the merge; architectures 3 and 4 take another count
-DEFAULT_HEAD_BLOCKS = {1: 1, 2: 1, 3: 4, 4: 8}
+# head blocks after the merge, per architecture
+HEAD_BLOCKS = {1: 1, 2: 1, 3: 4, 4: 8}
 
 
 @dataclass
 class Network:
     arch: int
-    branches: list[list]
-    branch_inputs: list[int]  # 0 -> question one, 1 -> question two
+    branches: list[list]  # even ones read question one, odd ones question two
     head: list
     seq_len: int
     vocab_size: int
     seed: int
     dims: dict = field(default_factory=dict)
-    head_blocks: int = 0
     frozen_embed_dim: int | None = None  # width of the frozen rows, if any
 
     def all_layers(self):
@@ -96,8 +94,8 @@ class Network:
                 )
         inputs = (x1, x2)
         outputs = []
-        for branch, which in zip(self.branches, self.branch_inputs):
-            h = inputs[which]
+        for i, branch in enumerate(self.branches):
+            h = inputs[i % 2]
             for layer in branch:
                 h = layer.forward(h, mode)
             outputs.append(h)
@@ -124,7 +122,6 @@ def build_architecture(
     vocab_size: int,
     frozen: np.ndarray | None = None,
     toy_dims: dict | None = None,
-    head_blocks: int | None = None,
     seed: int = 0,
 ) -> Network:
     """Construct one of the four architectures.
@@ -143,9 +140,9 @@ def build_architecture(
     embedding table is its first parameter, as the manifests list it.
     The head is blocks of dense, PReLU, dropout and batch norm after a
     batch norm of the merge, then ``Dense(1)`` and a sigmoid; architecture
-    4's blocks have no PReLU and no batch norm before them.  ``head_blocks``
-    sets the number of blocks of architectures 3 and 4 (by default 4 and
-    8); architectures 1 and 2 have one and refuse any ``head_blocks``.
+    4's blocks have no PReLU and no batch norm before them.  The architecture
+    decides the number of blocks (``HEAD_BLOCKS``): one for architectures 1
+    and 2, four for 3 and eight for 4.
     """
     if arch not in (1, 2, 3, 4):
         raise ValueError(f"architecture id must be 1..4, got {arch}")
@@ -164,10 +161,6 @@ def build_architecture(
         if unknown:
             raise ValueError(f"unknown dimension overrides: {sorted(unknown)}")
         dims.update(toy_dims)
-    if head_blocks is None:
-        head_blocks = DEFAULT_HEAD_BLOCKS[arch]
-    elif arch in (1, 2):
-        raise ValueError(f"architecture {arch} has one head block, so head_blocks must be None")
 
     rng = np.random.default_rng(seed)
     dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
@@ -179,13 +172,12 @@ def build_architecture(
         embedding = Embedding(vocab_size, dims["embed_dim"], rng, name=f"{name}.embedding")
         return [
             LSTM(
-                dims["embed_dim"],
+                embedding,
                 dims["lstm_units"],
                 rng,
                 recurrent_dropout=drop,
                 dropout_rng=dropout_rng,
                 name=f"{name}.lstm",
-                embedding=embedding,
             ),
         ]
 
@@ -235,7 +227,7 @@ def build_architecture(
     width = 2 * dims["lstm_units"] + 2 * dense_units * (len(kinds) - 1)
     plain = arch == 4  # no leading batch norm, no PReLU
     head: list = [] if plain else [BatchNorm(width, name="head.bn0")]
-    for i in range(head_blocks):
+    for i in range(HEAD_BLOCKS[arch]):
         head.append(Dense(width, dense_units, rng, name=f"head.dense{i}"))
         if not plain:
             head.append(PReLU(dense_units, name=f"head.prelu{i}"))
@@ -248,31 +240,33 @@ def build_architecture(
     return Network(
         arch=arch,
         branches=branches,
-        branch_inputs=[0, 1] * len(kinds),
         head=head,
         seq_len=dims["seq_len"],
         vocab_size=vocab_size,
         seed=seed,
         dims=dims,
-        head_blocks=head_blocks,
         frozen_embed_dim=frozen_dim,
     )
 
 
 def save_network(net: Network, prefix: str | Path) -> None:
     """Write <prefix>.json (manifest) and <prefix>.bin (little-endian
-    float64 parameter blob in manifest order)."""
+    float64 parameter blob in manifest order).
+
+    The manifest, format 2, holds what :func:`build_architecture` takes
+    (the architecture, vocabulary size, seed, dimensions and the frozen
+    rows' width) and each parameter's name, shape and trainability.  The
+    architecture decides the head, and the sequence length is in the
+    dimensions, so neither is written apart.
+    """
     prefix = Path(prefix)
     params = net.parameters()
     manifest = {
         "format_version": WEIGHTS_FORMAT_VERSION,
         "arch": net.arch,
         "vocab_size": net.vocab_size,
-        "seq_len": net.seq_len,
         "seed": net.seed,
         "dims": net.dims,
-        # architectures 1 and 2 always have one block; their manifests say 0
-        "head_blocks": net.head_blocks if net.arch in (3, 4) else 0,
         "frozen_embed_dim": net.frozen_embed_dim,
         "params": [
             {"name": p.name, "shape": list(p.value.shape), "trainable": p.trainable}
@@ -293,8 +287,6 @@ def load_network(prefix: str | Path) -> Network:
 
 
 def _network_from(manifest: dict, manifest_path: Path) -> Network:
-    # architectures 1 and 2 save 0 blocks for their fixed one
-    head_blocks = manifest["head_blocks"]
     frozen = None
     if manifest["arch"] >= 2:
         frozen = np.zeros((manifest["vocab_size"], manifest["frozen_embed_dim"]))
@@ -303,7 +295,6 @@ def _network_from(manifest: dict, manifest_path: Path) -> Network:
         manifest["vocab_size"],
         frozen=frozen,
         toy_dims=manifest["dims"],
-        head_blocks=head_blocks if manifest["arch"] in (3, 4) else None,
         seed=manifest["seed"],
     )
     params = net.parameters()

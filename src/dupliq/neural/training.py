@@ -21,6 +21,8 @@ BCE_EPS = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# a gradient check's finite-difference step, relative to a coordinate's magnitude
+GRADIENT_CHECK_STEP = 1e-5
 
 
 @dataclass
@@ -131,7 +133,6 @@ def gradient_check(
     x2: np.ndarray,
     y: np.ndarray,
     max_coords_per_param: int = 6,
-    step: float = 1e-5,
     seed: int = 0,
     noise_floor: float | None = None,
 ) -> float:
@@ -182,7 +183,7 @@ def gradient_check(
             coords = rng.choice(n, size=max_coords_per_param, replace=False)
         for c in coords:
             original = flat_value[c]
-            h = step * max(1.0, abs(original))
+            h = GRADIENT_CHECK_STEP * max(1.0, abs(original))
             flat_value[c] = original + h
             up = loss_only()
             flat_value[c] = original - h

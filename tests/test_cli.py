@@ -301,6 +301,21 @@ def test_tfidf_pipeline(workspace):
     assert acc >= 0.8
 
 
+def test_sparse_features_keep_any_name_and_a_knn_model_reloads_them(workspace, monkeypatch):
+    # the file keeps a name without .npz, and knn picks its reader from the
+    # metric it recorded, not from the suffix
+    tmp, tsv, _ = workspace
+    monkeypatch.chdir(tmp)  # reports without --report land in the working directory
+    model, vectors, knn = tmp / "tfidf.json", tmp / "feats.sparse", tmp / "knn.json"
+    assert run(["tfidf-fit", tsv, "--analyzer", "word", "-o", model]) == 0
+    assert run(["tfidf-featurize", tsv, "--model", model, "-o", vectors]) == 0
+    assert vectors.exists() and not (tmp / "feats.sparse.npz").exists()
+    assert run(["train", "--model", "knn", "--sparse", vectors, "-o", knn]) == 0
+    assert json.loads(knn.read_text())["state"]["metric"] == "cosine"
+    assert run(["eval", "--model", knn, "--sparse", vectors, "--report", tmp / "e.json"]) == 0
+    assert json.loads((tmp / "e.json").read_text())["results"]["metrics"]["accuracy"] >= 0.8
+
+
 def _swap_columns(src, dst, a, b):
     """Copy a feature CSV with columns ``a`` and ``b`` swapped, names and
     values alike: the same width, other columns in two places."""
@@ -381,7 +396,8 @@ def test_model_saved_without_column_names_still_loads(workspace, capsys, monkeyp
     tree = tmp / "tree.json"
     assert run(["train", "--model", "decision_tree", "--sparse", vectors, "-o", tree]) == 0
     unnamed = tmp / "unnamed.npz"
-    save_sparse_features(unnamed, *load_sparse_features(vectors))
+    X, y, _names = load_sparse_features(vectors)
+    save_sparse_features(unnamed, X, y)
     assert run(["eval", "--model", tree, "--sparse", unnamed]) == 0
     capsys.readouterr()
     assert run(["importance", "--model", tree, "--sparse", unnamed, "--top", 1]) == 0
@@ -480,10 +496,16 @@ def test_nn_commands(workspace):
         (["nn-train", "--arch", "1", "--toy", "--batch-size", "0"], "--batch-size"),
         (["nn-gradcheck", "--arch", "1", "--toy", "--batch-size", "0"], "--batch-size"),
         (["reproduce", "table5", "--sample", "0"], "--sample"),
+        # 0 words read from --w2v make every wmd the empty-bag sentinel, and
+        # 0 repeats make NaN weights
+        (["featurize", "{tsv}", "--glove", "{glove}", "--max-words", "0", "-o", "{tmp}/f.csv"], "--max-words"),
+        (["reproduce", "table5", "--max-words", "0"], "--max-words"),
+        (["importance", "--model", "{tmp}/m.json", "--features", "{tmp}/f.csv", "--repeats", "0"], "--repeats"),
     ],
 )
 def test_zero_counts_exit_code_1(workspace, capsys, argv, flag):
     tmp, tsv, glove = workspace
+    argv = [a.format(tsv=tsv, glove=glove, tmp=tmp) for a in argv]
     out = ["-o", tmp / "out"] if argv[0] == "nn-train" else []
     tsv_args = ["--tsv", tsv, "--glove", glove] if argv[0] == "reproduce" else []
     assert run(argv + out + tsv_args + ["--report", tmp / "r.json"]) == 1
@@ -673,6 +695,37 @@ def test_reproduce_table5_subset_and_determinism(workspace):
     assert b1 == b2  # byte-identical reports for identical config and seed
     doc = json.loads(b1)
     assert set(doc["results"]["results"]) == {"xgb", "knn"}
+
+
+def test_reproduce_table6_trains_on_the_twenty_kept_columns(workspace, monkeypatch):
+    from dupliq import featmat, learn
+
+    tmp, tsv, glove = workspace
+    extracted, trained = [], []
+    extract, fit = featmat.extract_matrix, learn.train
+
+    def spy_extract(*args, **kwargs):
+        extracted.append(extract(*args, **kwargs))
+        return extracted[-1]
+
+    def spy_train(spec, X, y):
+        trained.append((spec.kind, X))
+        return fit(spec, X, y)
+
+    monkeypatch.setattr(featmat, "extract_matrix", spy_extract)
+    monkeypatch.setattr(learn, "train", spy_train)
+    report = tmp / "t6.json"
+    assert run([
+        "reproduce", "table6", "--tsv", tsv, "--glove", glove, "--sample", "60",
+        "--seed", "5", "--kinds", "decision_tree,knn", "--report", report,
+    ]) == 0
+    full = extracted[0]  # the training split's 28 columns
+    kept = [j for j, name in enumerate(full.column_names) if name not in featmat.DEFAULT_DROP_LIST]
+    assert len(full.column_names) == 28 and len(kept) == 20
+    assert [kind for kind, _ in trained] == ["decision_tree", "knn"]
+    for _, X in trained:
+        assert np.array_equal(X, full.rows[:, kept])
+    assert set(json.loads(report.read_text())["results"]["results"]) == {"decision_tree", "knn"}
 
 
 def test_reproduce_table7_runs_both_analyzers(workspace):

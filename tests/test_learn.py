@@ -250,6 +250,13 @@ def test_noise_feature_permutation_near_zero():
     assert weights["noise"] < 0.15
 
 
+def test_importance_needs_a_repeat():
+    X, y = separable_data(20)
+    model = train(spec_for("knn", k=3), X, y)
+    with pytest.raises(ValueError, match="n_repeats must be at least 1, got 0"):
+        feature_importance(model, X, y, n_repeats=0)
+
+
 def test_sparse_permutation_importance_equals_dense():
     rng = np.random.default_rng(6)
     X = sp.random(40, 7, density=0.35, format="csr", random_state=6)
@@ -439,7 +446,7 @@ def test_load_rejects_malformed_documents(tmp_path):
 
     malformed(lambda d: d["state"]["trees"][0].pop("gain"), "gain")
     malformed(lambda d: d.pop("n_features"), "n_features")
-    malformed(lambda d: d.update(state=[]), "malformed")
+    malformed(lambda d: d.update(state=[]), "cannot load model: state is not an object")
     malformed(lambda d: d["state"]["trees"][0].update(value={"a": 1}), "cannot load model")
     malformed(lambda d: d["state"]["trees"][0]["value"].pop(), "corrupt tree")
     malformed(lambda d: d["hyperparameters"].update(max_depth="abc"), "max_depth='abc'")

@@ -48,7 +48,7 @@ def toy_frozen(dim=8, vocab_size=30, seed=0):
     return np.vstack([np.zeros((1, dim)), rng.normal(size=(vocab_size, dim))])
 
 
-def toy_net(arch, vocab_size=30, seed=0, head_blocks=None, **overrides):
+def toy_net(arch, vocab_size=30, seed=0, **overrides):
     dims = dict(TOY)
     dims.update(overrides)
     return build_architecture(
@@ -56,7 +56,6 @@ def toy_net(arch, vocab_size=30, seed=0, head_blocks=None, **overrides):
         vocab_size + 1,
         frozen=toy_frozen(dim=dims["embed_dim"], vocab_size=vocab_size),
         toy_dims=dims,
-        head_blocks=head_blocks,
         seed=seed,
     )
 
@@ -85,7 +84,6 @@ def test_arch1_default_shapes():
 def test_arch4_has_six_branches():
     net = build_architecture(4, vocab_size=11, frozen=toy_frozen(dim=300, vocab_size=10))
     assert len(net.branches) == 6
-    assert net.branch_inputs == [0, 1, 0, 1, 0, 1]
     # merge width: two LSTM, two summed and two convolutional branches of
     # 300 units; architecture 4's head starts with a dense layer
     assert net.head[0].n_in == 1800
@@ -261,7 +259,6 @@ def micro_net(layers, width, seq_len=3, vocab_size=9, seed=0):
     return Network(
         arch=1,
         branches=[layers, branch2],
-        branch_inputs=[0, 1],
         head=head,
         seq_len=seq_len,
         vocab_size=vocab_size,
@@ -270,31 +267,6 @@ def micro_net(layers, width, seq_len=3, vocab_size=9, seed=0):
 
 
 # ------------------------------------------------------ layers vs oracles
-
-@given(
-    batch=st.integers(1, 4),
-    steps=st.integers(1, 6),
-    n_in=st.integers(1, 5),
-    units=st.integers(1, 5),
-    recurrent_dropout=st.sampled_from([0.0, 0.5]),
-    mode=st.sampled_from(MODES),
-    seed=st.integers(0, 2**16),
-)
-def test_lstm_matches_the_per_step_oracle(batch, steps, n_in, units, recurrent_dropout, mode, seed):
-    rng = np.random.default_rng(seed)
-    lstm = LSTM(n_in, units, rng, recurrent_dropout, dropout_rng=np.random.default_rng(seed))
-    lstm.b.value = rng.normal(size=4 * units)
-    x = rng.normal(size=(batch, steps, n_in))
-    grad = rng.normal(size=(batch, units))
-    h = lstm.forward(x, mode)
-    dx = lstm.backward(grad)
-    want = lstm_oracle(
-        x, lstm.w.value, lstm.u.value, lstm.b.value, grad, mode, recurrent_dropout,
-        np.random.default_rng(seed),  # the same dropout draws in train mode
-    )
-    for got, expected in zip((h, dx, lstm.w.grad, lstm.u.grad, lstm.b.grad), want):
-        np.testing.assert_allclose(got, expected, rtol=1e-10)
-
 
 @given(
     batch=st.integers(1, 4),
@@ -361,22 +333,6 @@ def token_ids(draw):
     return vocab, ids
 
 
-def _fold_pair(make, vocab, n_in, trainable, seed):
-    """The same layer twice with the same weights: once holding its own
-    embedding, once behind a standalone one."""
-    table = np.random.default_rng(seed).normal(size=(vocab, n_in))
-
-    def embedding():
-        return Embedding(vocab, n_in, None, weights=table.copy(), trainable=trainable)
-
-    folded_emb = embedding()
-    folded = make(folded_emb)
-    plain_emb, plain = embedding(), make(None)
-    for p, q in zip(folded.params()[1:], plain.params()):
-        q.value = p.value.copy()
-    return (folded_emb, folded), (plain_emb, plain)
-
-
 @given(
     ids=token_ids(),
     n_in=st.integers(1, 5),
@@ -389,36 +345,29 @@ def _fold_pair(make, vocab, n_in, trainable, seed):
 def test_lstm_with_its_embedding_matches_the_composition(
     ids, n_in, units, recurrent_dropout, mode, trainable, seed
 ):
+    # the composition is the lookup of every position's row, then the
+    # oracle's LSTM stepping through them one at a time
     vocab, x = ids
     rng = np.random.default_rng(seed + 1)
-
-    def make(embedding):
-        # the same dropout draws on both sides in train mode
-        lstm = LSTM(
-            n_in, units, rng, recurrent_dropout, np.random.default_rng(seed), embedding=embedding
-        )
-        lstm.b.value = np.random.default_rng(seed + 2).normal(size=4 * units)
-        return lstm
-
-    (folded_emb, folded), (plain_emb, plain) = _fold_pair(make, vocab, n_in, trainable, seed)
+    table = np.random.default_rng(seed).normal(size=(vocab, n_in))
+    emb = Embedding(vocab, n_in, None, weights=table.copy(), trainable=trainable)
+    # the same dropout draws as the oracle's in train mode
+    lstm = LSTM(emb, units, rng, recurrent_dropout, np.random.default_rng(seed))
+    lstm.b.value = np.random.default_rng(seed + 2).normal(size=4 * units)
     grad = rng.normal(size=(x.shape[0], units))
-    h = folded.forward(x, mode)
-    assert folded.backward(grad) is None
-    want_h = plain.forward(plain_emb.forward(x, mode), mode)
-    plain_emb.backward(plain.backward(grad))
-    oracle_h, dx, dw, du, db = lstm_oracle(
-        folded_emb.w.value[x], plain.w.value, plain.u.value, plain.b.value, grad, mode,
+    h = lstm.forward(x, mode)
+    assert lstm.backward(grad) is None
+    want_h, dx, dw, du, db = lstm_oracle(
+        table[x], lstm.w.value, lstm.u.value, lstm.b.value, grad, mode,
         recurrent_dropout, np.random.default_rng(seed),
     )
     dtable = np.zeros((vocab, n_in))
     if trainable:
         np.add.at(dtable, x, dx)
-    got = (h, folded.w.grad, folded.u.grad, folded.b.grad, folded_emb.w.grad)
-    composed = (want_h, plain.w.grad, plain.u.grad, plain.b.grad, plain_emb.w.grad)
-    for a, b, c in zip(got, composed, (oracle_h, dw, du, db, dtable)):
+    got = (h, lstm.w.grad, lstm.u.grad, lstm.b.grad, emb.w.grad)
+    for a, b in zip(got, (want_h, dw, du, db, dtable)):
         np.testing.assert_allclose(a, b, rtol=1e-10)
-        np.testing.assert_allclose(a, c, rtol=1e-10)
-    assert [p.name for p in folded.params()] == [p.name for p in plain_emb.params() + plain.params()]
+    assert lstm.params() == [emb.w, lstm.w, lstm.u, lstm.b]
 
 
 @given(
@@ -430,15 +379,19 @@ def test_lstm_with_its_embedding_matches_the_composition(
     seed=st.integers(0, 2**16),
 )
 def test_dense_with_its_embedding_matches_the_composition(ids, n_in, n_out, mode, trainable, seed):
+    # the same layer twice with the same weights: once holding its own
+    # embedding, once behind a standalone one
     vocab, x = ids
     rng = np.random.default_rng(seed + 1)
-
-    def make(embedding):
-        dense = Dense(n_in, n_out, rng, embedding=embedding)
-        dense.b.value = np.random.default_rng(seed + 2).normal(size=n_out)
-        return dense
-
-    (folded_emb, folded), (plain_emb, plain) = _fold_pair(make, vocab, n_in, trainable, seed)
+    table = np.random.default_rng(seed).normal(size=(vocab, n_in))
+    folded_emb, plain_emb = (
+        Embedding(vocab, n_in, None, weights=table.copy(), trainable=trainable) for _ in range(2)
+    )
+    folded = Dense(n_in, n_out, rng, embedding=folded_emb)
+    folded.b.value = np.random.default_rng(seed + 2).normal(size=n_out)
+    plain = Dense(n_in, n_out, rng)
+    for p, q in zip(folded.params()[1:], plain.params()):
+        q.value = p.value.copy()
     grad = rng.normal(size=(*x.shape, n_out))
     z = folded.forward(x, mode)
     assert folded.backward(grad) is None
@@ -453,7 +406,7 @@ def test_dense_with_its_embedding_matches_the_composition(ids, n_in, n_out, mode
 def test_embedding_refuses_token_ids_outside_the_table():
     rng = np.random.default_rng(0)
     emb = Embedding(9, 4, rng)
-    lstm = LSTM(4, 3, rng, embedding=Embedding(9, 4, rng))
+    lstm = LSTM(Embedding(9, 4, rng), 3, rng)
     dense = Dense(4, 3, rng, embedding=Embedding(9, 4, rng))
     for ids in ([[-1, 2]], [[9, 2]]):
         for forward in (emb.forward, lstm.forward, dense.forward):
@@ -474,7 +427,7 @@ def test_gradient_check_dense_micro():
 def test_gradient_check_lstm_cell():
     rng = np.random.default_rng(8)
     net = micro_net(
-        [Embedding(9, 4, rng, name="b.emb"), LSTM(4, 6, rng, recurrent_dropout=0.2, name="b.lstm")],
+        [LSTM(Embedding(9, 4, rng, name="b.emb"), 6, rng, recurrent_dropout=0.2, name="b.lstm")],
         width=6,
     )
     x1, x2, y = toy_batch(net, n=5, seed=3)
@@ -684,13 +637,9 @@ def test_bce_loss_gradient_consistent():
 
 # ------------------------------------------------------------- persistence
 
-@pytest.mark.parametrize(
-    "arch, head_blocks",
-    [(1, None), (2, None), (3, None), (3, 2), (4, 1)],
-    ids=["1", "2", "3", "3-blocks2", "4-blocks1"],
-)
-def test_save_load_roundtrip(tmp_path, arch, head_blocks):
-    net = toy_net(arch, seed=6, head_blocks=head_blocks)
+@pytest.mark.parametrize("arch", [1, 2, 3, 4])
+def test_save_load_roundtrip(tmp_path, arch):
+    net = toy_net(arch, seed=6)
     x1, x2, y = toy_batch(net, n=5, seed=10)
     train_network(net, x1, x2, y, TrainConfig(epochs=1, batch_size=5))
     want = net.forward(x1, x2, mode="infer")
@@ -703,26 +652,19 @@ def test_save_load_roundtrip(tmp_path, arch, head_blocks):
     assert [p.name for p in loaded.parameters()] == [p.name for p in net.parameters()]
 
 
-@pytest.mark.parametrize("arch", [1, 2])
-def test_one_block_architectures_refuse_head_blocks(arch):
-    for blocks in (0, 1, 3):
-        with pytest.raises(ValueError, match=f"architecture {arch} has one head block"):
-            toy_net(arch, head_blocks=blocks)
-
-
-# sha256 of the toy manifests (blocks 2 for architectures 3 and 4) as the
-# first weights format wrote them: files saved then must keep loading
+# sha256 of the toy manifests as weights format 2 writes them: files saved
+# now must keep loading
 TOY_MANIFEST_SHA256 = {
-    1: "41dac1e3acf32a1f2eae6da2c696ee51b68d7b6f0da5986c7c46a7d06aab080c",
-    2: "ba5d6c40667e030741a2307acc8970b275934fb27bedf3f791fafe401e03b5a3",
-    3: "8f964ccd857117013c2e1ecb44bddd431889119c719aa998c5c5857b6c0e52dd",
-    4: "09b3246ff47f72e2b2036beae4cb104f515fec76b9c169d56ea8c7f7e31be263",
+    1: "283f3a4f377f1ae6932bcf6f8d6e5946347bd4b25039216e82cc1425533537c8",
+    2: "b560bbedc905deee24325c54d2d9020fe751e4bd3c8cf2ec2fbed65b12310a8f",
+    3: "3bc8e4d869dfab8c63ba06238e38af1b4a2cb7d6dc8ba7c2a14c2cd2385eaa89",
+    4: "66c887ac681669b51e9bf3eeeac6c3f1a8ce0d8452efe6cb3415cd850ab09f0e",
 }
 
 
 @pytest.mark.parametrize("arch", [1, 2, 3, 4])
 def test_manifest_bytes_are_stable(tmp_path, arch):
-    save_network(toy_net(arch, head_blocks=2 if arch >= 3 else None), tmp_path / "net")
+    save_network(toy_net(arch), tmp_path / "net")
     digest = hashlib.sha256((tmp_path / "net.json").read_bytes()).hexdigest()
     assert digest == TOY_MANIFEST_SHA256[arch]
 
@@ -741,6 +683,18 @@ def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):
             load_network(prefix)
 
 
+def test_load_refuses_a_version_1_manifest(tmp_path):
+    # format 1 also wrote head_blocks and seq_len, which the architecture
+    # and the dimensions decide
+    prefix, manifest = _saved_toy(tmp_path, arch=3)
+    manifest.update(format_version=1, head_blocks=4, seq_len=TOY["seq_len"])
+    prefix.with_suffix(".json").write_text(json.dumps(manifest, sort_keys=True))
+    want = f"{prefix.with_suffix('.json')}: network format version 1; this dupliq reads version 2"
+    with pytest.raises(ValueError) as caught:
+        load_network(prefix)
+    assert str(caught.value) == want
+
+
 def test_load_names_a_manifest_that_is_not_utf8(tmp_path):
     prefix, _ = _saved_toy(tmp_path)
     manifest = prefix.with_suffix(".json")
@@ -749,7 +703,7 @@ def test_load_names_a_manifest_that_is_not_utf8(tmp_path):
         load_network(prefix)
 
 
-@pytest.mark.parametrize("key", ["arch", "vocab_size", "dims", "head_blocks", "frozen_embed_dim", "params", "seed"])
+@pytest.mark.parametrize("key", ["arch", "vocab_size", "dims", "frozen_embed_dim", "params", "seed"])
 def test_load_rejects_a_manifest_without_a_key(tmp_path, key):
     prefix, manifest = _saved_toy(tmp_path)
     del manifest[key]

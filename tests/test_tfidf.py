@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dupliq.sparse_io import load_column_names, load_sparse_features, save_sparse_features
+from dupliq.sparse_io import load_sparse_features, save_sparse_features
 from dupliq.tfidf import (
     analyze,
     fit,
@@ -237,16 +237,20 @@ def test_sparse_features_roundtrip_and_corrupt_files(tmp_path):
     labels = np.array([0, 1, 1, 0, 1, 0])
     path = tmp_path / "x.npz"
     save_sparse_features(path, X, labels)
-    got, got_labels = load_sparse_features(path)
+    got, got_labels, got_names = load_sparse_features(path)
     assert (got != X).nnz == 0
     assert got_labels.tolist() == labels.tolist()
-    assert load_column_names(path) is None
+    assert got_names is None
     names = ["q1:a", "q1:\U00020000", "q2:a", "q2:b", "q2:c"]
     save_sparse_features(tmp_path / "named.npz", X, labels, column_names=names)
-    assert load_column_names(tmp_path / "named.npz") == names
+    assert load_sparse_features(tmp_path / "named.npz")[2] == names
     save_sparse_features(tmp_path / "names.npz", X, labels, column_names=names[:-1])
     with pytest.raises(ValueError, match="names.npz"):
-        load_column_names(tmp_path / "names.npz")
+        load_sparse_features(tmp_path / "names.npz")
+    # the file keeps the name it is given, whatever its suffix
+    save_sparse_features(tmp_path / "x.sparse", X, labels)
+    assert not (tmp_path / "x.sparse.npz").exists()
+    assert (tmp_path / "x.sparse").read_bytes() == path.read_bytes()
 
     arrays = {
         "data": X.data, "indices": X.indices, "indptr": X.indptr,
