@@ -95,15 +95,21 @@ def _describe_version() -> str:
     return __version__
 
 
-def _count(text: str) -> int:
-    """An argparse type: a whole number of at least 1."""
+def _count(text: str, least: int = 1) -> int:
+    """An argparse type: a whole number of at least ``least``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _vocab_size(text: str) -> int:
+    """An argparse type: a vocabulary size, which holds the padding index
+    and at least one token."""
+    return _count(text, least=2)
 
 
 def _json_ready(value):
@@ -438,7 +444,7 @@ def _build_net(args, vocab_index=None):
     from .neural import build_architecture
 
     if args.toy:
-        vocab_size = args.vocab_size or 31
+        vocab_size = 31 if args.vocab_size is None else args.vocab_size
         frozen = None
         if args.arch >= 2:
             rng = np.random.default_rng(args.seed)
@@ -724,8 +730,8 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p = add("tfidf-fit", cmd_tfidf_fit, help="fit a tf-idf vocabulary")
     p.add_argument("tsv")
     p.add_argument("--analyzer", choices=["word", "char"], default="char")
-    p.add_argument("--ngram-lo", type=int, default=1)
-    p.add_argument("--ngram-hi", type=int, default=3)
+    p.add_argument("--ngram-lo", type=_count, default=1)
+    p.add_argument("--ngram-hi", type=_count, default=3)
     p.add_argument("--max-features", type=_count, default=50000)
     p.add_argument("-o", "--output", required=True)
 
@@ -757,7 +763,7 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p.add_argument("--sparse")
     p.add_argument("--repeats", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--top", type=int, default=28)
+    p.add_argument("--top", type=_count, default=28)
 
     p = add("grid", cmd_grid, help="grid search over classifier specs")
     p.add_argument("--spec", required=True, help="JSON list of {kind, hyperparameters}")
@@ -770,7 +776,7 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
         p = add(name, func, **kwargs)
         p.add_argument("--arch", type=int, required=True, choices=[1, 2, 3, 4])
         p.add_argument("--toy", action="store_true", help="small dimensions, synthetic embeddings")
-        p.add_argument("--vocab-size", type=int)
+        p.add_argument("--vocab-size", type=_vocab_size)
         p.add_argument("--glove")
         p.add_argument("--w2v")
         p.add_argument(
@@ -803,8 +809,8 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
     p.add_argument("--test", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kinds", help="comma-separated subset of classifiers")
-    p.add_argument("--ngram-lo", type=int, default=1)
-    p.add_argument("--ngram-hi", type=int, default=3)
+    p.add_argument("--ngram-lo", type=_count, default=1)
+    p.add_argument("--ngram-hi", type=_count, default=3)
     p.add_argument("--max-features", type=_count, default=50000)
     p.add_argument("-o", dest="report")
 

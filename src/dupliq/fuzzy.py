@@ -11,15 +11,13 @@ match (100), exactly one empty input is a total mismatch (0).
 Every LCS length comes from the bit-parallel recurrence of Allison & Dix
 (1986) in the form of Hyyrö (2004): one bit per character of the shorter
 string, one step ``v = ((v + u) | (v - u)) & width`` with ``u = v & mask``
-per character of the longer one.  ``lcs_length`` runs it on one Python big
-integer.  A partial ratio compares the shorter string with every window of
-the longer one as long as it; ``_partial_lcs`` takes all the partial
-problems of a pair at once and, for needles of at most 64 characters, runs
-the recurrence on one numpy ``uint64`` lane per window of every problem, so
-a step is a handful of array operations over all windows instead of a big
-integer step per window.  Needles over 64 characters, rare in questions,
-keep one ``lcs_length`` call per window.  The quadratic dynamic program and
-the window-by-window scan are kept in the test suite as the oracles.
+per character of the longer one, on Python big integers.  ``lcs_length``
+runs it once.  A partial ratio compares the shorter string with every window
+of the longer one as long as it; ``_window_lcs`` runs the same steps on one
+integer that holds a byte-aligned lane per window, with a guard bit above
+each lane's needle bits to take its carry, so the windows advance together
+whatever the needle's length.  The quadratic dynamic program and the
+window-by-window scan are kept in the test suite as the oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .textops import normalize_text, tokenize
 
@@ -38,8 +35,6 @@ WRATIO_PARTIAL_SCALE = 0.9
 WRATIO_LONG_PARTIAL_SCALE = 0.6
 WRATIO_TRY_PARTIAL_RATIO = 1.5
 WRATIO_LONG_RATIO = 8.0
-# needles up to this many characters run in the uint64 kernel
-_WORD_BITS = 64
 
 
 def _round_score(x: float) -> int:
@@ -81,85 +76,49 @@ def indel_ratio(s1: str, s2: str) -> int:
     return _indel_score(lcs_length(s1, s2), total)
 
 
-def _partial_lcs(problems: list[tuple[str, str]]) -> list[int]:
-    """Longest common subsequence of each (needle, haystack) problem's needle
-    with any window of its haystack as long as the needle; no needle is
-    longer than its haystack."""
-    best = [0] * len(problems)
-    for k, (a, b) in enumerate(problems):
-        if len(a) > _WORD_BITS:
-            for start in range(len(b) - len(a) + 1):
-                best[k] = max(best[k], lcs_length(a, b[start : start + len(a)]))
-                if best[k] == len(a):
-                    break
-    packed = [k for k, (a, _) in enumerate(problems) if 0 < len(a) <= _WORD_BITS]
-    if not packed:
-        return best
-    m = [len(problems[k][0]) for k in packed]
-    n = [len(problems[k][1]) for k in packed]
-    text = "".join(problems[k][0] for k in packed) + "".join(problems[k][1] for k in packed)
-    # one uint32 per unicode scalar; lone surrogates pass as their own value
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    # each needle as a row of 64 code points, padded with 2**32 - 1, no code point
-    needles = np.full((len(packed), _WORD_BITS), np.uint32(0xFFFFFFFF))
-    offset = 0
-    for row, length in enumerate(m):
-        needles[row, :length] = codes[offset : offset + length]
-        offset += length
-    # each haystack character's mask: bit i is set where it equals character i
-    # of its own problem's needle
-    matches = codes[offset:, None] == needles[np.repeat(np.arange(len(packed)), n)]
-    hay_masks = np.packbits(matches, axis=1, bitorder="little").view("<u8").ravel()
-    # row i of ``ahead`` is a view of haystack masks i .. i + 63; the zeros
-    # after the last haystack keep every row inside the buffer
-    padded = np.concatenate([hay_masks, np.zeros(_WORD_BITS, dtype=np.uint64)])
-    ahead = as_strided(padded, shape=(hay_masks.size, _WORD_BITS), strides=2 * padded.strides)
-    # columns[j] holds the mask that step j feeds each window: window s of a
-    # problem reads its own haystack's character s + j while j < m, and a
-    # zero after, which leaves v as it is
-    windows = [b - a + 1 for a, b in zip(m, n)]
-    columns = np.zeros((max(m), sum(windows)), dtype=np.uint64)
-    hay = col = 0
-    for a, b, w in zip(m, n, windows):
-        columns[:a, col : col + w] = ahead[hay : hay + w, :a].T
-        hay += b
-        col += w
-    # Hyyrö's recurrence v = ((v + u) | (v - u)) & width with u = v & mask,
-    # the & width deferred to the end: carries and borrows only move up, so
-    # bits above a needle's width never reach the bits below it, and uint64
-    # wrap-around drops what a big int would carry past bit 63
-    v = np.full(columns.shape[1], np.uint64(0xFFFFFFFFFFFFFFFF))
-    u = np.empty_like(v)
-    carried = np.empty_like(v)
-    for mask in columns:
-        np.bitwise_and(v, mask, out=u)
-        np.add(v, u, out=carried)
-        np.subtract(v, u, out=v)
-        np.bitwise_or(v, carried, out=v)
-    window_m = np.repeat(np.array(m, dtype=np.uint64), windows)
-    width = np.right_shift(np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(_WORD_BITS) - window_m)
-    # the LCS of a window is the count of zero bits within its needle's width
-    first = np.cumsum(windows) - windows
-    for k, lcs in zip(packed, np.maximum.reduceat(np.bitwise_count(~v & width), first).tolist()):
-        best[k] = lcs
-    return best
+def _window_lcs(a: str, b: str) -> int:
+    """Longest common subsequence of needle ``a`` with any window of
+    haystack ``b`` as long as ``a``; ``a`` is not empty and not longer
+    than ``b``."""
+    m = len(a)
+    masks: dict[str, int] = {}
+    for i, c in enumerate(a):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    # window s is lane s: lane_bytes bytes holding the needle's bits and at
+    # least one guard bit above them, which takes the lane's carry
+    lane_bytes = m // 8 + 1
+    lane_bits = 8 * lane_bytes
+    mask_bytes = dict.fromkeys(b, bytes(lane_bytes))
+    mask_bytes.update((c, mask.to_bytes(lane_bytes, "little")) for c, mask in masks.items())
+    # lane k of ``hay`` holds the mask of haystack character k; shifted down
+    # j lanes it feeds character s + j to window s
+    hay = int.from_bytes(b"".join(map(mask_bytes.__getitem__, b)), "little")
+    windows = len(b) - m + 1
+    width = int.from_bytes(((1 << m) - 1).to_bytes(lane_bytes, "little") * windows, "little")
+    v = width
+    for _ in range(m):
+        # u is a subset of v, so v - u borrows nothing from the lane above
+        u = v & hay
+        v = ((v + u) | (v - u)) & width
+        hay >>= lane_bits
+    # a window's LCS is the count of zero bits within its needle's width
+    ones = np.bitwise_count(np.frombuffer(v.to_bytes(windows * lane_bytes, "little"), dtype=np.uint8))
+    return m - int(ones.reshape(windows, lane_bytes).sum(axis=1, dtype=np.int64).min())
 
 
-def _partial_scores(pairs: list[tuple[str, str]]) -> list[int]:
-    """The partial ratio of each pair of strings, from one kernel call."""
-    problems = [(s1, s2) if len(s1) <= len(s2) else (s2, s1) for s1, s2 in pairs]
-    return [
-        _indel_score(lcs, 2 * len(a)) if a else (100 if not b else 0)
-        for (a, b), lcs in zip(problems, _partial_lcs(problems))
-    ]
+def _partial_score(s1: str, s2: str) -> int:
+    a, b = (s1, s2) if len(s1) <= len(s2) else (s2, s1)
+    if not a:
+        return 100 if not b else 0
+    # every window has the length of the shorter string, so the best window
+    # has the longest LCS
+    return _indel_score(_window_lcs(a, b), 2 * len(a))
 
 
 def partial_ratio(s1: str, s2: str) -> int:
     """Best indel score of the shorter string against every equal-length
     window of the longer one."""
-    # every window has the length of the shorter string, so the best window
-    # has the longest LCS
-    return _partial_scores([(s1, s2)])[0]
+    return _partial_score(s1, s2)
 
 
 def _sorted_join(tokens: list[str]) -> str:
@@ -184,14 +143,10 @@ def _token_set_score(set1: set[str], set2: set[str], scores: list[int]) -> int:
     return max(scores)
 
 
-def _length_ratio(n1: str, n2: str) -> float:
-    return max(len(n1), len(n2)) / min(len(n1), len(n2))
-
-
-def _wratio(n1: str, n2: str, scores: dict[str, int], partial: int | None) -> int:
+def _wratio(n1: str, n2: str, scores: dict[str, int]) -> int:
     """Weighted ratio of two normalized strings: the best of several scaled
-    scores; ``partial`` is their partial ratio, needed only when their length
-    ratio is at least 1.5.
+    scores; their partial ratio is computed only when their length ratio is
+    at least 1.5.
 
     When the length ratio is below 1.5 the cascade compares the plain ratio
     against 0.95-scaled token sort/set ratios; otherwise it brings in the
@@ -201,7 +156,7 @@ def _wratio(n1: str, n2: str, scores: dict[str, int], partial: int | None) -> in
     if not n1 or not n2:
         return 100 if n1 == n2 else 0
     base = float(scores["qratio"])
-    len_ratio = _length_ratio(n1, n2)
+    len_ratio = max(len(n1), len(n2)) / min(len(n1), len(n2))
     if len_ratio < WRATIO_TRY_PARTIAL_RATIO:
         best = max(
             base,
@@ -212,7 +167,7 @@ def _wratio(n1: str, n2: str, scores: dict[str, int], partial: int | None) -> in
         ps = WRATIO_LONG_PARTIAL_SCALE if len_ratio > WRATIO_LONG_RATIO else WRATIO_PARTIAL_SCALE
         best = max(
             base,
-            ps * partial,
+            ps * _partial_score(n1, n2),
             0.9 * ps * scores["partial_token_sort_ratio"],
             0.9 * ps * scores["partial_token_set_ratio"],
         )
@@ -232,24 +187,18 @@ class FuzzyFeatures:
 
 def fuzzy_features(q1: str, q2: str) -> FuzzyFeatures:
     """The seven fuzzy-match scores for a question pair, each computed once:
-    every partial ratio of the pair comes from one kernel call, and the
-    weighted ratio reuses the plain, token and partial scores."""
+    the weighted ratio reuses the plain and token scores."""
     n1 = normalize_text(q1)
     n2 = normalize_text(q2)
     tokens1, tokens2 = tokenize(n1), tokenize(n2)
     sort1, sort2 = _sorted_join(tokens1), _sorted_join(tokens2)
     set1, set2 = set(tokens1), set(tokens2)
     joins = _token_set_joins(set1, set2) if set1 and set2 else []
-    # the weighted ratio needs the normalized partial only on its partial branch
-    wants_partial = bool(n1 and n2) and _length_ratio(n1, n2) >= WRATIO_TRY_PARTIAL_RATIO
-    pairs = [(q1, q2), (sort1, sort2), *joins] + ([(n1, n2)] if wants_partial else [])
-    partials = _partial_scores(pairs)
     scores = {
         "qratio": indel_ratio(n1, n2),
         "token_sort_ratio": indel_ratio(sort1, sort2),
         "token_set_ratio": _token_set_score(set1, set2, [indel_ratio(a, b) for a, b in joins]),
-        "partial_token_sort_ratio": partials[1],
-        "partial_token_set_ratio": _token_set_score(set1, set2, partials[2 : 2 + len(joins)]),
+        "partial_token_sort_ratio": _partial_score(sort1, sort2),
+        "partial_token_set_ratio": _token_set_score(set1, set2, [_partial_score(a, b) for a, b in joins]),
     }
-    wratio = _wratio(n1, n2, scores, partials[-1] if wants_partial else None)
-    return FuzzyFeatures(wratio=wratio, partial_ratio=partials[0], **scores)
+    return FuzzyFeatures(wratio=_wratio(n1, n2, scores), partial_ratio=_partial_score(q1, q2), **scores)

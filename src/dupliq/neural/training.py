@@ -36,6 +36,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be a finite number, got {self.learning_rate}")
 
 
 @dataclass
@@ -114,8 +116,8 @@ def train_network(
             p = net.forward(x1[idx], x2[idx], mode="train")
             loss, dp = bce_loss(p, y[idx])
             if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"loss became non-finite at epoch {epoch}, batch {start}: "
+                raise ValueError(
+                    f"loss became non-finite at epoch {epoch}, batch {start // config.batch_size}: "
                     f"p range [{p.min()}, {p.max()}]"
                 )
             net.backward(dp)

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import gzip
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +503,10 @@ def test_nn_commands(workspace):
         (["featurize", "{tsv}", "--glove", "{glove}", "--max-words", "0", "-o", "{tmp}/f.csv"], "--max-words"),
         (["reproduce", "table5", "--max-words", "0"], "--max-words"),
         (["importance", "--model", "{tmp}/m.json", "--features", "{tmp}/f.csv", "--repeats", "0"], "--repeats"),
+        # a negative --top sliced the ranking from its end
+        (["importance", "--model", "{tmp}/m.json", "--features", "{tmp}/f.csv", "--top", "-1"], "--top"),
+        (["reproduce", "table7", "--ngram-lo", "0"], "--ngram-lo"),
+        (["reproduce", "table7", "--ngram-hi", "0"], "--ngram-hi"),
     ],
 )
 def test_zero_counts_exit_code_1(workspace, capsys, argv, flag):
@@ -510,7 +516,8 @@ def test_zero_counts_exit_code_1(workspace, capsys, argv, flag):
     tsv_args = ["--tsv", tsv, "--glove", glove] if argv[0] == "reproduce" else []
     assert run(argv + out + tsv_args + ["--report", tmp / "r.json"]) == 1
     err = capsys.readouterr().err
-    assert f"argument {flag}: must be at least 1, got 0" in err and "Traceback" not in err, err
+    value = argv[argv.index(flag) + 1]
+    assert f"argument {flag}: must be at least 1, got {value}" in err and "Traceback" not in err, err
     assert not (tmp / "r.json").exists()
 
 
@@ -776,6 +783,70 @@ def test_config_path_in_every_form_argparse_takes(workspace, form):
         "--report", tmp / "s.json",
     ]) == 0
     assert json.loads((tmp / "s.json").read_text())["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nn-build", "--arch", "1", "--toy", "--vocab-size", "0", "-o", "{tmp}/net"],
+        ["nn-train", "--arch", "1", "--toy", "--vocab-size", "1", "-o", "{tmp}/net"],
+        ["nn-gradcheck", "--arch", "1", "--toy", "--vocab-size", "1"],
+        ["nn-gradcheck", "--arch", "1", "--pairs", "{tsv}", "--vocab-size", "0"],
+    ],
+)
+def test_vocab_size_below_two_exit_code_1(workspace, capsys, argv):
+    # a vocabulary holds the padding index and at least one token
+    tmp, tsv, _ = workspace
+    argv = [a.format(tsv=tsv, tmp=tmp) for a in argv]
+    assert run(argv + ["--report", tmp / "r.json"]) == 1
+    err = capsys.readouterr().err
+    size = argv[argv.index("--vocab-size") + 1]
+    assert f"argument --vocab-size: must be at least 2, got {size}" in err, err
+    assert "Traceback" not in err
+    assert not (tmp / "r.json").exists() and not (tmp / "net.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        ("nan", "learning_rate must be a finite number, got nan"),
+        ("inf", "learning_rate must be a finite number, got inf"),
+        ("1e308", "loss became non-finite at epoch 0, batch 1: "),
+    ],
+    ids=["nan", "inf", "1e308"],
+)
+def test_nn_train_learning_rate_not_finite_or_diverging_exit_code_1(workspace, capsys, rate, message):
+    tmp, _, _ = workspace
+    argv = [
+        "nn-train", "--arch", "1", "--toy", "--samples", "40", "--epochs", "3",
+        "--batch-size", "10", "--learning-rate", rate, "-o", tmp / "net", "--report", tmp / "r.json",
+    ]
+    with warnings.catch_warnings():
+        # the overflows on the way to a non-finite loss warn; the command
+        # line shows the warnings, then the error
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err, err
+    assert not (tmp / "r.json").exists() and not (tmp / "net.json").exists()
+
+
+def test_no_option_but_seed_and_arch_takes_any_int():
+    # a count takes _count, which refuses 0 and negatives; a plain int let
+    # --top -1 and --vocab-size 0 through
+    from dupliq.cli import build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    loose = {
+        (name, flag)
+        for name, sub in [("", parser), *subparsers.choices.items()]
+        for action in sub._actions
+        if action.type is int
+        for flag in action.option_strings
+        if flag not in ("--seed", "--arch")
+    }
+    assert loose == set()
 
 
 BAD_MAX_FEATURES = {

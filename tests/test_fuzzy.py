@@ -1,7 +1,7 @@
 import random
 import string
 
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dupliq import fuzzy
@@ -208,18 +208,22 @@ def test_fuzzy_features_match_oracles_long_against_short(short, long):
     _assert_features_match_oracles(long, short)
 
 
-# Alphabets for the window kernel: a few letters, a space, and two code
-# points outside the basic plane; a one-letter alphabet makes every window
-# tie.
-_ALPHABETS = ["a", "ab", "ab c", "ab\U0001F600\U00020000", "xy\U00020000 z"]
+# Alphabets for the window lanes: a few letters, a space, two code points
+# outside the basic plane and a lone surrogate; a one-letter alphabet makes
+# every window tie.
+_ALPHABETS = ["a", "ab", "ab c", "ab\U0001F600\U00020000", "xy\U00020000 z\ud800"]
+
+
+_LANE_EDGES = [0, 1, 7, 8, 15, 16, 63, 64, 65, 127, 128, 129]
 
 
 @st.composite
-def _needle_and_haystack(draw):
-    """A needle of a length at an edge of the 64-bit lanes, and a haystack
-    at least as long, in either order."""
-    alphabet = st.sampled_from(draw(st.sampled_from(_ALPHABETS)))
-    m = draw(st.sampled_from([0, 1, 2, 7, 63, 64, 65, 129, 131]))
+def _needle_and_haystack(draw, lengths=_LANE_EDGES, alphabets=_ALPHABETS):
+    """A needle of a length at an edge of the byte-aligned lanes, and a
+    haystack at least as long, in either order.  A length of 7 mod 8 fills
+    a lane up to its guard bit."""
+    alphabet = st.sampled_from(draw(st.sampled_from(alphabets)))
+    m = draw(st.sampled_from(lengths))
     # long needles get few windows: the oracle's table grows as m * m
     extra = draw(st.integers(0, 3 if m > 64 else 9 if m > 7 else 40))
     needle = draw(st.text(alphabet, min_size=m, max_size=m))
@@ -232,11 +236,12 @@ def test_partial_ratio_kernel_matches_window_oracle(pair):
     assert fuzzy.partial_ratio(*pair) == partial_oracle(*pair), pair
 
 
-@given(st.lists(_needle_and_haystack(), min_size=1, max_size=6))
-def test_partial_scores_of_several_problems_match_oracle(pairs):
-    # one kernel call advances the windows of every problem side by side;
-    # no window may read another problem's characters
-    assert fuzzy._partial_scores(pairs) == [partial_oracle(*p) for p in pairs]
+@settings(max_examples=10)
+@given(_needle_and_haystack(lengths=[129, 136, 143], alphabets=["ab\U0001F600\ud800"]))
+def test_partial_ratio_needles_past_128_match_window_oracle(pair):
+    # lanes of 17 and 18 bytes, code points outside the basic plane and a
+    # lone surrogate in every alphabet
+    assert fuzzy.partial_ratio(*pair) == partial_oracle(*pair), pair
 
 
 def test_partial_ratio_kernel_edges():
@@ -247,33 +252,22 @@ def test_partial_ratio_kernel_edges():
     for m in (1, 63, 64, 65, 130):
         s1, s2 = "ab" * m, "ba" * m
         assert fuzzy.partial_ratio(s1[:m], s2[:m]) == fuzzy.indel_ratio(s1[:m], s2[:m])
-    # 64 distinct characters fill a lane: every bit of the width counts
+    # 64 distinct characters, a bit each: every bit of the needle's width counts
     needle = "".join(chr(0x4E00 + i) for i in range(64))
     haystack = "." + needle[::-1] + needle[:63]
     # the best window is the reversal's last character and 63 in order
     assert fuzzy.partial_ratio(needle, haystack) == partial_oracle(needle, haystack) == 98
     assert fuzzy.partial_ratio("\U0001F600" * 64, "a" + "\U0001F600" * 64) == 100
-    # the needle's last character, bit 63, matches nothing, then no character
+    # the needle's last character, its top bit, matches nothing, then no character
     assert fuzzy.partial_ratio("b" * 63 + "c", "b" * 70) == partial_oracle("b" * 63 + "c", "b" * 70) == 98
     assert fuzzy.partial_ratio("a" * 64, "b" * 70) == 0
+    # needles of 7 mod 8 characters fill their lanes up to the guard bit,
+    # which takes the carry of every matching step
+    for m in (7, 15, 63, 127):
+        for a, b in [("a" * m, "a" * (m - 2) + "b" + "aaa"), ("a" * (m - 1) + "b", "a" * (m + 1) + "b")]:
+            assert fuzzy.partial_ratio(a, b) == partial_oracle(a, b), (m, a, b)
     # a lone surrogate is a character like any other
     assert fuzzy.partial_ratio("\ud800a", "x\ud800\udc00a") == partial_oracle("\ud800a", "x\ud800\udc00a")
-
-
-def test_partial_ratio_needles_up_to_64_make_no_big_int_calls(monkeypatch):
-    calls = []
-
-    def counted(s1, s2):
-        calls.append(len(s1))
-        return lcs_length(s1, s2)
-
-    lcs_length = fuzzy.lcs_length
-    monkeypatch.setattr(fuzzy, "lcs_length", counted)
-    assert fuzzy.partial_ratio("ab" * 32, "ba" * 40) == partial_oracle("ab" * 32, "ba" * 40)
-    assert calls == []
-    # one character more leaves the lanes: a big-integer call per window
-    assert fuzzy.partial_ratio("a" + "ab" * 32, "ba" * 40) == partial_oracle("a" + "ab" * 32, "ba" * 40)
-    assert calls and set(calls) == {65}
 
 
 def test_public_functions_are_the_traced_scores():
@@ -301,6 +295,6 @@ _LONG_TOKENS = st.sampled_from(
     st.lists(_LONG_TOKENS, min_size=1, max_size=20).map(" ".join),
 )
 def test_fuzzy_features_match_oracles_long_and_astral(q1, q2):
-    # raw questions past 64 characters take the big-integer path, their
-    # normalized and token forms often the lanes
+    # raw questions often past 64 characters, with code points outside the
+    # basic plane
     _assert_features_match_oracles(q1, q2)
