@@ -149,6 +149,8 @@ def _write_report(args, command: str, payload: dict) -> None:
 
 
 def _load_embeddings(args, vocab_filter=None) -> EmbeddingTable:
+    if getattr(args, "glove", None) and getattr(args, "w2v", None):
+        raise CliError("pass one embedding file: --glove or --w2v, not both")
     if getattr(args, "glove", None):
         return load_glove_text(args.glove, vocab_filter=vocab_filter)
     if getattr(args, "w2v", None):
@@ -174,6 +176,8 @@ def _load_features(args):
     """Matrix, labels, column names (None for a sparse file stored without
     them) and path of the feature input, whose labels must be 0 or 1 and
     whose values must be finite."""
+    if getattr(args, "sparse", None) and getattr(args, "features", None):
+        raise CliError("pass one feature input: --features CSV or --sparse NPZ, not both")
     if getattr(args, "sparse", None):
         path = args.sparse
         X, y, names = sparse_io.load_sparse_features(path)
@@ -345,7 +349,7 @@ def cmd_train(args):
         model = learn_mod.train(spec, X, y)
     except ValueError as exc:
         raise CliError(f"{data_path}: {exc}") from None
-    learn_mod.save_model(model, args.output, train_data_path=data_path, column_names=names)
+    learn_mod.save_model(model, args.output, column_names=names)
     metrics = learn_mod.evaluate(model, X, y)
     print(f"trained {args.model}: train accuracy {metrics.accuracy:.4f}")
     _write_report(

@@ -7,9 +7,7 @@ for class 1.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +42,7 @@ __all__ = [
     "log_loss",
 ]
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -186,32 +184,22 @@ def grid_search(
     return grid[best_i], table
 
 
-def save_model(
-    model,
-    path: str | Path,
-    train_data_path: str | None = None,
-    column_names: list[str] | None = None,
-) -> None:
-    """Persist a model as JSON, in format 2.
+def save_model(model, path: str | Path, column_names: list[str] | None = None) -> None:
+    """Persist a model as JSON, in format 3.
 
-    Tree ensembles serialize completely, each tree as its node arrays in
-    level order, where an internal node's children are ``left`` and ``left
-    + 1``.  The nearest-neighbour model saves its metadata plus the absolute
-    path and sha256 of the training feature file, which it re-reads at load
-    time and refuses if it has changed.  ``column_names``, the training
-    matrix's, are recorded when given, and come back as the loaded model's
-    ``column_names``.
+    Every kind serializes completely.  A tree ensemble saves each tree as
+    its node arrays in level order, where an internal node's children are
+    ``left`` and ``left + 1``.  The nearest-neighbour model saves its
+    training rows and labels: ``rows`` for the euclidean metric, the CSR
+    arrays ``data``, ``indices`` and ``indptr`` for the cosine one.
+    ``column_names``, the training matrix's, are recorded when given, and
+    come back as the loaded model's ``column_names``.
     """
     doc = {"format_version": MODEL_FORMAT_VERSION, **model.to_dict()}
     if column_names is not None:
         if len(column_names) != model.n_features:
             raise ValueError(f"{len(column_names)} column names for {model.n_features} features")
         doc["column_names"] = list(column_names)
-    if model.kind == "knn":
-        if train_data_path is None:
-            raise ValueError("knn persistence requires train_data_path")
-        doc["state"]["train_data"] = os.path.abspath(train_data_path)
-        doc["state"]["train_sha256"] = _sha256(train_data_path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
@@ -227,13 +215,8 @@ def _model_from_doc(doc: dict):
     check_hyperparameters(kind, hp)
     if not isinstance(state, dict):
         raise ValueError("state is not an object")
-    if kind == "knn":
-        path = os.fspath(state["train_data"])  # a TypeError unless a path
-        if _sha256(path) != state["train_sha256"]:
-            raise ValueError(f"its training data {path} changed after it was saved")
-        state = {**state, "training": _load_training_features(path, state["metric"])}
     model = MODEL_CLASS[kind].from_state(kind, hp, n_features, state)
-    # models saved before column names were recorded have none
+    # a model saved without column names has none
     names = doc.get("column_names")
     if names is not None and (
         not isinstance(names, list)
@@ -243,26 +226,3 @@ def _model_from_doc(doc: dict):
         raise ValueError(f"column_names is not a list of {n_features} names")
     model.column_names = names
     return model
-
-
-def _sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _load_training_features(path: str, metric: str):
-    """(X, y) of a knn model's training file: a sparse feature file for the
-    cosine metric, a dense feature CSV for the euclidean one."""
-    if metric == "cosine":
-        from .. import sparse_io
-
-        return sparse_io.load_sparse_features(path)[:2]
-    if metric != "euclidean":
-        raise ValueError(f"knn metric {metric!r} is neither cosine nor euclidean")
-    from ..featmat import load_matrix
-
-    m = load_matrix(path)
-    return m.rows, m.labels

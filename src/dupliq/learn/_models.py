@@ -8,6 +8,8 @@ Every kind is deterministic for a fixed seed.
 This module alone decides a kind: its hyperparameters and defaults
 (``DEFAULT_HYPERPARAMETERS``), their allowed values, and its class
 (``MODEL_CLASS``), which trains it and writes and reads its saved state.
+``KnnModel`` saves its training rows and labels, so a saved knn needs no
+other file, and reading them back applies training's checks.
 One class per way of combining trees, each keeping them in ``.trees``:
 ``ForestModel`` averages leaf probabilities (a decision_tree is a forest
 of one tree grown on every column without bootstrap), ``AdaBoostModel``
@@ -31,7 +33,7 @@ import numbers
 import numpy as np
 import scipy.sparse as sp
 
-from ._tree import ColumnEntries, Tree, TreePack, gini, grow_tree, newton, residual, trees_per_batch
+from ._tree import ColumnEntries, Tree, TreePack, gini, grow_tree, newton, residual, saved_array, trees_per_batch
 
 # floats per knn distance block, and per dense query block of a sparse one
 DISTANCE_FLOATS = 2_000_000
@@ -228,8 +230,14 @@ class _TreeModel(_BaseModel):
 
 
 class KnnModel(_BaseModel):
+    """The share of label 1 among the k nearest training rows, by euclidean
+    distance (dense) or cosine distance (sparse); it saves those rows."""
+
     def __init__(self, kind, hyperparameters, n_features, X, y):
         super().__init__(kind, hyperparameters, n_features)
+        # no sum of squares either metric takes can overflow below this
+        self._bound = math.sqrt(np.finfo(np.float64).max / (4 * max(n_features, 1)))
+        self._check_magnitude(X, "training")
         self.k = int(hyperparameters["k"])
         self.sparse = sp.issparse(X)
         self.metric = "cosine" if self.sparse else "euclidean"
@@ -239,7 +247,8 @@ class KnnModel(_BaseModel):
             inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
             self._train_unit = sp.diags(inv) @ self._train
         else:
-            self._train = np.asarray(X, dtype=np.float64)
+            # C order, as loaded, so that the BLAS product sums in one order
+            self._train = np.ascontiguousarray(X, dtype=np.float64)
             self._sq = (self._train**2).sum(axis=1)
         self.y = np.asarray(y, dtype=np.int64)
 
@@ -249,10 +258,27 @@ class KnnModel(_BaseModel):
 
     @classmethod
     def from_state(cls, kind, hp, n_features, state):
-        return cls(kind, hp, n_features, *state["training"])  # (X, y) of the named training file
+        labels = saved_array(state["labels"], "labels", "i")
+        if state["metric"] == "cosine":
+            csr = [saved_array(state[n], n, k) for n, k in zip(("data", "indices", "indptr"), ("if", "i", "i"))]
+            X = sp.csr_matrix(tuple(csr), shape=(len(csr[2]) - 1, n_features))
+            X.check_format(full_check=True)
+        elif state["metric"] == "euclidean":
+            X = saved_array(state["rows"], "rows", "if")
+            if X.ndim != 2 or X.shape[1] != n_features:
+                raise ValueError(f"knn rows are not rows of {n_features} values")
+        else:
+            raise ValueError(f"knn metric {state['metric']!r} is neither cosine nor euclidean")
+        return cls(kind, hp, n_features, X, _validate_training_input(X, labels))
+
+    def _check_magnitude(self, X, what: str) -> None:
+        values = X.data if sp.issparse(X) else X
+        if values.size and np.abs(values).max() > self._bound:
+            raise ValueError(f"{what} features exceed {self._bound:.4g} in magnitude, where knn distances overflow")
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_input(X)
+        self._check_magnitude(X, "input")
         out = np.empty(X.shape[0])
         chunk = max(1, DISTANCE_FLOATS // max(len(self.y), X.shape[1], 1))
         for start in range(0, X.shape[0], chunk):
@@ -284,7 +310,11 @@ class KnnModel(_BaseModel):
         return np.sqrt(np.maximum(d2, 0.0))
 
     def _state_dict(self) -> dict:
-        return {"metric": self.metric, "k": self.k}
+        if self.sparse:
+            rows = {name: getattr(self._train, name).tolist() for name in ("data", "indices", "indptr")}
+        else:
+            rows = {"rows": self._train.tolist()}
+        return {"metric": self.metric, **rows, "labels": self.y.tolist()}
 
 
 class ForestModel(_TreeModel):

@@ -115,6 +115,15 @@ ROUTE_PAIRS = 1 << 14
 LEVEL_ENTRIES = 1 << 15
 
 
+def saved_array(values, what: str, kinds: str) -> np.ndarray:
+    """``values`` of a saved model as int64 (``kinds`` "i") or float64 ("if");
+    ValueError names ``what`` unless all are finite, and integers for int64."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in kinds or not np.isfinite(arr).all()):
+        raise ValueError(f"{what} is not all {'integers' if kinds == 'i' else 'finite numbers'}")
+    return arr.astype(np.int64 if kinds == "i" else np.float64)
+
+
 @dataclass
 class Tree:
     feature: np.ndarray  # int, -1 marks a leaf
@@ -137,13 +146,7 @@ class Tree:
         one finite number per node (an integer where int64 is stored), every
         feature id is in [-1, n_features), and every internal node's
         children, ``left`` and ``left + 1``, come after it within the tree."""
-        arrays = {}
-        for name, kinds in _NODE_ARRAYS.items():
-            arr = np.asarray(d[name])
-            if arr.size and (arr.dtype.kind not in kinds or not np.isfinite(arr).all()):
-                raise ValueError(f"corrupt tree: {name} is not all {'integers' if kinds == 'i' else 'finite numbers'}")
-            arrays[name] = arr.astype(np.int64 if kinds == "i" else np.float64)
-        tree = cls(**arrays)
+        tree = cls(**{name: saved_array(d[name], f"corrupt tree: {name}", k) for name, k in _NODE_ARRAYS.items()})
         n = tree.n_nodes
         if n == 0 or any(getattr(tree, name).shape != (n,) for name in _NODE_ARRAYS):
             raise ValueError("corrupt tree: node arrays are empty or differ in length")

@@ -111,6 +111,32 @@ def test_featurize_requires_embeddings(workspace, capsys):
     assert "--glove or --w2v" in capsys.readouterr().err
 
 
+def test_featurize_refuses_both_embedding_files(workspace, capsys):
+    tmp, tsv, glove = workspace
+    argv = ["featurize", tsv, "--glove", glove, "--w2v", glove, "-o", tmp / "f.csv", "--report", tmp / "r.json"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "--glove or --w2v, not both" in err and "Traceback" not in err
+    assert not (tmp / "f.csv").exists()
+
+
+def test_train_refuses_both_feature_inputs(workspace, capsys):
+    # one from the command line, the other a config file's default: neither
+    # is dropped in silence
+    tmp, tsv, glove = workspace
+    features, vectors, config = tmp / "features.csv", tmp / "vectors.npz", tmp / "config.json"
+    assert run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"]) == 0
+    assert run(["tfidf-fit", tsv, "--analyzer", "word", "-o", tmp / "tfidf.json", "--report", tmp / "tf.json"]) == 0
+    assert run(["tfidf-featurize", tsv, "--model", tmp / "tfidf.json", "-o", vectors, "--report", tmp / "tv.json"]) == 0
+    config.write_text(json.dumps({"config_version": 1, "defaults": {"sparse": str(vectors)}}))
+    capsys.readouterr()
+    argv = ["train", "--model", "decision_tree", "--features", features, "-o", tmp / "m.json", "--config", config]
+    assert run([*argv, "--report", tmp / "t.json"]) == 1
+    err = capsys.readouterr().err
+    assert "--features CSV or --sparse NPZ, not both" in err and "Traceback" not in err
+    assert not (tmp / "m.json").exists()
+
+
 def test_full_dense_pipeline(workspace, capsys):
     tmp, tsv, glove = workspace
     features = tmp / "features.csv"
@@ -164,29 +190,33 @@ def test_knn_model_roundtrip(workspace):
     ]) == 0
 
 
-def test_knn_model_pins_its_training_data(workspace, capsys, monkeypatch):
+def test_knn_model_outlives_its_training_file(workspace, monkeypatch):
+    """A knn saved by ``train``, dense or cosine, holds its training rows: it
+    loads and predicts what the model trained in memory predicts after its
+    training file is moved, rewritten and then deleted."""
+    from dupliq import featmat, learn, sparse_io
+
     tmp, tsv, glove = workspace
-    monkeypatch.chdir(tmp)
-    assert run(["featurize", tsv, "--glove", glove, "-o", "features.csv", "--report", "f.json"]) == 0
-    assert run(["train", "--model", "knn", "--features", "features.csv", "-o", "knn.json",
-                "--report", "t.json"]) == 0
-    # the relative training path is kept absolute, so the model loads anywhere
-    elsewhere = tmp / "elsewhere"
-    elsewhere.mkdir()
-    monkeypatch.chdir(elsewhere)
-    evaluate = ["eval", "--model", tmp / "knn.json", "--features", tmp / "features.csv",
-                "--report", "e.json"]
-    assert run(evaluate) == 0
-    # a training file rewritten after training is refused, not used
-    other = tmp / "other.tsv"
-    write_corpus(other, seed=5)
-    assert run(["featurize", other, "--glove", glove, "-o", tmp / "features.csv",
-                "--report", "f.json"]) == 0
-    capsys.readouterr()
-    assert run(evaluate) == 1
-    err = capsys.readouterr().err
-    assert str(tmp / "knn.json") in err and str(tmp / "features.csv") in err
-    assert "Traceback" not in err
+    monkeypatch.chdir(tmp)  # reports without --report land in the working directory
+    assert run(["featurize", tsv, "--glove", glove, "-o", "features.csv"]) == 0
+    assert run(["tfidf-fit", tsv, "--analyzer", "word", "-o", "tfidf.json"]) == 0
+    assert run(["tfidf-featurize", tsv, "--model", "tfidf.json", "-o", "vectors.npz"]) == 0
+    dense = featmat.load_matrix("features.csv")
+    sparse, labels, _names = sparse_io.load_sparse_features("vectors.npz")
+    for flag, data, X, y in (
+        ("--features", tmp / "features.csv", dense.rows, dense.labels),
+        ("--sparse", tmp / "vectors.npz", sparse, labels),
+    ):
+        assert run(["train", "--model", "knn", flag, data, "-o", "knn.json"]) == 0
+        want = learn.train(learn.ClassifierSpec("knn", {"seed": 0}), X, y).predict_proba(X)
+        blob = data.read_bytes()
+        moved = data.rename(tmp / f"moved-{data.name}")
+        assert np.array_equal(learn.load_model("knn.json").predict_proba(X), want)
+        data.write_bytes(blob[: len(blob) // 2])
+        assert np.array_equal(learn.load_model("knn.json").predict_proba(X), want)
+        data.unlink()
+        moved.unlink()
+        assert np.array_equal(learn.load_model("knn.json").predict_proba(X), want)
 
 
 def test_corrupt_tree_model_exit_code_1(workspace, capsys):
@@ -304,8 +334,8 @@ def test_tfidf_pipeline(workspace):
 
 
 def test_sparse_features_keep_any_name_and_a_knn_model_reloads_them(workspace, monkeypatch):
-    # the file keeps a name without .npz, and knn picks its reader from the
-    # metric it recorded, not from the suffix
+    # the file keeps a name without .npz, and a knn trained on it takes the
+    # cosine metric from its sparse rows, not from the suffix
     tmp, tsv, _ = workspace
     monkeypatch.chdir(tmp)  # reports without --report land in the working directory
     model, vectors, knn = tmp / "tfidf.json", tmp / "feats.sparse", tmp / "knn.json"
@@ -422,21 +452,6 @@ def test_truncated_sparse_file_exit_code_1(workspace, capsys):
     ]) == 1
     err = capsys.readouterr().err
     assert str(cut) in err
-    assert "Traceback" not in err
-
-    # a knn model re-reads its training file on load
-    knn = tmp / "knn.json"
-    assert run([
-        "train", "--model", "knn", "--sparse", vectors, "-o", knn, "--report", tmp / "t.json",
-    ]) == 0
-    (tmp / "input.npz").write_bytes(blob)
-    vectors.write_bytes(blob[: len(blob) // 2])
-    capsys.readouterr()
-    assert run([
-        "eval", "--model", knn, "--sparse", tmp / "input.npz", "--report", tmp / "e.json",
-    ]) == 1
-    err = capsys.readouterr().err
-    assert str(vectors) in err
     assert "Traceback" not in err
 
 

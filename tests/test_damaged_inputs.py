@@ -4,9 +4,9 @@ lets an exception out of ``main``.
 
 The fixtures are tiny and built once; each example copies one of them,
 cuts it short, empties it or flips some of its bytes, and runs the one
-command that reads that kind of input in-process.  Saved tree models are
-also damaged value by value: one number of their state replaced by a
-value training never writes.
+command that reads that kind of input in-process.  Saved models, three
+tree kinds and the dense knn, are also damaged value by value: one number
+of their state replaced by a value training never writes.
 """
 
 import contextlib
@@ -45,6 +45,7 @@ COMMANDS = {
 # the kinds whose saved state is damaged value by value, with the
 # hyperparameters that keep them small
 STATE_MODELS = {
+    "knn": [],
     "random_forest": ["--param", "n_estimators=3", "--param", "max_depth=3", "--param", "min_samples_leaf=1"],
     "adaboost": ["--param", "n_estimators=4"],
     "xgb": ["--param", "n_estimators=4", "--param", "max_depth=2"],

@@ -69,24 +69,24 @@ SPECS = {
 }
 
 GOLDEN = {
-    ("dense", "decision_tree"): "dd17887ebdfba085259cb4e99af296e3c57c28efaafb1365b1f56e67e2cdb76c",
-    ("dense", "random_forest"): "40c1a17fb8af0d3fc8609d27f2c0bacd5b641966ea092c75d6cdd59df18d1aaa",
-    ("dense", "extra_trees"): "3716b2da430b2b4e87e3fde71d814ffb7d5614f06114bc37cca500c4f9a1b972",
-    ("dense", "adaboost"): "ca1143157b4df5f6e3e72c39b09ce3fc0555940700e29193f47787307419b0c6",
-    ("dense", "xgb"): "bd214256356d2b47db9d5593bcb010993396c97a7a735df359c172256d26fa4a",
-    ("dense", "gbm"): "af250a06813255fd04c0a006581c544289b8e1122a208595a6a0c1155e17ee5b",
-    ("dense", "xgb_subsample"): "c4ea7509d253b461906aaacc917bff936cf11e9cbaca3af0fba9161a8ddb9c4d",
-    ("dense", "gbm_subsample"): "b0473cabd1f791400144a072a5dfcfb1cc56e5b18678b3e71203e015d3fa7b76",
-    ("sparse", "decision_tree"): "e23eb64e8c07bc2315f3d5d1b44895618994e21ff7f3ac0376e0f5c716d83695",
-    ("sparse", "random_forest"): "f85deafc17377760bdf169458432819d31f52a2d8eb3e6906202b71e83ff6592",
-    ("sparse", "extra_trees"): "cf35dd70dc5a63d7f4c167bdf0020a7187d8b109b7cf1386089cda2a07663884",
-    ("sparse", "adaboost"): "33a420d2c8b98c1004dfc2f8ae6b3038f8cbf8a2ad7d85a72f0459dd70eee43c",
-    ("sparse", "xgb"): "bc73d8b52f2d1f36705b867d132f3d9ae3c66c8c9bb6766c081400e4d7fe9caf",
-    ("sparse", "gbm"): "6284ee2242df145ec77a7097eb35777e75b91dc7be70cd65b1dc277201ffcecd",
-    ("sparse", "xgb_subsample"): "ff7f32e85f0848db97c23e0fb2e330cf68413f315b74c9584d22612ebd7fe41c",
-    ("sparse", "gbm_subsample"): "011e2f920a037d0e3e6bb01e6ad3554c8263bbe53e963ef0cb0844e06c106520",
-    ("wide_sparse", "random_forest_14"): "aa133b3dcddb30ec3e05c81c78ec701a761e4c26446126404d208f4d114cf0c5",
-    ("wide_sparse", "extra_trees_14"): "814497d805437e2ed7213b3f991642b64b0bf35ec170d5208b4e668889c10d35",
+    ("dense", "decision_tree"): "9220ca12ee9e388178a3ed5191493444886c41019b19c93ec777f1544d0a5314",
+    ("dense", "random_forest"): "6bf03235e3fc25e4a621d2713c39041fb89323a5e598057ac6c65fa62af6022a",
+    ("dense", "extra_trees"): "5834c59ce8628c615f754acf48b0220031c2e49f201845e6df864150178256b8",
+    ("dense", "adaboost"): "f811ab2a6dda6ef268e2dda0b0ad87414cdda6212d2a7ec94a367064f8f1c41a",
+    ("dense", "xgb"): "123f1f56926668e9b1ed48be00a855633089dbdae637f53d08a1fe0896b83ba1",
+    ("dense", "gbm"): "e8d547347df1e48b6baa95e680e2aecd50bfa3cec8f1e2af01a7252d94b29a59",
+    ("dense", "xgb_subsample"): "b26d4c44dee4daa2273c3f70b6bdbfc2c0fdb28bc20018d16d5f878d35ae39a4",
+    ("dense", "gbm_subsample"): "53a079c3c41bdfa86a1bdc1fbe5aebf41aa3f837a61185758308b51d24329fd7",
+    ("sparse", "decision_tree"): "6b847cb923b1a50f82e1b54576d0284f9ac6772e33c6198092f6d085d93b0afd",
+    ("sparse", "random_forest"): "3a1bcef796c97348c81d25dba747b7741adeb7dae2254b888994a96bb36c92e6",
+    ("sparse", "extra_trees"): "890a578234f0c7fbb38dd7dbf35a2af9fd4230a21b715ecce02d7ee964b87e11",
+    ("sparse", "adaboost"): "e7ee7d452fa368abfad082617c698a06ad8c18e942a02030170c7fb224318f9c",
+    ("sparse", "xgb"): "113116c27793569c0904479b05b0a93b678f46972d5a5d80cf136c724621ef2d",
+    ("sparse", "gbm"): "0101c08f725c222f4a47af3d5a648abeb72800402d0dc6a4df030a03122db095",
+    ("sparse", "xgb_subsample"): "7658851a67a91599f252c08688367e740aad2401b800ea463328cd9bfa0924dc",
+    ("sparse", "gbm_subsample"): "908a0722af64f065049a695b6ac70a180d75b939cc53695af9f7e72a0908d6e8",
+    ("wide_sparse", "random_forest_14"): "1d470865d75d2935fdeac227e1bc0f38c0e23063412a48134d9063e1a285ca85",
+    ("wide_sparse", "extra_trees_14"): "63967c967e51a2605987412bd28b39688b3803301eb8b1dc1329a5657fffdf8f",
 }
 
 

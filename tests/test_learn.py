@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
-import re
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,9 +459,9 @@ def test_load_rejects_malformed_documents(tmp_path):
     malformed(lambda d: d.update(kind="svm"), "unknown classifier kind 'svm'")
     malformed(lambda d: d.update(column_names=["a"]), "column_names")
     malformed(lambda d: d.update(column_names=list(range(d["n_features"]))), "column_names")
-    malformed(lambda d: d.update(format_version=1), "model format version 1; this dupliq reads version 2")
+    malformed(lambda d: d.update(format_version=1), "model format version 1; this dupliq reads version 3")
     path.write_text(json.dumps([json.loads(good)]))
-    with pytest.raises(ValueError, match=r"model format version \(none\); this dupliq reads version 2"):
+    with pytest.raises(ValueError, match=r"model format version \(none\); this dupliq reads version 3"):
         load_model(path)
 
 
@@ -506,26 +510,92 @@ def test_packed_predict_matches_tree_by_tree():
         assert np.array_equal(one_by_one, model.predict_proba(X)), kind
 
 
-def test_save_load_knn_reference(tmp_path):
-    from dupliq.featmat import FeatureMatrix, save_matrix
-
-    X, y = separable_data(30, seed=13)
-    m = FeatureMatrix(["f0", "f1"], X, y)
-    feat_path = tmp_path / "train.csv"
-    save_matrix(m, feat_path)
-    model = train(spec_for("knn", k=3), X, y)
+def cosine_knn_state(tmp_path):
+    """A saved cosine knn on 6 rows of 4 columns, its path and its document."""
+    X = sp.csr_matrix(np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 3, 1], [1, 1, 0, 0], [0, 2, 0, 1], [4, 0, 0, 0]]))
     path = tmp_path / "knn.json"
-    with pytest.raises(ValueError):
+    save_model(train(spec_for("knn", k=3), X, np.array([0, 1, 0, 1, 1, 0])), path)
+    return path, json.loads(path.read_text())
+
+
+def test_knn_model_saves_its_training_rows(tmp_path):
+    """A knn trained on an in-memory matrix saves its rows and labels, and
+    its loaded copy computes its distances bit for bit: dense from either
+    memory layout (BLAS may sum in another order for another), and sparse."""
+    rng = np.random.default_rng(13)
+    X, query = rng.normal(size=(60, 28)), rng.normal(size=(20, 28))
+    y = (X[:, 0] > 0).astype(np.int64)
+    S = sp.csr_matrix(np.abs(X) * (X > 0.5))
+    path = tmp_path / "knn.json"
+    for train_X, q in ((X, query), (np.asfortranarray(X), query), (S, sp.csr_matrix(np.abs(query)))):
+        model = train(spec_for("knn", k=3), train_X, y)
         save_model(model, path)
-    save_model(model, path, train_data_path=str(feat_path))
-    loaded = load_model(path)
-    assert np.allclose(loaded.predict_proba(X), model.predict_proba(X))
-    # the training file's hash is required
-    doc = json.loads(path.read_text())
-    del doc["state"]["train_sha256"]
+        state = json.loads(path.read_text())["state"]
+        assert state["labels"] == y.tolist()
+        if sp.issparse(train_X):
+            assert all(state[name] == getattr(S, name).tolist() for name in ("data", "indices", "indptr"))
+        else:
+            assert state["rows"] == X.tolist()
+        loaded = load_model(path)
+        assert np.array_equal(loaded._distances(q), model._distances(q))
+        assert np.array_equal(loaded.predict_proba(q), model.predict_proba(q))
+
+
+DAMAGED_COSINE_KNN = {
+    "indptr_decreasing": (lambda st: st["indptr"].__setitem__(2, st["indptr"][1] - 1), "indptr"),
+    "index_out_of_range": (lambda st: st["indices"].__setitem__(0, 4), "indices must be < 4"),
+    "float_index": (lambda st: st["indices"].__setitem__(0, 1.0), "indices is not all integers"),
+    "label_of_2": (lambda st: st["labels"].__setitem__(0, 2), "labels must be 0 or 1"),
+    "label_count": (lambda st: st["labels"].pop(), "X has 6 rows but y has 5 labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_COSINE_KNN))
+def test_load_refuses_a_damaged_cosine_knn(tmp_path, case):
+    damage, message = DAMAGED_COSINE_KNN[case]
+    path, doc = cosine_knn_state(tmp_path)
+    damage(doc["state"])
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: cannot load model: missing key 'train_sha256'"):
+    with pytest.raises(ValueError, match=message) as info:
         load_model(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("as_input", [np.asarray, sp.csr_matrix])
+def test_knn_refuses_values_whose_squares_overflow(as_input):
+    """Past sqrt(float max / (4 * n_features)) a sum of squares can overflow,
+    so training and predicting refuse such a value; up to it, no distance
+    overflows."""
+    X = np.array([[0.0, 1], [1, 0], [0, 2], [2, 0], [1, 1], [3, 3]])
+    y = np.array([0, 1, 0, 1, 1, 0])
+    bound = math.sqrt(np.finfo(np.float64).max / 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = X.copy()
+        big[5, 0] = 1e308
+        with pytest.raises(ValueError, match="training features exceed"):
+            train(spec_for("knn", k=1), as_input(big), y)
+        model = train(spec_for("knn", k=1), as_input(X), y)
+        with pytest.raises(ValueError, match="input features exceed"):
+            model.predict_proba(as_input(big))
+        edge = X.copy()
+        edge[5] = (bound, bound)
+        at_edge = train(spec_for("knn", k=1), as_input(edge), y)
+        # -edge holds the farthest pair the bound allows: (-bound, -bound)
+        # from (bound, bound)
+        for query in (edge, -edge):
+            assert np.isfinite(at_edge._distances(as_input(query))).all()
+
+
+def test_learn_import_leaves_out_the_feature_file_readers():
+    # a knn model holds its training rows, so no part of learn reads a
+    # feature file
+    import dupliq
+
+    code = "import sys, dupliq.learn; print(sorted({'dupliq.featmat', 'dupliq.sparse_io'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(dupliq.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------- saved model bytes
@@ -549,37 +619,29 @@ def pinned_model(kind, X, y):
 
 
 def saved_model_bytes(tmp_path, kind, X, y) -> bytes:
-    model = pinned_model(kind, X, y)
     path = tmp_path / f"{kind}.json"
-    if kind != "knn":
-        save_model(model, path)
-        return path.read_bytes()
-    # a knn model names its training file by absolute path and sha256
-    (tmp_path / "train.csv").write_text("f0\n")
-    save_model(model, path, train_data_path=str(tmp_path / "train.csv"))
-    doc = json.loads(path.read_text())
-    del doc["state"]["train_data"], doc["state"]["train_sha256"]
-    return json.dumps(doc, sort_keys=True).encode()
+    save_model(pinned_model(kind, X, y), path)
+    return path.read_bytes()
 
 
 # sha256 of the saved models of pinned_model on pinned_matrices(), in model
-# format 2, where a tree's right children are its left ones plus one and are
-# not stored; knn's without its training file's path and sha256
+# format 3, where a tree's right children are its left ones plus one and are
+# not stored, and knn holds its training rows
 MODEL_SHA256 = {
-    ("knn", "dense"): "61eee21a070e05abfb9acffaf76dd4be2f03527e7402bc67f5d055a8d476e3c0",
-    ("knn", "sparse"): "65ffa7e9b1c4e7bacd25a9284d2bbef07450ecd5cdfdf3b778bce31050126368",
-    ("adaboost", "dense"): "82bb4734d50a4d7671b0195c92217c9d93336e364b688b038096b0221138b2f3",
-    ("adaboost", "sparse"): "e339af3635518e9dd9f41beca970ae27455059cd3c4f7a44fe44de2500ef0bfe",
-    ("xgb", "dense"): "dd0c48293882fa665cbc72bea8c76617fa8b6e879358e8410b6b740f4e5d6590",
-    ("xgb", "sparse"): "d087174bfeb22ebc798bbe0d714dbc0af17cb4c7e7befb3c4f0647f96a0668b1",
-    ("gbm", "dense"): "1921f39202417a137eb01da008d6dd0163f958a0501ef0f5441631ac41d89dd1",
-    ("gbm", "sparse"): "0c10a4a1244ab418e4b9544a4f0cf22e6a0864a652fb9d48246ac4681368df80",
-    ("decision_tree", "dense"): "4116d79e3c652fae4f0e50d1663f270f3606a6fc9ac50ce21000f4bd5ab9e5c0",
-    ("decision_tree", "sparse"): "79772b7cddf2168aab5d622b690423a0679d1070e446381651ac189cf1fb1c24",
-    ("random_forest", "dense"): "29d78274bd53755fe3d8a22ec683a7433711c0fcdd9b07966354f68a0fbdf549",
-    ("random_forest", "sparse"): "886ce31cb4d4de92378275e78d437d9c77cf4b123bbae7f7ae7a45e54c609be7",
-    ("extra_trees", "dense"): "e638dabc409e444f87c7a4fb4be0e68adb27c66b996cf4284eccdaa4c52d4fb6",
-    ("extra_trees", "sparse"): "9aace652ee349ed2f08938a8fd9768cbc1b2083eb9a56804c41b2d80b93ac684",
+    ("knn", "dense"): "7f2c44b96ce81b100c6048a6cb326f2bae5e821339e42921b81d962fc3beb476",
+    ("knn", "sparse"): "e4ba89878e618c51bffad44496f4d61034820c0b47167c73862f8be2f2529e7d",
+    ("adaboost", "dense"): "68a48f0b5bf04838581afe49fcf8518f15a6e46152e9e7eb1d6a3b934487d210",
+    ("adaboost", "sparse"): "2809e65ce464283c568db00aadb3c363aa76930638c76df872f202d4d513cd78",
+    ("xgb", "dense"): "88981309bfeead051770a4dfd6a9f19a35675322bb731298791cdba5296c0eec",
+    ("xgb", "sparse"): "6f693dfb3cfc84ed129631e2bad10403d7c606ffc4583987f4c54d1199c7c0a5",
+    ("gbm", "dense"): "716fa65a896e953f70d190a99624af9f2708e11f0ff4deee64558325ea0e21fd",
+    ("gbm", "sparse"): "d79b0b2a87458af5a90a19d6c7aa27b6271b09a78fdfed231429127465e99d8c",
+    ("decision_tree", "dense"): "29d88d6705e0a57257c7b6e39085d5fb85f80a9174b2ec7c361bb95e8e2f3088",
+    ("decision_tree", "sparse"): "1f8b30601b93973e5b15faffdb91de037db641b156c7a88fb60f5e62eba11c03",
+    ("random_forest", "dense"): "e47822b58e927f0268b65c90e80e9452decd18eec107ba7555994be8161ecf89",
+    ("random_forest", "sparse"): "26eddd6a0a50d351c79cea7a64efe3539b103da10f739b33e858a747f0cdaf43",
+    ("extra_trees", "dense"): "27f675548b15639c280cc999881d7ace87a3949577f34fa1f9a336841e0eaf15",
+    ("extra_trees", "sparse"): "cdec25ccc5f89fdf80a90586733380a649a141f19e266647fc402b4c15af0fec",
 }
 
 
@@ -594,25 +656,14 @@ def test_saved_model_bytes_are_stable(tmp_path, kind, layout):
 @pytest.mark.parametrize("layout", ["dense", "sparse"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_load_then_save_reproduces_the_file(tmp_path, kind, layout):
-    """A loaded model saves the bytes it was loaded from, column names too;
-    knn names a real training file, which the load re-reads and re-hashes."""
-    from dupliq.featmat import FeatureMatrix, save_matrix
-    from dupliq.sparse_io import save_sparse_features
-
+    """A loaded model saves the bytes it was loaded from, column names too."""
     matrices, y = pinned_matrices()
     X = matrices[layout]
     names = [f"f{j}" for j in range(X.shape[1])]
-    train_file = None
-    if kind == "knn":
-        train_file = str(tmp_path / ("train.csv" if layout == "dense" else "train.npz"))
-        if layout == "dense":
-            save_matrix(FeatureMatrix(names, X, y), train_file)
-        else:
-            save_sparse_features(train_file, X, y, names)
     first, again = tmp_path / "model.json", tmp_path / "again.json"
-    save_model(pinned_model(kind, X, y), first, train_file, names)
+    save_model(pinned_model(kind, X, y), first, names)
     loaded = load_model(first)
-    save_model(loaded, again, train_file, loaded.column_names)
+    save_model(loaded, again, loaded.column_names)
     assert again.read_bytes() == first.read_bytes()
 
 
