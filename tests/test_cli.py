@@ -2,6 +2,7 @@ import argparse
 import csv
 import gzip
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -736,6 +737,8 @@ def test_reproduce_table6_trains_on_the_twenty_kept_columns(workspace, monkeypat
 
     monkeypatch.setattr(featmat, "extract_matrix", spy_extract)
     monkeypatch.setattr(learn, "train", spy_train)
+    # one usable CPU: the kinds train in this process, where the spy sees them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     report = tmp / "t6.json"
     assert run([
         "reproduce", "table6", "--tsv", tsv, "--glove", glove, "--sample", "60",
@@ -759,6 +762,104 @@ def test_reproduce_table7_runs_both_analyzers(workspace):
     ]) == 0
     doc = json.loads(report.read_text())
     assert set(doc["results"]["results"]) == {"word", "char"}
+
+
+REPRODUCE_RUNS = {
+    "table5": ["--kinds", "xgb,random_forest,knn"],
+    "table7": ["--kinds", "knn,xgb,decision_tree", "--max-features", "1500"],
+}
+
+
+def _usable_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable to this process; None: the platform has no
+    ``sched_getaffinity``."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("table", sorted(REPRODUCE_RUNS))
+def test_reproduce_reports_do_not_depend_on_the_usable_cpus(workspace, monkeypatch, table):
+    """One usable CPU trains the kinds in this process, two in forked
+    processes: the reports are the same bytes."""
+    from dupliq import learn
+
+    tmp, tsv, glove = workspace
+    fit = learn.train
+
+    def spy_train(spec, X, y):
+        (tmp / f"{spec.kind}.pid").write_text(str(os.getpid()))
+        return fit(spec, X, y)
+
+    monkeypatch.setattr(learn, "train", spy_train)
+    kinds = REPRODUCE_RUNS[table][1].split(",")
+    reports = {}
+    for cpus in (None, 1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        reports[cpus] = tmp / f"{table}-{cpus}.json"
+        assert run([
+            "reproduce", table, "--tsv", tsv, "--glove", glove, "--sample", "60", "--seed", "2",
+            *REPRODUCE_RUNS[table], "--report", reports[cpus],
+        ]) == 0
+        pids = {int((tmp / f"{kind}.pid").read_text()) for kind in kinds}
+        if cpus == 2:
+            assert os.getpid() not in pids, pids
+        else:
+            assert pids == {os.getpid()}, (cpus, pids)
+        for kind in kinds:
+            (tmp / f"{kind}.pid").unlink()
+    assert reports[None].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "fault, code, message",
+    [
+        ("value_error", 1, "error: xgb cannot train on this"),
+        ("process_exit", 2, "i/o error: a training process died: "),
+        ("fork_fails", 2, "i/o error: could not start a training process: "),
+    ],
+)
+def test_reproduce_training_process_faults(workspace, monkeypatch, capsys, fault, code, message):
+    """A kind that raises exits 1 with its message; a training process that
+    dies, or that cannot start after another one did, exits 2.  Either way
+    no traceback is printed and no training process is left running."""
+    from dupliq import learn
+
+    tmp, tsv, glove = workspace
+    fit, fork, here = learn.train, os.fork, os.getpid()
+    forks = []
+
+    def train(spec, X, y):
+        if spec.kind == "xgb":
+            if fault == "value_error":
+                raise ValueError("xgb cannot train on this")
+            assert os.getpid() != here, "xgb trained in the test process"
+            os._exit(3)
+        return fit(spec, X, y)
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(fork())
+        return forks[-1]
+
+    _usable_cpus(monkeypatch, 2)
+    if fault == "fork_fails":
+        monkeypatch.setattr(os, "fork", fork_once)
+    else:
+        monkeypatch.setattr(learn, "train", train)
+    capsys.readouterr()
+    assert run([
+        "reproduce", "table5", "--tsv", tsv, "--glove", glove, "--sample", "60", "--seed", "2",
+        "--kinds", "knn,xgb,decision_tree", "--report", tmp / "r.json",
+    ]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert len(forks) == (fault == "fork_fails")
+    assert multiprocessing.active_children() == []
+    assert not (tmp / "r.json").exists()
 
 
 def test_config_file_defaults_with_flag_override(workspace):
@@ -993,6 +1094,24 @@ def test_feature_file_with_a_bad_label_or_value_is_named(workspace, capsys, cell
         assert f"{bad}: {named}" in err, err
 
 
+def test_knn_overflowing_input_is_named_on_eval_and_importance(workspace, capsys):
+    tmp, tsv, glove = workspace
+    features = tmp / "features.csv"
+    run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
+    model = tmp / "knn.json"
+    assert run(["train", "--model", "knn", "--features", features, "-o", model, "--report", tmp / "t.json"]) == 0
+    lines = features.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[0] = "1e308"
+    big = tmp / "big.csv"
+    big.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    for command in ("eval", "importance"):
+        capsys.readouterr()
+        assert run([command, "--model", model, "--features", big, "--report", tmp / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"{big}: input features exceed " in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("how", ["truncated", "empty", "byte_flipped"])
 @pytest.mark.parametrize("flag", ["--config", "--spec"])
 def test_damaged_config_or_grid_spec_is_named(workspace, capsys, how, flag):
@@ -1054,6 +1173,22 @@ def test_cli_import_leaves_out_scipy_optimize():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # reproduce imports it when it trains in parallel: it would add to the
+    # start-up of every command
+    import dupliq
+
+    code = (
+        "import sys, dupliq.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dupliq.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_text_files_are_read_as_utf8_whatever_the_locale(workspace):
