@@ -7,7 +7,9 @@ timestamps, so a rerun with the same seed is byte-identical.
 
 ``reproduce`` trains its classifiers side by side, one process per usable
 CPU, and its reports are the same bytes as when they train one after
-another.
+another.  With two usable CPUs or more, ``nn-train`` and ``nn-gradcheck``
+run a network's two LSTM recurrences side by side on two threads, and the
+weights they write are the same bytes.
 
 Exit codes: 0 success, 1 contract error (bad flags, bad data rows,
 validation failures), 2 I/O error (missing or unreadable files) or a
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ import scipy.sparse as sp
 
 from . import __version__, corpus, embed, featmat, sparse_io, tfidf
 from . import learn as learn_mod
+from ._cpus import usable_cpus
 from ._files import read_json
 from .embed import EmbeddingTable, load_glove_text, load_word2vec_binary
 from .learn import ClassifierSpec
@@ -614,8 +616,7 @@ def _run_kinds(kinds, X_train, y_train, X_test, y_test, seed):
     every kind is seeded on its own, so the metrics are those of training
     them one after another."""
     data = (X_train, y_train, X_test, y_test, seed)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(kinds), cpus)
+    workers = min(len(kinds), usable_cpus())
     if workers < 2:
         return [(kind, _train_and_evaluate(kind, *data)) for kind in kinds]
     # imported here, so that the commands that train nothing do not load

@@ -195,6 +195,11 @@ class LSTM(Layer):
     It takes token ids: every step's input projection comes from its
     ``embedding`` by ``Embedding.project``, whose table width is the input
     width.  The table is its first parameter, and backward returns None.
+
+    Forward is ``begin`` then ``recur``, and backward ``recur_backward``
+    then ``project_backward``.  The two loops draw no random numbers and
+    allocate nothing of the batch's size times its steps, so a network can
+    run them on another thread while its own thread does the rest.
     """
 
     def __init__(
@@ -223,17 +228,30 @@ class LSTM(Layer):
         self.b = Param(f"{name}.b", bias)
 
     def forward(self, x, mode):
+        self.begin(x, mode)
+        return self.recur()
+
+    def begin(self, x, mode):
+        """The part of ``forward`` before the loop: draw the recurrent
+        dropout mask, project every step's input at once and make the
+        loop's buffers."""
         batch, steps = x.shape[:2]
         u = self.units
         if mode == "train" and self.recurrent_dropout > 0.0:
             keep = 1.0 - self.recurrent_dropout
-            mask = (self.dropout_rng.random((batch, u)) < keep) / keep
+            self._mask = (self.dropout_rng.random((batch, u)) < keep) / keep
         else:
-            mask = np.ones((batch, u))
-        # every step's input projection at once; the loop adds the recurrent term
-        gates = self.embedding.project(x, self.w.value, self.b.value)
-        hp = np.zeros((batch, steps, u))  # masked hidden state entering each step
-        cs = np.zeros((batch, steps + 1, u))  # cell state, c_0 = 0 first
+            self._mask = np.ones((batch, u))
+        self._gates = self.embedding.project(x, self.w.value, self.b.value)
+        self._hp = np.zeros((batch, steps, u))  # masked hidden state entering each step
+        self._cs = np.zeros((batch, steps + 1, u))  # cell state, c_0 = 0 first
+
+    def recur(self):
+        """The loop of ``forward`` after ``begin``, adding the recurrent
+        term to each step's gates: the last hidden state.  It touches no
+        random generator and makes no array of the batch times its steps."""
+        gates, hp, cs, mask = self._gates, self._hp, self._cs, self._mask
+        batch, steps, u = hp.shape
         h = np.zeros((batch, u))
         for t in range(steps):
             np.multiply(h, mask, out=hp[:, t])
@@ -245,10 +263,18 @@ class LSTM(Layer):
             i, f, g, o = z[:, :u], z[:, u : 2 * u], z[:, 2 * u : 3 * u], z[:, 3 * u :]
             cs[:, t + 1] = f * cs[:, t] + i * g
             h = o * np.tanh(cs[:, t + 1])
-        self._hp, self._gates, self._cs, self._mask = hp, gates, cs, mask
         return h
 
     def backward(self, grad):
+        self.recur_backward(grad, np.empty_like(self.u.grad))
+        self.project_backward()
+        return None
+
+    def recur_backward(self, grad, u_grad: np.ndarray):
+        """The backward loop and the gradients of ``u`` and ``b``;
+        ``u_grad``, shaped like ``u``, receives this pass's share of
+        ``u``'s gradient before it is added.  Like ``recur``, it makes no
+        array of the batch times its steps."""
         gates, cs = self._gates, self._cs
         batch, steps, u = self._hp.shape
         dh = grad
@@ -268,10 +294,14 @@ class LSTM(Layer):
             np.concatenate(dz, axis=1, out=z)
             dh = (z @ self.u.value.T) * self._mask
         flat = gates.reshape(batch * steps, -1)
-        self.u.grad += self._hp.reshape(batch * steps, -1).T @ flat
+        self.u.grad += np.matmul(self._hp.reshape(batch * steps, -1).T, flat, out=u_grad)
         self.b.grad += flat.sum(axis=0)
+
+    def project_backward(self):
+        """The gradient of ``w`` (and of a trainable table) from the gates'
+        gradients ``recur_backward`` left in place."""
+        flat = self._gates.reshape(-1, 4 * self.units)
         self.w.grad += self.embedding.project_backward(flat, self.w.value)
-        return None
 
     def params(self):
         return self.embedding.params() + [self.w, self.u, self.b]

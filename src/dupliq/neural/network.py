@@ -7,16 +7,27 @@ exactly two index tensors regardless of how many branches an architecture
 declares (2, 4, or 6).  :func:`build_architecture` alone decides a
 network's shape; the frozen pre-trained rows reach it as one array, so this
 package reads no embedding files.
+
+Every architecture reads the questions through two LSTM branches first.
+With more than one usable CPU, ``forward`` and ``backward`` run the first
+LSTM's loops on a helper thread while the calling thread runs the other
+branches; numpy's products release the interpreter lock, so the two
+recurrences overlap.  Every random draw stays on the calling thread in
+branch order, and each branch adds into its own gradients only, so the
+weights are those of running the branches one after another, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .._cpus import usable_cpus
 from .._files import read_document
 from .layers import (
     LSTM,
@@ -93,12 +104,25 @@ class Network:
                     f"{name} input must be (batch, {self.seq_len}), got {x.shape}"
                 )
         inputs = (x1, x2)
-        outputs = []
-        for i, branch in enumerate(self.branches):
-            h = inputs[i % 2]
-            for layer in branch:
-                h = layer.forward(h, mode)
-            outputs.append(h)
+        outputs: list = [None] * len(self.branches)
+
+        def run(indices):
+            for i in indices:
+                h = inputs[i % 2]
+                for layer in self.branches[i]:
+                    h = layer.forward(h, mode)
+                outputs[i] = h
+
+        side = self._side_lstm()
+        if side is None:
+            run(range(len(self.branches)))
+        else:
+            side.begin(x1, mode)
+
+            def recur():
+                outputs[0] = side.recur()
+
+            _beside(recur, lambda: run(range(1, len(self.branches))))
         self._merge_widths = [o.shape[1] for o in outputs]
         h = np.concatenate(outputs, axis=1)
         for layer in self.head:
@@ -111,10 +135,66 @@ class Network:
         for layer in reversed(self.head):
             g = layer.backward(g)
         offsets = np.cumsum([0] + self._merge_widths)
-        for branch, start, end in zip(self.branches, offsets[:-1], offsets[1:]):
-            gb = g[:, start:end]
-            for layer in reversed(branch):
-                gb = layer.backward(gb)
+        grads = [g[:, start:end] for start, end in zip(offsets[:-1], offsets[1:])]
+
+        def run(indices):
+            for i in indices:
+                gb = grads[i]
+                for layer in reversed(self.branches[i]):
+                    gb = layer.backward(gb)
+
+        side = self._side_lstm()
+        if side is None:
+            run(range(len(self.branches)))
+        else:
+            u_grad = np.empty_like(side.u.grad)
+            _beside(
+                lambda: side.recur_backward(grads[0], u_grad),
+                lambda: run(range(1, len(self.branches))),
+            )
+            side.project_backward()
+
+    def _side_lstm(self) -> LSTM | None:
+        """The first branch's LSTM when its loops are to run on a helper
+        thread: with more than one usable CPU and the first two branches
+        each a lone LSTM, so that the caller has the second one's loops to
+        run meanwhile."""
+        lstm_pair = len(self.branches) >= 2 and all(
+            len(b) == 1 and isinstance(b[0], LSTM) for b in self.branches[:2]
+        )
+        if not lstm_pair or usable_cpus() < 2:
+            return None
+        return self.branches[0][0]
+
+
+def _beside(side, main) -> None:
+    """Run ``side()`` on a helper thread while this thread runs ``main()``.
+
+    The helper runs in a copy of this thread's context, so ``np.errstate``
+    reaches it.  It is joined before this returns or raises, and an
+    exception it raised is raised here unless ``main()`` raised first.
+    """
+    failed: list[BaseException] = []
+
+    def guarded():
+        try:
+            side()
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(guarded,))
+    try:
+        helper.start()
+    except RuntimeError:  # no thread to be had: one after the other
+        side()
+        main()
+        return
+    try:
+        main()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 def build_architecture(

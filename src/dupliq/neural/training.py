@@ -97,7 +97,12 @@ def train_network(
     y: np.ndarray,
     config: TrainConfig | None = None,
 ) -> History:
-    """Minimize binary cross-entropy with Adam; per-epoch loss/accuracy."""
+    """Minimize binary cross-entropy with Adam; per-epoch loss/accuracy.
+
+    A diverging run overflows before its loss turns non-finite, so the steps
+    run with numpy's overflow and invalid-value warnings off: the loss check
+    names the failure once, as a ValueError.
+    """
     config = config or TrainConfig()
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
@@ -106,26 +111,27 @@ def train_network(
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(net.parameters(), config)
     history = History()
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        correct = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            net.zero_grads()
-            p = net.forward(x1[idx], x2[idx], mode="train")
-            loss, dp = bce_loss(p, y[idx])
-            if not np.isfinite(loss):
-                raise ValueError(
-                    f"loss became non-finite at epoch {epoch}, batch {start // config.batch_size}: "
-                    f"p range [{p.min()}, {p.max()}]"
-                )
-            net.backward(dp)
-            optimizer.step()
-            epoch_loss += loss * len(idx)
-            correct += int(((p >= 0.5) == (y[idx] == 1)).sum())
-        history.loss.append(epoch_loss / n)
-        history.accuracy.append(correct / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            correct = 0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                net.zero_grads()
+                p = net.forward(x1[idx], x2[idx], mode="train")
+                loss, dp = bce_loss(p, y[idx])
+                if not np.isfinite(loss):
+                    raise ValueError(
+                        f"loss became non-finite at epoch {epoch}, batch {start // config.batch_size}: "
+                        f"p range [{p.min()}, {p.max()}]"
+                    )
+                net.backward(dp)
+                optimizer.step()
+                epoch_loss += loss * len(idx)
+                correct += int(((p >= 0.5) == (y[idx] == 1)).sum())
+            history.loss.append(epoch_loss / n)
+            history.accuracy.append(correct / n)
     return history
 
 

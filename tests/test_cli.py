@@ -937,14 +937,29 @@ def test_nn_train_learning_rate_not_finite_or_diverging_exit_code_1(workspace, c
         "nn-train", "--arch", "1", "--toy", "--samples", "40", "--epochs", "3",
         "--batch-size", "10", "--learning-rate", rate, "-o", tmp / "net", "--report", tmp / "r.json",
     ]
-    with warnings.catch_warnings():
-        # the overflows on the way to a non-finite loss warn; the command
-        # line shows the warnings, then the error
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert run(argv) == 1
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err, err
     assert not (tmp / "r.json").exists() and not (tmp / "net.json").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_diverging_nn_train_prints_its_error_alone(workspace, monkeypatch, capsys, cpus):
+    """The overflows on the way to a non-finite loss do not warn, on the
+    helper thread of two usable CPUs either: stderr is the error line."""
+    tmp, _, _ = workspace
+    _usable_cpus(monkeypatch, cpus)
+    argv = [
+        "nn-train", "--arch", "1", "--toy", "--samples", "40", "--epochs", "3",
+        "--batch-size", "10", "--learning-rate", "1e308", "-o", tmp / "net",
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss became non-finite at epoch 0, batch 1: "), err
+    assert err.count("\n") == 1, err
 
 
 def test_no_option_but_seed_and_arch_takes_any_int():

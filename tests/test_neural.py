@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -733,6 +735,141 @@ def test_neural_does_not_import_embed():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+# ------------------------------------------------ LSTM branches side by side
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("arch", [1, 2, 3, 4])
+def test_training_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, arch):
+    """With two usable CPUs the first LSTM recurs on a helper thread: the
+    weights, manifests and history are those of one CPU, byte for byte."""
+    histories, files = {}, {}
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        net = toy_net(arch, seed=7)
+        assert net.dims["dropout"] > 0.0
+        x1, x2, y = make_toy_pairs(24, vocab_size=net.vocab_size, seq_len=net.seq_len, seed=3)
+        histories[cpus] = train_network(net, x1, x2, y, TrainConfig(epochs=2, batch_size=8, seed=4))
+        save_network(net, tmp_path / f"net{cpus}")
+        files[cpus] = [(tmp_path / f"net{cpus}{ext}").read_bytes() for ext in (".bin", ".json")]
+    assert histories[1] == histories[2]
+    assert files[1] == files[2]
+
+
+def _spy_on_recurrences(monkeypatch):
+    """Record which thread runs each step of each LSTM, and count the
+    threads started."""
+    ran, started = [], []
+    for name in ("begin", "recur", "recur_backward", "project_backward"):
+        original = getattr(LSTM, name)
+
+        def spy(self, *args, _original=original, _name=name):
+            ran.append((self.u.name, _name, threading.get_ident()))
+            return _original(self, *args)
+
+        monkeypatch.setattr(LSTM, name, spy)
+    start = threading.Thread.start
+
+    def spy_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    return ran, started
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_lstm_recurs_on_a_helper_thread_only_with_two_cpus(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    net = toy_net(2)
+    x1, x2, y = toy_batch(net)
+    ran, started = _spy_on_recurrences(monkeypatch)
+    net.backward(bce_loss(net.forward(x1, x2, mode="train"), y)[1])
+    main = threading.main_thread().ident
+    # the dropout masks are drawn, and the embeddings read, on this thread
+    steps = ("begin", "recur", "recur_backward", "project_backward")
+    assert sorted((name, step) for name, step, _ in ran) == sorted(
+        (f"branch{i}.lstm.u", step) for i in (0, 1) for step in steps
+    )
+    off_main = sorted((name, step) for name, step, ident in ran if ident != main)
+    if cpus == 1:
+        assert off_main == [] and started == []
+    else:
+        assert off_main == [("branch0.lstm.u", "recur"), ("branch0.lstm.u", "recur_backward")]
+        assert len(started) == 2
+
+
+class HelperFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("step", ["recur", "recur_backward"])
+def test_a_fault_on_the_helper_is_raised_by_the_caller(monkeypatch, step):
+    _usable_cpus(monkeypatch, 2)
+    net = toy_net(1)
+    x1, x2, y = toy_batch(net)
+    threads = threading.active_count()
+    original = getattr(LSTM, step)
+
+    def faulty(self, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise HelperFault(step)
+        return original(self, *args)
+
+    if step == "recur_backward":
+        dp = bce_loss(net.forward(x1, x2, mode="train"), y)[1]
+    monkeypatch.setattr(LSTM, step, faulty)
+    with pytest.raises(HelperFault, match=step):
+        if step == "recur":
+            net.forward(x1, x2, mode="train")
+        else:
+            net.backward(dp)
+    assert threading.active_count() == threads
+
+
+def test_a_warning_on_the_helper_meets_the_callers_warning_filter(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    net = toy_net(1)
+    x1, x2, _ = toy_batch(net)
+    threads = threading.active_count()
+    recur = LSTM.recur
+
+    def overflowing(self):
+        if threading.current_thread() is not threading.main_thread():
+            np.exp(np.array([1e3]))
+        return recur(self)
+
+    monkeypatch.setattr(LSTM, "recur", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            net.forward(x1, x2, mode="infer")
+        with np.errstate(over="ignore"):  # the helper runs in the caller's context
+            net.forward(x1, x2, mode="infer")
+    assert threading.active_count() == threads
+
+
+def test_a_helper_that_cannot_start_leaves_the_branches_in_order(monkeypatch):
+    def one_step():
+        net = toy_net(3)
+        x1, x2, y = toy_batch(net)
+        prob = net.forward(x1, x2, mode="train")
+        net.backward(bce_loss(prob, y)[1])
+        return [prob] + [p.grad for p in net.parameters()]
+
+    def no_thread(thread):
+        raise RuntimeError("can't start new thread")
+
+    _usable_cpus(monkeypatch, 1)
+    alone = one_step()
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for one, two in zip(alone, one_step(), strict=True):
+        np.testing.assert_array_equal(one, two)
 
 
 # ---------------------------------------------------------------- encoding
