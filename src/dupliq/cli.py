@@ -5,15 +5,17 @@ Every subcommand prints a human-readable summary and writes a JSON report
 package version and the fully resolved configuration and contain no
 timestamps, so a rerun with the same seed is byte-identical.
 
-``reproduce`` trains its classifiers side by side, one process per usable
-CPU, and its reports are the same bytes as when they train one after
-another.  With two usable CPUs or more, ``nn-train`` and ``nn-gradcheck``
-run a network's two LSTM recurrences side by side on two threads, and the
-weights they write are the same bytes.
+With two usable CPUs or more, work runs side by side, and every output is
+the same bytes as with one.  ``featurize`` and ``reproduce table5|6``
+featurize each table of at least ``featmat.ARRAY_BLOCK`` pairs in two
+processes: a forked one computes the text columns while the caller
+computes the vector columns.  ``reproduce`` trains its classifiers in
+forked processes, one per usable CPU.  ``nn-train`` and ``nn-gradcheck``
+run a network's two LSTM recurrences on two threads.
 
 Exit codes: 0 success, 1 contract error (bad flags, bad data rows,
 validation failures), 2 I/O error (missing or unreadable files) or a
-training process that could not start or died.
+featurizing or training process that could not start or died.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import scipy.sparse as sp
 
 from . import __version__, corpus, embed, featmat, sparse_io, tfidf
 from . import learn as learn_mod
-from ._cpus import usable_cpus
+from ._cpus import side_by_side
 from ._files import read_json
 from .embed import EmbeddingTable, load_glove_text, load_word2vec_binary
 from .learn import ClassifierSpec
@@ -615,35 +617,9 @@ def _run_kinds(kinds, X_train, y_train, X_test, y_test, seed):
     usable CPU the kinds train side by side, one forked process per CPU;
     every kind is seeded on its own, so the metrics are those of training
     them one after another."""
-    data = (X_train, y_train, X_test, y_test, seed)
-    workers = min(len(kinds), usable_cpus())
-    if workers < 2:
-        return [(kind, _train_and_evaluate(kind, *data)) for kind in kinds]
-    # imported here, so that the commands that train nothing do not load
-    # the process pool at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork, not spawn: a child starts with numpy, scipy and dupliq already
-    # imported.  The pool forks all its workers before it starts its thread
-    started = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        try:
-            futures = [pool.submit(_train_and_evaluate, kind, *data) for kind in kinds]
-        except OSError as exc:
-            # the children forked before a fork that failed wait for work
-            # the pool never hands out
-            for child in set(multiprocessing.active_children()) - started:
-                child.terminate()
-                child.join()
-            raise ChildProcessError(f"could not start a training process: {exc}") from None
-        return [(kind, future.result()) for kind, future in zip(kinds, futures)]
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"a training process died: {exc}") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
+    tasks = [(kind, X_train, y_train, X_test, y_test, seed) for kind in kinds]
+    metrics, _ = side_by_side(_train_and_evaluate, tasks, "training")
+    return list(zip(kinds, metrics))
 
 
 def cmd_reproduce(args):
@@ -854,8 +830,9 @@ def build_parser(config_defaults: dict | None = None, config_path: str | None = 
         cmd_reproduce,
         help="run a full pipeline against reference values",
         description="Run a full pipeline against the paper's reference values.  The "
-        "classifiers train in parallel processes, one per usable CPU; the printed "
-        "tables and the report are the same as when they train one after another.",
+        "classifiers train in parallel processes, one per usable CPU, and each feature "
+        "table of table5|6 is computed in two; the printed tables and the report are "
+        "the same as when everything runs in one process.",
     )
     p.add_argument("table", choices=["table5", "table6", "table7"])
     p.add_argument("--tsv", required=True)

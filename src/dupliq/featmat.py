@@ -5,24 +5,31 @@ the CSV header; model files and golden tests depend on it.  The default
 drop list (``DEFAULT_DROP_LIST``) removes the eight lowest-importance
 columns, leaving the twenty retained by the reference study.
 
-The matrix is built column by column: one embedding bag per distinct
-question text (``embed.question_bag``), so a question that recurs across
-pairs is looked up once; one length pass, one fuzzy pass
-(``fuzzy.fuzzy_features``) and two transport solves per pair; and the seven
-distances and four moments as array ops over the stacked mean vectors
-(``embed.pair_distances``, ``embed.moments``).  A single row is the
-matrix of a one-pair table.
+The matrix is built column by column, in two families joined in
+``FEATURE_NAMES`` order.  The text columns take one length pass and one
+fuzzy pass (``fuzzy.fuzzy_features``) per pair.  The vector columns take one
+embedding bag per distinct question text (``embed.question_bag``), so a
+question that recurs across pairs is looked up once; two transport solves
+per pair; and the seven distances and four moments as array ops over the
+stacked mean vectors (``embed.pair_distances``, ``embed.moments``).  With
+more than one usable CPU, a table of at least ``ARRAY_BLOCK`` pairs has its
+text columns computed in a forked process while the caller computes the
+vector columns (``extract_matrix`` says why the caller keeps those); the
+matrix is the same bytes either way.  A single row is the matrix of a
+one-pair table, computed in the caller.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import embed, fuzzy, textops
+from ._cpus import side_by_side
 from ._files import named_faults
 from .corpus import PairTable, QuestionPair
 from .embed import EmbeddingTable
@@ -84,16 +91,57 @@ class FeatureMatrix:
 def extract_matrix(table: PairTable, embeddings: EmbeddingTable) -> FeatureMatrix:
     """Extract features for every pair; output order follows the table.
 
-    Each distinct question text gets one bag (``embed.question_bag``), held
-    only until the last pair that asks it, so the bags in memory are those
-    of questions still to come, not the table's.  The length, fuzzy and
-    transport columns are computed pair by pair; the distances (of a
-    block of pairs) and the moments (of a block of questions) are array ops
-    over the bags' mean vectors.
+    The text columns (length and fuzzy, ``_text_columns``) and the vector
+    columns (transport, distances and moments, ``_vector_columns``) are
+    computed apart and joined in ``FEATURE_NAMES`` order.  A table of at
+    least ``ARRAY_BLOCK`` pairs computes them side by side
+    (``_cpus.side_by_side``): with more than one usable CPU, a forked
+    process computes the text columns while this one computes the vector
+    columns.  This process keeps the vector columns because the transport
+    solves import ``scipy.optimize`` at their first solve: this process
+    pays that import once, while a forked child would pay it again for
+    every table, at about the cost of the columns it would take over.  A
+    smaller table, and so every ``extract_row``, is computed here without
+    asking for the usable CPUs: starting and joining a forked process costs
+    some milliseconds, several times a one-pair table's whole time.
     """
     pairs = table.rows
     if not pairs:
         return FeatureMatrix(list(FEATURE_NAMES), np.empty((0, len(FEATURE_NAMES))), table.labels)
+    if len(pairs) < ARRAY_BLOCK:
+        text, vectors = _text_columns(pairs), _vector_columns(pairs, embeddings)
+    else:
+        [text], vectors = side_by_side(
+            _text_columns, [(pairs,)], "featurizing", lambda: _vector_columns(pairs, embeddings)
+        )
+    return FeatureMatrix(
+        column_names=list(FEATURE_NAMES), rows=np.column_stack([text, vectors]), labels=table.labels
+    )
+
+
+def _text_columns(pairs: Sequence[QuestionPair]) -> np.ndarray:
+    """The length and fuzzy columns, pair by pair."""
+    rows = []
+    for p in pairs:
+        q1, q2 = p.question1, p.question2
+        basic, fz = textops.basic_features(q1, q2), fuzzy.fuzzy_features(q1, q2)
+        rows.append(
+            [getattr(basic, name) for name in BASIC_NAMES]
+            + [getattr(fz, name) for name in FUZZY_NAMES]
+        )
+    return np.array(rows, dtype=np.float64)
+
+
+def _vector_columns(pairs: Sequence[QuestionPair], embeddings: EmbeddingTable) -> np.ndarray:
+    """The two transport columns, the distances and the moments.
+
+    Each distinct question text gets one bag (``embed.question_bag``), held
+    only until the last pair that asks it, so the bags in memory are those
+    of questions still to come, not the table's.  The transport columns are
+    solved pair by pair; the distances (of a block of pairs) and the
+    moments (of a block of questions) are array ops over the bags' mean
+    vectors.
+    """
     index: dict[str, int] = {}
     last_use: dict[str, int] = {}
     for k, p in enumerate(pairs):
@@ -102,18 +150,15 @@ def extract_matrix(table: PairTable, embeddings: EmbeddingTable) -> FeatureMatri
             last_use[text] = k
     means = np.empty((len(index), embeddings.dim))
     bags: dict[str, embed.QuestionBag] = {}
-    per_pair = []
+    transport = []
     for k, p in enumerate(pairs):
         q1, q2 = p.question1, p.question2
         for text in (q1, q2):
             if text not in bags:
                 bags[text] = embed.question_bag(text, embeddings)
                 means[index[text]] = bags[text].mean
-        basic, fz = textops.basic_features(q1, q2), fuzzy.fuzzy_features(q1, q2)
-        per_pair.append(
-            [getattr(basic, name) for name in BASIC_NAMES]
-            + [getattr(fz, name) for name in FUZZY_NAMES]
-            + [embed.wmd(bags[q1], bags[q2]), embed.wmd(bags[q1], bags[q2], normalize_words=True)]
+        transport.append(
+            [embed.wmd(bags[q1], bags[q2]), embed.wmd(bags[q1], bags[q2], normalize_words=True)]
         )
         for text in (q1, q2):
             if last_use[text] == k:
@@ -127,9 +172,9 @@ def extract_matrix(table: PairTable, embeddings: EmbeddingTable) -> FeatureMatri
     ]
     moments = [embed.moments(means[s : s + ARRAY_BLOCK]) for s in range(0, len(means), ARRAY_BLOCK)]
     skew, kurtosis = (np.concatenate(m) for m in zip(*moments))
-    data = np.column_stack(
+    return np.column_stack(
         [
-            np.array(per_pair, dtype=np.float64),
+            np.array(transport, dtype=np.float64),
             np.vstack(distances),
             skew[first],
             skew[second],
@@ -137,7 +182,6 @@ def extract_matrix(table: PairTable, embeddings: EmbeddingTable) -> FeatureMatri
             kurtosis[second],
         ]
     )
-    return FeatureMatrix(column_names=list(FEATURE_NAMES), rows=data, labels=table.labels)
 
 
 def extract_row(pair: QuestionPair, table: EmbeddingTable) -> FeatureRow:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gzip
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from dupliq.cli import main
+from dupliq.featmat import ARRAY_BLOCK
 
 WORDS = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -764,8 +766,22 @@ def test_reproduce_table7_runs_both_analyzers(workspace):
     assert set(doc["results"]["results"]) == {"word", "char"}
 
 
+# A corpus whose tables, split in half, reach ARRAY_BLOCK pairs: from that
+# size a table is featurized in two processes when two CPUs are usable.
+# (The workspace's 80 rows, sampled to 60, stay under it.)
+SPLIT_ROWS = 2 * ARRAY_BLOCK + 32
+
+
+@pytest.fixture
+def split_workspace(workspace):
+    tmp, tsv, glove = workspace
+    write_corpus(tsv, n=SPLIT_ROWS)
+    return workspace
+
+
 REPRODUCE_RUNS = {
     "table5": ["--kinds", "xgb,random_forest,knn"],
+    "table6": ["--kinds", "xgb,random_forest,knn"],
     "table7": ["--kinds", "knn,xgb,decision_tree", "--max-features", "1500"],
 }
 
@@ -779,13 +795,34 @@ def _usable_cpus(monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-@pytest.mark.parametrize("table", sorted(REPRODUCE_RUNS))
-def test_reproduce_reports_do_not_depend_on_the_usable_cpus(workspace, monkeypatch, table):
-    """One usable CPU trains the kinds in this process, two in forked
-    processes: the reports are the same bytes."""
-    from dupliq import learn
+def _caller_pids(monkeypatch, module, name, path):
+    """Make ``module.name`` append the id of the process that calls it to
+    ``path``, forked processes included; returns a function that gives, and
+    forgets, the ids of the callers so far."""
+    real = getattr(module, name)
 
-    tmp, tsv, glove = workspace
+    def spy(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    def callers():
+        pids = {int(line) for line in path.read_text().split()} if path.exists() else set()
+        path.unlink(missing_ok=True)
+        return pids
+
+    monkeypatch.setattr(module, name, spy)
+    return callers
+
+
+@pytest.mark.parametrize("table", sorted(REPRODUCE_RUNS))
+def test_reproduce_reports_do_not_depend_on_the_usable_cpus(split_workspace, monkeypatch, table):
+    """One usable CPU featurizes and trains in this process; two featurize
+    each table's text columns and train the kinds in forked processes: the
+    reports are the same bytes."""
+    from dupliq import fuzzy, learn
+
+    tmp, tsv, glove = split_workspace
     fit = learn.train
 
     def spy_train(spec, X, y):
@@ -793,13 +830,14 @@ def test_reproduce_reports_do_not_depend_on_the_usable_cpus(workspace, monkeypat
         return fit(spec, X, y)
 
     monkeypatch.setattr(learn, "train", spy_train)
+    featurizers = _caller_pids(monkeypatch, fuzzy, "fuzzy_features", tmp / "fuzzy.pids")
     kinds = REPRODUCE_RUNS[table][1].split(",")
     reports = {}
     for cpus in (None, 1, 2):
         _usable_cpus(monkeypatch, cpus)
         reports[cpus] = tmp / f"{table}-{cpus}.json"
         assert run([
-            "reproduce", table, "--tsv", tsv, "--glove", glove, "--sample", "60", "--seed", "2",
+            "reproduce", table, "--tsv", tsv, "--glove", glove, "--test", "0.5", "--seed", "2",
             *REPRODUCE_RUNS[table], "--report", reports[cpus],
         ]) == 0
         pids = {int((tmp / f"{kind}.pid").read_text()) for kind in kinds}
@@ -807,10 +845,91 @@ def test_reproduce_reports_do_not_depend_on_the_usable_cpus(workspace, monkeypat
             assert os.getpid() not in pids, pids
         else:
             assert pids == {os.getpid()}, (cpus, pids)
+        # with two CPUs the train and the test table each fork their own
+        fuzzy_pids = featurizers()
+        if table == "table7":
+            assert fuzzy_pids == set()
+        elif cpus == 2:
+            assert len(fuzzy_pids) == 2 and os.getpid() not in fuzzy_pids, fuzzy_pids
+        else:
+            assert fuzzy_pids == {os.getpid()}, (cpus, fuzzy_pids)
         for kind in kinds:
             (tmp / f"{kind}.pid").unlink()
+    doc = json.loads(reports[2].read_text())["results"]
+    assert min(doc["train_rows"], doc["test_rows"]) >= ARRAY_BLOCK, doc
     assert reports[None].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
     assert multiprocessing.active_children() == []
+
+
+# sha256 of the matrix featurize writes for the split workspace, as it was
+# when every column was computed in one process.  Like the golden model
+# hashes it also pins numpy's and scipy's float arithmetic.
+FEATURIZE_SHA256 = "252170b9714f79ae959fb861dbb86858fca60a1704b16d726a680ce764f277db"
+
+
+def test_featurize_matrix_does_not_depend_on_the_usable_cpus(split_workspace, monkeypatch):
+    from dupliq import fuzzy
+
+    tmp, tsv, glove = split_workspace
+    featurizers = _caller_pids(monkeypatch, fuzzy, "fuzzy_features", tmp / "fuzzy.pids")
+    for cpus in (None, 1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp / f"f-{cpus}.csv"
+        assert run(["featurize", tsv, "--glove", glove, "-o", out, "--report", tmp / "f.json"]) == 0
+        assert json.loads((tmp / "f.json").read_text())["results"]["rows"] == SPLIT_ROWS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FEATURIZE_SHA256, cpus
+        fuzzy_pids = featurizers()
+        assert len(fuzzy_pids) == 1 and (os.getpid() in fuzzy_pids) == (cpus != 2), (cpus, fuzzy_pids)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["featurize", "reproduce"])
+@pytest.mark.parametrize(
+    "fault, code, message",
+    [
+        ("value_error", 1, "error: fuzzy cannot score this"),
+        ("process_exit", 2, "i/o error: a featurizing process died: "),
+        ("fork_fails", 2, "i/o error: could not start a featurizing process: "),
+    ],
+)
+def test_featurizing_process_faults(split_workspace, monkeypatch, capsys, command, fault, code, message):
+    """A fuzzy column that raises in the featurizing process exits 1 with
+    its message; a featurizing process that dies or cannot start exits 2.
+    Either way one error line is printed, with no traceback, no process is
+    left running, and nothing is written."""
+    from dupliq import fuzzy
+
+    tmp, tsv, glove = split_workspace
+    score, here = fuzzy.fuzzy_features, os.getpid()
+
+    def fuzzy_features(q1, q2):
+        if os.getpid() != here:
+            if fault == "value_error":
+                raise ValueError("fuzzy cannot score this")
+            os._exit(3)
+        return score(q1, q2)
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _usable_cpus(monkeypatch, 2)
+    if fault == "fork_fails":
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        monkeypatch.setattr(fuzzy, "fuzzy_features", fuzzy_features)
+    out = tmp / "out.csv"
+    argv = {
+        "featurize": ["featurize", tsv, "--glove", glove, "-o", out],
+        "reproduce": ["reproduce", "table5", "--tsv", tsv, "--glove", glove, "--test", "0.5",
+                      "--kinds", "knn,xgb"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + ["--report", tmp / "r.json"]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert err.count("error: ") == 1, err
+    assert multiprocessing.active_children() == []
+    assert not (tmp / "r.json").exists() and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1191,12 +1310,12 @@ def test_cli_import_leaves_out_scipy_optimize():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # reproduce imports it when it trains in parallel: it would add to the
+    # reproduce and featurize import it when they fork: it would add to the
     # start-up of every command
     import dupliq
 
     code = (
-        "import sys, dupliq.cli; "
+        "import sys, dupliq.cli, dupliq.featmat; "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dupliq.__file__).parents[1])}

@@ -1,3 +1,4 @@
+import os
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dupliq import embed, featmat, fuzzy, textops
+from dupliq._cpus import side_by_side
 from dupliq.corpus import PairTable, QuestionPair
 from dupliq.featmat import (
     DEFAULT_DROP_LIST,
@@ -116,6 +118,31 @@ def test_extract_matrix_order(word_table):
     assert np.array_equal(m.labels, np.array([1, 0, 1]))
 
 
+def test_only_tables_of_array_block_pairs_reach_the_fork_helper(word_table, monkeypatch):
+    """A fork costs several times a one-pair table's whole time: a single
+    row, and any table under ARRAY_BLOCK pairs, is computed in this process
+    without even asking for the usable CPUs, which are two here."""
+    calls = []
+
+    def affinity(pid):
+        calls.append("affinity")
+        return {0, 1}
+
+    def helper(*args):
+        calls.append("helper")
+        return side_by_side(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
+    monkeypatch.setattr(featmat, "side_by_side", helper)
+    p = pair("how to learn python", "learn python how")
+    extract_row(p, word_table)
+    small = extract_matrix(PairTable((p,) * (featmat.ARRAY_BLOCK - 1)), word_table)
+    assert calls == []
+    large = extract_matrix(PairTable((p,) * featmat.ARRAY_BLOCK), word_table)
+    assert calls == ["helper", "affinity"]
+    assert large.rows.tobytes() == np.vstack([small.rows, small.rows[:1]]).tobytes()
+
+
 # a small pool of questions, so tables repeat questions and pair a question
 # with itself; "zzz qqq" and stop words alone have no word in the table
 POOL_WORDS = ["learn", "python", "Python", "code", "best", "way", "the", "to", "how", "zzz", "qqq"]
@@ -124,22 +151,38 @@ QUESTIONS = st.lists(
     min_size=1,
     max_size=4,
 )
-SLOTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)), max_size=6)
+# ARRAY_BLOCK for the property test: a table of BLOCK pairs or more is
+# featurized in two processes when two CPUs are usable, and one of more
+# than BLOCK pairs takes two blocks of distances
+BLOCK = 4
+SLOTS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)), max_size=2 * BLOCK
+)
+
+
+def _usable_cpus(cpus):
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True)
 
 
 # the fixture is read, never changed, so sharing it across examples is safe
+@pytest.mark.parametrize("cpus", [1, 2])
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
 @given(QUESTIONS, SLOTS)
 @example(["zzz qqq"], [])
 @example(["how to learn python"], [(0, 0, 1)])
+@example(["the way", "zzz qqq", "learn code"], [(0, 1, 0), (1, 1, 1), (2, 0, 0)])
 @example(["the way", "zzz qqq", "learn code"], [(0, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 1)])
-def test_extract_matrix_matches_per_pair_oracles(word_table, questions, slots):
+@example(["learn python", "the", "code code"], [(a % 3, (a + 1) % 3, a % 2) for a in range(2 * BLOCK)])
+def test_extract_matrix_matches_per_pair_oracles(word_table, cpus, questions, slots):
     rows = tuple(
         pair(questions[a % len(questions)], questions[b % len(questions)], label, i)
         for i, (a, b, label) in enumerate(slots)
     )
-    with mock.patch.object(featmat, "ARRAY_BLOCK", 4):  # tables of 5 or 6 pairs take two blocks
-        m = extract_matrix(PairTable(rows), word_table)
+    with mock.patch.object(featmat, "ARRAY_BLOCK", BLOCK):
+        with _usable_cpus(cpus):
+            m = extract_matrix(PairTable(rows), word_table)
+        with _usable_cpus(1):
+            assert m.rows.tobytes() == extract_matrix(PairTable(rows), word_table).rows.tobytes()
     assert m.rows.shape == (len(rows), len(FEATURE_NAMES))
     assert m.labels.tolist() == [p.is_duplicate for p in rows]
     col = {name: j for j, name in enumerate(FEATURE_NAMES)}
