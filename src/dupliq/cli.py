@@ -1,9 +1,11 @@
 """The ``dupliq`` command line: the full pipeline as subcommands.
 
-Every subcommand prints a human-readable summary and writes a JSON report
-(``--report``, defaulting next to the primary output).  Reports carry the
-package version and the fully resolved configuration and contain no
-timestamps, so a rerun with the same seed is byte-identical.
+Every subcommand prints a human-readable summary and returns the results
+of its JSON report.  Once the command returns, ``main`` writes the report
+(``--report``, defaulting next to the primary output); a command that
+fails writes none.  Reports carry the package version and the fully
+resolved configuration and contain no timestamps, so a rerun with the
+same seed is byte-identical.
 
 With two usable CPUs or more, work runs side by side, and every output is
 the same bytes as with one.  ``featurize`` and ``reproduce table5|6``
@@ -13,9 +15,10 @@ computes the vector columns.  ``reproduce`` trains its classifiers in
 forked processes, one per usable CPU.  ``nn-train`` and ``nn-gradcheck``
 run a network's two LSTM recurrences on two threads.
 
-Exit codes: 0 success, 1 contract error (bad flags, bad data rows,
-validation failures), 2 I/O error (missing or unreadable files) or a
-featurizing or training process that could not start or died.
+``main`` maps every fault to an exit code and one ``error:`` line: 0
+success, 1 contract error (bad flags, bad data rows, validation failures),
+2 I/O error (missing or unreadable files) or a featurizing or training
+process that could not start or died.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ REFERENCE_RESULTS = {
     },
 }
 
-class CliError(Exception):
+class CliError(ValueError):
     """Contract violation surfaced to the user with exit code 1."""
 
 
@@ -136,7 +139,17 @@ def _json_ready(value):
     return value
 
 
-def _write_report(args, command: str, payload: dict) -> None:
+def _naming(path, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ValueError it raises re-raised as a
+    CliError naming the input file ``path``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _write_report(args, payload: dict) -> None:
+    command = f"reproduce-{args.table}" if args.command == "reproduce" else args.command
     report_path = getattr(args, "report", None)
     if report_path is None:
         primary = getattr(args, "output", None)
@@ -162,6 +175,8 @@ def _load_embeddings(args, vocab_filter=None) -> EmbeddingTable:
     if getattr(args, "glove", None) and getattr(args, "w2v", None):
         raise CliError("pass one embedding file: --glove or --w2v, not both")
     if getattr(args, "glove", None):
+        if getattr(args, "max_words", None) is not None:
+            raise CliError("--max-words caps --w2v only; it cannot apply to --glove")
         return load_glove_text(args.glove, vocab_filter=vocab_filter)
     if getattr(args, "w2v", None):
         return load_word2vec_binary(
@@ -229,8 +244,7 @@ def cmd_stats(args):
         histogram[count] = histogram.get(count, 0) + 1
     payload = {name.replace(" ", "_"): value for name, value in rows}
     payload["occurrence_histogram"] = {str(k): v for k, v in sorted(histogram.items())}
-    _write_report(args, "stats", payload)
-    return 0
+    return payload
 
 
 def cmd_clean(args):
@@ -239,12 +253,7 @@ def cmd_clean(args):
     corpus.save_pairs(cleaned, args.output)
     dropped = len(table) - len(cleaned)
     print(f"{len(table)} rows -> {len(cleaned)} rows ({dropped} dropped)")
-    _write_report(
-        args,
-        "clean",
-        {"rows_in": len(table), "rows_out": len(cleaned), "rows_dropped": dropped},
-    )
-    return 0
+    return {"rows_in": len(table), "rows_out": len(cleaned), "rows_dropped": dropped}
 
 
 def cmd_split(args):
@@ -262,8 +271,7 @@ def cmd_split(args):
         f"train {payload['train_rows']} rows ({payload['train_positive_rate']:.4f} positive), "
         f"test {payload['test_rows']} rows ({payload['test_positive_rate']:.4f} positive)"
     )
-    _write_report(args, "split", payload)
-    return 0
+    return payload
 
 
 def cmd_featurize(args):
@@ -278,16 +286,7 @@ def cmd_featurize(args):
         matrix = featmat.drop_features(matrix, featmat.DEFAULT_DROP_LIST)
     featmat.save_matrix(matrix, args.output)
     print(f"wrote {len(matrix)} rows x {len(matrix.column_names)} features")
-    _write_report(
-        args,
-        "featurize",
-        {
-            "rows": len(matrix),
-            "columns": matrix.column_names,
-            "rows_dropped_by_clean": dropped,
-        },
-    )
-    return 0
+    return {"rows": len(matrix), "columns": matrix.column_names, "rows_dropped_by_clean": dropped}
 
 
 def cmd_tfidf_fit(args):
@@ -303,12 +302,7 @@ def cmd_tfidf_fit(args):
     )
     tfidf.save_model(model, args.output)
     print(f"fitted {args.analyzer} vocabulary of {model.dim} terms from {len(docs)} texts")
-    _write_report(
-        args,
-        "tfidf-fit",
-        {"documents": len(docs), "vocabulary_size": model.dim},
-    )
-    return 0
+    return {"documents": len(docs), "vocabulary_size": model.dim}
 
 
 def _pair_vectors(model, table):
@@ -327,12 +321,7 @@ def cmd_tfidf_featurize(args):
         args.output, X, table.labels, column_names=tfidf.pair_column_names(model)
     )
     print(f"wrote {X.shape[0]} x {X.shape[1]} sparse pair vectors")
-    _write_report(
-        args,
-        "tfidf-featurize",
-        {"rows": X.shape[0], "width": X.shape[1], "nnz": int(X.nnz)},
-    )
-    return 0
+    return {"rows": X.shape[0], "width": X.shape[1], "nnz": int(X.nnz)}
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -355,19 +344,11 @@ def cmd_train(args):
     hp.setdefault("seed", args.seed)
     spec = ClassifierSpec(args.model, hp)
     spec.resolved()  # a fault in the hyperparameters is not the data's
-    try:
-        model = learn_mod.train(spec, X, y)
-    except ValueError as exc:
-        raise CliError(f"{data_path}: {exc}") from None
+    model = _naming(data_path, learn_mod.train, spec, X, y)
     learn_mod.save_model(model, args.output, column_names=names)
     metrics = learn_mod.evaluate(model, X, y)
     print(f"trained {args.model}: train accuracy {metrics.accuracy:.4f}")
-    _write_report(
-        args,
-        "train",
-        {"spec": spec.to_dict(), "train_metrics": metrics.as_dict()},
-    )
-    return 0
+    return {"spec": spec.to_dict(), "train_metrics": metrics.as_dict()}
 
 
 def _check_columns(args, model, names, data_path) -> None:
@@ -392,56 +373,41 @@ def cmd_eval(args):
     model = learn_mod.load_model(args.model)
     X, y, names, data_path = _load_features(args)
     _check_columns(args, model, names, data_path)
-    try:
-        metrics = learn_mod.evaluate(model, X, y)
-    except ValueError as exc:
-        raise CliError(f"{data_path}: {exc}") from None
+    metrics = _naming(data_path, learn_mod.evaluate, model, X, y)
     print(
         f"{model.kind}: accuracy {metrics.accuracy:.4f}  precision {metrics.precision:.4f}  "
         f"recall {metrics.recall:.4f}  f1 {metrics.f1:.4f}  log_loss {metrics.log_loss:.4f}"
     )
-    _write_report(args, "eval", {"kind": model.kind, "metrics": metrics.as_dict()})
-    return 0
+    return {"kind": model.kind, "metrics": metrics.as_dict()}
 
 
 def cmd_importance(args):
     model = learn_mod.load_model(args.model)
     X, y, names, data_path = _load_features(args)
     _check_columns(args, model, names, data_path)
-    try:
-        report = learn_mod.feature_importance(
-            model, X, y, feature_names=names, n_repeats=args.repeats, seed=args.seed
-        )
-    except ValueError as exc:
-        raise CliError(f"{data_path}: {exc}") from None
+    report = _naming(
+        data_path, learn_mod.feature_importance,
+        model, X, y, feature_names=names, n_repeats=args.repeats, seed=args.seed,
+    )
     print(f"method: {report.method}")
     for name, weight in report.ranked[: args.top]:
         print(f"{name:28s} {weight:.6f}")
-    _write_report(
-        args,
-        "importance",
-        {"method": report.method, "ranked": report.ranked},
-    )
-    return 0
+    return {"method": report.method, "ranked": report.ranked}
 
 
 def cmd_grid(args):
     entries = read_json(args.spec)
     if not isinstance(entries, list):
         raise CliError(f"{args.spec}: a grid spec is a JSON list of {{kind, hyperparameters}} objects")
-    try:
-        grid = [ClassifierSpec.from_dict(e) for e in entries]
-    except ValueError as exc:
-        raise CliError(f"{args.spec}: {exc}") from None
-    X, y, _names, _path = _load_features(args)
-    best, table = learn_mod.grid_search(
-        grid, X, y, val_fraction=args.val_fraction, seed=args.seed
+    grid = [_naming(args.spec, ClassifierSpec.from_dict, e) for e in entries]
+    X, y, _names, data_path = _load_features(args)
+    best, table = _naming(
+        data_path, learn_mod.grid_search, grid, X, y, val_fraction=args.val_fraction, seed=args.seed
     )
     for row in table:
         print(f"{row['spec']['kind']:14s} {row['spec']['hyperparameters']} -> {row['val_accuracy']:.4f}")
     print(f"best: {best.kind} {best.hyperparameters}")
-    _write_report(args, "grid", {"best": best.to_dict(), "table": table})
-    return 0
+    return {"best": best.to_dict(), "table": table}
 
 
 # ----------------------------------------------------------- neural cmds
@@ -517,17 +483,12 @@ def cmd_nn_build(args):
         f"architecture {args.arch}: {len(net.branches)} branches, "
         f"{net.num_params()} trainable parameters"
     )
-    _write_report(
-        args,
-        "nn-build",
-        {
-            "arch": args.arch,
-            "branches": len(net.branches),
-            "trainable_parameters": net.num_params(),
-            "total_parameters": net.num_params(trainable_only=False),
-        },
-    )
-    return 0
+    return {
+        "arch": args.arch,
+        "branches": len(net.branches),
+        "trainable_parameters": net.num_params(),
+        "total_parameters": net.num_params(trainable_only=False),
+    }
 
 
 def cmd_nn_train(args):
@@ -558,17 +519,12 @@ def cmd_nn_train(args):
         f"epoch {len(history.loss)}: loss {history.loss[-1]:.4f} "
         f"accuracy {history.accuracy[-1]:.4f}"
     )
-    _write_report(
-        args,
-        "nn-train",
-        {
-            "epochs": len(history.loss),
-            "loss": history.loss,
-            "accuracy": history.accuracy,
-            "final_accuracy": history.accuracy[-1],
-        },
-    )
-    return 0
+    return {
+        "epochs": len(history.loss),
+        "loss": history.loss,
+        "accuracy": history.accuracy,
+        "final_accuracy": history.accuracy[-1],
+    }
 
 
 def cmd_nn_gradcheck(args):
@@ -581,8 +537,7 @@ def cmd_nn_gradcheck(args):
     y = rng.integers(0, 2, size=args.batch_size).astype(float)
     worst = gradient_check(net, x1, x2, y, max_coords_per_param=args.coords, seed=args.seed)
     print(f"architecture {args.arch}: max relative gradient error {worst:.3e}")
-    _write_report(args, "nn-gradcheck", {"arch": args.arch, "max_relative_error": worst})
-    return 0
+    return {"arch": args.arch, "max_relative_error": worst}
 
 
 # ------------------------------------------------------------- reproduce
@@ -663,9 +618,7 @@ def cmd_reproduce(args):
             print(f"\n{analyzer}-level tf-idf")
             print(_metrics_table(rows, REFERENCE_RESULTS["table7"][analyzer]))
             payload["results"][analyzer] = {k: m.as_dict() for k, m in rows}
-
-    _write_report(args, f"reproduce-{args.table}", payload)
-    return 0
+    return payload
 
 
 # ------------------------------------------------------------------ main
@@ -872,11 +825,9 @@ def main(argv=None) -> int:
         for value in vars(args).values():
             if isinstance(value, CliError):
                 raise value
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (corpus.RowError, ValueError) as exc:
+        _write_report(args, args.func(args))
+        return 0
+    except ValueError as exc:  # CliError and corpus.RowError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

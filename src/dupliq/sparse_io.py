@@ -1,8 +1,8 @@
 """Single-file storage for sparse feature matrices with labels.
 
 Written as a numpy .npz archive holding the CSR arrays plus the aligned
-label vector, and the column names when the writer knows them; used by the
-TF-IDF pipeline and the nearest-neighbour model's training-data reference.
+label vector, and the column names when the writer knows them: the file
+``tfidf-featurize`` writes and ``--sparse`` reads.
 """
 
 from __future__ import annotations

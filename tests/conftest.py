@@ -1,4 +1,6 @@
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,18 @@ from dupliq.embed import EmbeddingTable
 # deterministic and its time bounded.
 settings.register_profile("dupliq", derandomize=True, max_examples=25, deadline=None, database=None)
 settings.load_profile("dupliq")
+
+
+@contextmanager
+def usable_cpus(cpus):
+    """Make ``cpus`` CPUs usable to this process inside the block; None: the
+    platform has no ``sched_getaffinity``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if cpus is None:
+            patch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        yield
 
 
 @pytest.fixture

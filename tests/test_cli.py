@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import usable_cpus
 from dupliq.cli import main
 from dupliq.featmat import ARRAY_BLOCK
 
@@ -76,6 +77,98 @@ def test_stats_and_report(workspace, capsys):
     assert "version" in doc
 
 
+# Each subcommand, named as its report names it, with the argv of a run
+# that succeeds and of one that fails; {inputs} holds the files that
+# ``test_every_subcommand_ends_through_main`` makes first, {out} its outputs.
+SUBCOMMANDS = {
+    "stats": (["stats", "{tsv}"], ["stats", "{inputs}/missing.tsv"]),
+    "clean": (["clean", "{tsv}", "-o", "{out}/c.tsv"], ["clean", "{inputs}/missing.tsv", "-o", "{out}/c.tsv"]),
+    "split": (
+        ["split", "{tsv}", "-o-train", "{out}/train.tsv", "-o-test", "{out}/test.tsv"],
+        ["split", "{tsv}", "-o-train", "{out}/train.tsv", "-o-test", "{inputs}/missing/test.tsv"],
+    ),
+    "featurize": (
+        ["featurize", "{tsv}", "--glove", "{glove}", "-o", "{out}/f.csv"],
+        ["featurize", "{tsv}", "-o", "{out}/f.csv"],
+    ),
+    "tfidf-fit": (
+        ["tfidf-fit", "{tsv}", "--analyzer", "word", "-o", "{out}/tfidf.json"],
+        ["tfidf-fit", "{inputs}/missing.tsv", "-o", "{out}/tfidf.json"],
+    ),
+    "tfidf-featurize": (
+        ["tfidf-featurize", "{tsv}", "--model", "{inputs}/tfidf.json", "-o", "{out}/v.npz"],
+        ["tfidf-featurize", "{tsv}", "--model", "{inputs}/features.csv", "-o", "{out}/v.npz"],
+    ),
+    "train": (
+        ["train", "--model", "decision_tree", "--features", "{inputs}/features.csv", "-o", "{out}/m.json"],
+        ["train", "--model", "decision_tree", "--features", "{inputs}/one_class.csv", "-o", "{out}/m.json"],
+    ),
+    "eval": (
+        ["eval", "--model", "{inputs}/tree.json", "--features", "{inputs}/features.csv"],
+        ["eval", "--model", "{inputs}/missing.json", "--features", "{inputs}/features.csv"],
+    ),
+    "importance": (
+        ["importance", "--model", "{inputs}/tree.json", "--features", "{inputs}/features.csv"],
+        ["importance", "--model", "{inputs}/tree.json", "--sparse", "{inputs}/missing.npz"],
+    ),
+    "grid": (
+        ["grid", "--spec", "{inputs}/grid.json", "--features", "{inputs}/features.csv"],
+        ["grid", "--spec", "{inputs}/grid.json", "--features", "{inputs}/one_class.csv"],
+    ),
+    "nn-build": (
+        ["nn-build", "--arch", "1", "--toy", "-o", "{out}/net"],
+        ["nn-build", "--arch", "1", "-o", "{out}/net"],
+    ),
+    "nn-train": (
+        ["nn-train", "--arch", "1", "--toy", "--samples", "20", "--epochs", "2", "--batch-size", "10", "-o", "{out}/net"],
+        ["nn-train", "--arch", "1", "--toy", "--samples", "20", "--epochs", "2", "--batch-size", "10",
+         "--learning-rate", "1e308", "-o", "{out}/net"],
+    ),
+    "nn-gradcheck": (["nn-gradcheck", "--arch", "1", "--toy"], ["nn-gradcheck", "--arch", "1"]),
+    "reproduce-table5": (
+        ["reproduce", "table5", "--tsv", "{tsv}", "--glove", "{glove}", "--sample", "60", "--kinds", "knn"],
+        ["reproduce", "table5", "--tsv", "{tsv}", "--sample", "60", "--kinds", "knn"],
+    ),
+    "reproduce-table7": (
+        ["reproduce", "table7", "--tsv", "{tsv}", "--sample", "60", "--kinds", "knn", "--max-features", "300"],
+        ["reproduce", "table7", "--tsv", "{tsv}", "--sample", "60", "--kinds", "knn,svm"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_subcommand_ends_through_main(workspace, monkeypatch, capsys, command):
+    """A run that succeeds writes one report, and nothing else, where the
+    command ran, naming the command; a run that fails writes none."""
+    tmp, tsv, glove = workspace
+    inputs, out, here = tmp / "inputs", tmp / "out", tmp / "here"
+    for d in (inputs, out, here):
+        d.mkdir()
+    features = inputs / "features.csv"
+    for argv in (
+        ["featurize", tsv, "--glove", glove, "-o", features],
+        ["train", "--model", "decision_tree", "--features", features, "-o", inputs / "tree.json"],
+        ["tfidf-fit", tsv, "--analyzer", "word", "-o", inputs / "tfidf.json"],
+    ):
+        assert run([*argv, "--report", inputs / "r.json"]) == 0
+    header, *rows = features.read_text().splitlines()
+    one_class = [header, *(row.rsplit(",", 1)[0] + ",1" for row in rows)]
+    (inputs / "one_class.csv").write_text("\n".join(one_class) + "\n")
+    (inputs / "grid.json").write_text(json.dumps([{"kind": "decision_tree"}]))
+    monkeypatch.chdir(here)
+    ok, fails = (
+        [a.format(tsv=tsv, glove=glove, inputs=inputs, out=out) for a in argv]
+        for argv in SUBCOMMANDS[command]
+    )
+    capsys.readouterr()
+    assert run(fails) != 0
+    assert list(here.iterdir()) == [], capsys.readouterr()
+    assert run(ok) == 0, capsys.readouterr().err
+    [report] = here.iterdir()
+    assert json.loads(report.read_text())["command"] == command
+    assert capsys.readouterr().out.endswith(f"report written to {report.name}\n")
+
+
 def test_clean_and_split(workspace):
     tmp, tsv, _ = workspace
     cleaned = tmp / "clean.tsv"
@@ -121,6 +214,27 @@ def test_featurize_refuses_both_embedding_files(workspace, capsys):
     err = capsys.readouterr().err
     assert "--glove or --w2v, not both" in err and "Traceback" not in err
     assert not (tmp / "f.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["featurize", "reproduce"])
+def test_max_words_with_glove_exit_code_1(workspace, capsys, command, source):
+    # --max-words caps the words read from --w2v; the GloVe reader reads them all
+    tmp, tsv, glove = workspace
+    out = tmp / "f.csv"
+    argv = {
+        "featurize": ["featurize", tsv, "-o", out],
+        "reproduce": ["reproduce", "table5", "--tsv", tsv, "--sample", "60", "--kinds", "knn"],
+    }[command]
+    if source == "flag":
+        argv += ["--max-words", "3"]
+    else:
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"config_version": 1, "defaults": {"max-words": 3}}))
+        argv += ["--config", config]
+    assert run([*argv, "--glove", glove, "--report", tmp / "r.json"]) == 1
+    assert capsys.readouterr().err == "error: --max-words caps --w2v only; it cannot apply to --glove\n"
+    assert not (tmp / "r.json").exists() and not out.exists()
 
 
 def test_train_refuses_both_feature_inputs(workspace, capsys):
@@ -739,13 +853,13 @@ def test_reproduce_table6_trains_on_the_twenty_kept_columns(workspace, monkeypat
 
     monkeypatch.setattr(featmat, "extract_matrix", spy_extract)
     monkeypatch.setattr(learn, "train", spy_train)
-    # one usable CPU: the kinds train in this process, where the spy sees them
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     report = tmp / "t6.json"
-    assert run([
-        "reproduce", "table6", "--tsv", tsv, "--glove", glove, "--sample", "60",
-        "--seed", "5", "--kinds", "decision_tree,knn", "--report", report,
-    ]) == 0
+    # one usable CPU: the kinds train in this process, where the spy sees them
+    with usable_cpus(1):
+        assert run([
+            "reproduce", "table6", "--tsv", tsv, "--glove", glove, "--sample", "60",
+            "--seed", "5", "--kinds", "decision_tree,knn", "--report", report,
+        ]) == 0
     full = extracted[0]  # the training split's 28 columns
     kept = [j for j, name in enumerate(full.column_names) if name not in featmat.DEFAULT_DROP_LIST]
     assert len(full.column_names) == 28 and len(kept) == 20
@@ -784,15 +898,6 @@ REPRODUCE_RUNS = {
     "table6": ["--kinds", "xgb,random_forest,knn"],
     "table7": ["--kinds", "knn,xgb,decision_tree", "--max-features", "1500"],
 }
-
-
-def _usable_cpus(monkeypatch, cpus):
-    """Make ``cpus`` CPUs usable to this process; None: the platform has no
-    ``sched_getaffinity``."""
-    if cpus is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def _caller_pids(monkeypatch, module, name, path):
@@ -834,12 +939,12 @@ def test_reproduce_reports_do_not_depend_on_the_usable_cpus(split_workspace, mon
     kinds = REPRODUCE_RUNS[table][1].split(",")
     reports = {}
     for cpus in (None, 1, 2):
-        _usable_cpus(monkeypatch, cpus)
         reports[cpus] = tmp / f"{table}-{cpus}.json"
-        assert run([
-            "reproduce", table, "--tsv", tsv, "--glove", glove, "--test", "0.5", "--seed", "2",
-            *REPRODUCE_RUNS[table], "--report", reports[cpus],
-        ]) == 0
+        with usable_cpus(cpus):
+            assert run([
+                "reproduce", table, "--tsv", tsv, "--glove", glove, "--test", "0.5", "--seed", "2",
+                *REPRODUCE_RUNS[table], "--report", reports[cpus],
+            ]) == 0
         pids = {int((tmp / f"{kind}.pid").read_text()) for kind in kinds}
         if cpus == 2:
             assert os.getpid() not in pids, pids
@@ -873,9 +978,9 @@ def test_featurize_matrix_does_not_depend_on_the_usable_cpus(split_workspace, mo
     tmp, tsv, glove = split_workspace
     featurizers = _caller_pids(monkeypatch, fuzzy, "fuzzy_features", tmp / "fuzzy.pids")
     for cpus in (None, 1, 2):
-        _usable_cpus(monkeypatch, cpus)
         out = tmp / f"f-{cpus}.csv"
-        assert run(["featurize", tsv, "--glove", glove, "-o", out, "--report", tmp / "f.json"]) == 0
+        with usable_cpus(cpus):
+            assert run(["featurize", tsv, "--glove", glove, "-o", out, "--report", tmp / "f.json"]) == 0
         assert json.loads((tmp / "f.json").read_text())["results"]["rows"] == SPLIT_ROWS
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FEATURIZE_SHA256, cpus
         fuzzy_pids = featurizers()
@@ -912,7 +1017,6 @@ def test_featurizing_process_faults(split_workspace, monkeypatch, capsys, comman
     def fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    _usable_cpus(monkeypatch, 2)
     if fault == "fork_fails":
         monkeypatch.setattr(os, "fork", fork)
     else:
@@ -924,7 +1028,8 @@ def test_featurizing_process_faults(split_workspace, monkeypatch, capsys, comman
                       "--kinds", "knn,xgb"],
     }[command]
     capsys.readouterr()
-    assert run(argv + ["--report", tmp / "r.json"]) == code
+    with usable_cpus(2):
+        assert run(argv + ["--report", tmp / "r.json"]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err, err
     assert err.count("error: ") == 1, err
@@ -964,16 +1069,16 @@ def test_reproduce_training_process_faults(workspace, monkeypatch, capsys, fault
         forks.append(fork())
         return forks[-1]
 
-    _usable_cpus(monkeypatch, 2)
     if fault == "fork_fails":
         monkeypatch.setattr(os, "fork", fork_once)
     else:
         monkeypatch.setattr(learn, "train", train)
     capsys.readouterr()
-    assert run([
-        "reproduce", "table5", "--tsv", tsv, "--glove", glove, "--sample", "60", "--seed", "2",
-        "--kinds", "knn,xgb,decision_tree", "--report", tmp / "r.json",
-    ]) == code
+    with usable_cpus(2):
+        assert run([
+            "reproduce", "table5", "--tsv", tsv, "--glove", glove, "--sample", "60", "--seed", "2",
+            "--kinds", "knn,xgb,decision_tree", "--report", tmp / "r.json",
+        ]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err, err
     assert len(forks) == (fault == "fork_fails")
@@ -1063,16 +1168,15 @@ def test_nn_train_learning_rate_not_finite_or_diverging_exit_code_1(workspace, c
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_diverging_nn_train_prints_its_error_alone(workspace, monkeypatch, capsys, cpus):
+def test_diverging_nn_train_prints_its_error_alone(workspace, capsys, cpus):
     """The overflows on the way to a non-finite loss do not warn, on the
     helper thread of two usable CPUs either: stderr is the error line."""
     tmp, _, _ = workspace
-    _usable_cpus(monkeypatch, cpus)
     argv = [
         "nn-train", "--arch", "1", "--toy", "--samples", "40", "--epochs", "3",
         "--batch-size", "10", "--learning-rate", "1e308", "-o", tmp / "net",
     ]
-    with warnings.catch_warnings(record=True) as caught:
+    with usable_cpus(cpus), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(argv) == 1
     assert [str(w.message) for w in caught] == []
@@ -1206,9 +1310,24 @@ def test_bad_hyperparameters_and_grid_specs_exit_code_1(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "cell, value, named", [(-1, "8", "labels must be 0 or 1"), (0, "inf", "features contain NaN or infinity")]
+    "rows, cell, value, named, commands",
+    [
+        pytest.param(
+            slice(1, 2), -1, "8", "labels must be 0 or 1", ("eval", "importance", "grid", "train"),
+            id="-1-8-labels must be 0 or 1",
+        ),
+        pytest.param(
+            slice(1, 2), 0, "inf", "features contain NaN or infinity", ("eval", "importance", "grid", "train"),
+            id="0-inf-features contain NaN or infinity",
+        ),
+        # every label 1: a model can be scored on it, not trained
+        pytest.param(
+            slice(1, None), -1, "1", "training labels contain a single class", ("grid", "train"),
+            id="-1-1-training labels contain a single class",
+        ),
+    ],
 )
-def test_feature_file_with_a_bad_label_or_value_is_named(workspace, capsys, cell, value, named):
+def test_feature_file_with_a_bad_label_or_value_is_named(workspace, capsys, rows, cell, value, named, commands):
     tmp, tsv, glove = workspace
     features = tmp / "features.csv"
     run(["featurize", tsv, "--glove", glove, "-o", features, "--report", tmp / "f.json"])
@@ -1217,11 +1336,19 @@ def test_feature_file_with_a_bad_label_or_value_is_named(workspace, capsys, cell
     spec = tmp / "grid.json"
     spec.write_text(json.dumps([{"kind": "decision_tree"}]))
     lines = features.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[cell] = value
+    for i in range(len(lines))[rows]:
+        cells = lines[i].split(",")
+        cells[cell] = value
+        lines[i] = ",".join(cells)
     bad = tmp / "bad.csv"
-    bad.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
-    for argv in (["eval", "--model", model], ["importance", "--model", model], ["grid", "--spec", spec]):
+    bad.write_text("\n".join(lines) + "\n")
+    argvs = {
+        "eval": ["eval", "--model", model],
+        "importance": ["importance", "--model", model],
+        "grid": ["grid", "--spec", spec],
+        "train": ["train", "--model", "decision_tree", "-o", tmp / "bad.json"],
+    }
+    for argv in map(argvs.get, commands):
         capsys.readouterr()
         assert run([*argv, "--features", bad, "--report", tmp / "r.json"]) == 1, argv
         err = capsys.readouterr().err

@@ -20,6 +20,7 @@ from dupliq.featmat import (
     save_matrix,
 )
 
+from conftest import usable_cpus
 from oracles import DISTANCE_ORACLES, fuzzy_features_oracle, moments_oracle
 
 
@@ -160,10 +161,6 @@ SLOTS = st.lists(
 )
 
 
-def _usable_cpus(cpus):
-    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True)
-
-
 # the fixture is read, never changed, so sharing it across examples is safe
 @pytest.mark.parametrize("cpus", [1, 2])
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
@@ -179,9 +176,9 @@ def test_extract_matrix_matches_per_pair_oracles(word_table, cpus, questions, sl
         for i, (a, b, label) in enumerate(slots)
     )
     with mock.patch.object(featmat, "ARRAY_BLOCK", BLOCK):
-        with _usable_cpus(cpus):
+        with usable_cpus(cpus):
             m = extract_matrix(PairTable(rows), word_table)
-        with _usable_cpus(1):
+        with usable_cpus(1):
             assert m.rows.tobytes() == extract_matrix(PairTable(rows), word_table).rows.tobytes()
     assert m.rows.shape == (len(rows), len(FEATURE_NAMES))
     assert m.labels.tolist() == [p.is_duplicate for p in rows]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import usable_cpus
 from oracles import conv1d_oracle, lstm_oracle
 
 from dupliq.neural import (
@@ -739,21 +740,17 @@ def test_neural_does_not_import_embed():
 
 # ------------------------------------------------ LSTM branches side by side
 
-def _usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 @pytest.mark.parametrize("arch", [1, 2, 3, 4])
-def test_training_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, arch):
+def test_training_does_not_depend_on_the_usable_cpus(tmp_path, arch):
     """With two usable CPUs the first LSTM recurs on a helper thread: the
     weights, manifests and history are those of one CPU, byte for byte."""
     histories, files = {}, {}
     for cpus in (1, 2):
-        _usable_cpus(monkeypatch, cpus)
         net = toy_net(arch, seed=7)
         assert net.dims["dropout"] > 0.0
         x1, x2, y = make_toy_pairs(24, vocab_size=net.vocab_size, seq_len=net.seq_len, seed=3)
-        histories[cpus] = train_network(net, x1, x2, y, TrainConfig(epochs=2, batch_size=8, seed=4))
+        with usable_cpus(cpus):  # the network reads them at each step
+            histories[cpus] = train_network(net, x1, x2, y, TrainConfig(epochs=2, batch_size=8, seed=4))
         save_network(net, tmp_path / f"net{cpus}")
         files[cpus] = [(tmp_path / f"net{cpus}{ext}").read_bytes() for ext in (".bin", ".json")]
     assert histories[1] == histories[2]
@@ -784,11 +781,11 @@ def _spy_on_recurrences(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_lstm_recurs_on_a_helper_thread_only_with_two_cpus(monkeypatch, cpus):
-    _usable_cpus(monkeypatch, cpus)
     net = toy_net(2)
     x1, x2, y = toy_batch(net)
     ran, started = _spy_on_recurrences(monkeypatch)
-    net.backward(bce_loss(net.forward(x1, x2, mode="train"), y)[1])
+    with usable_cpus(cpus):
+        net.backward(bce_loss(net.forward(x1, x2, mode="train"), y)[1])
     main = threading.main_thread().ident
     # the dropout masks are drawn, and the embeddings read, on this thread
     steps = ("begin", "recur", "recur_backward", "project_backward")
@@ -809,7 +806,6 @@ class HelperFault(Exception):
 
 @pytest.mark.parametrize("step", ["recur", "recur_backward"])
 def test_a_fault_on_the_helper_is_raised_by_the_caller(monkeypatch, step):
-    _usable_cpus(monkeypatch, 2)
     net = toy_net(1)
     x1, x2, y = toy_batch(net)
     threads = threading.active_count()
@@ -820,19 +816,19 @@ def test_a_fault_on_the_helper_is_raised_by_the_caller(monkeypatch, step):
             raise HelperFault(step)
         return original(self, *args)
 
-    if step == "recur_backward":
-        dp = bce_loss(net.forward(x1, x2, mode="train"), y)[1]
-    monkeypatch.setattr(LSTM, step, faulty)
-    with pytest.raises(HelperFault, match=step):
-        if step == "recur":
-            net.forward(x1, x2, mode="train")
-        else:
-            net.backward(dp)
+    with usable_cpus(2):
+        if step == "recur_backward":
+            dp = bce_loss(net.forward(x1, x2, mode="train"), y)[1]
+        monkeypatch.setattr(LSTM, step, faulty)
+        with pytest.raises(HelperFault, match=step):
+            if step == "recur":
+                net.forward(x1, x2, mode="train")
+            else:
+                net.backward(dp)
     assert threading.active_count() == threads
 
 
 def test_a_warning_on_the_helper_meets_the_callers_warning_filter(monkeypatch):
-    _usable_cpus(monkeypatch, 2)
     net = toy_net(1)
     x1, x2, _ = toy_batch(net)
     threads = threading.active_count()
@@ -844,7 +840,7 @@ def test_a_warning_on_the_helper_meets_the_callers_warning_filter(monkeypatch):
         return recur(self)
 
     monkeypatch.setattr(LSTM, "recur", overflowing)
-    with warnings.catch_warnings():
+    with usable_cpus(2), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
             net.forward(x1, x2, mode="infer")
@@ -864,11 +860,12 @@ def test_a_helper_that_cannot_start_leaves_the_branches_in_order(monkeypatch):
     def no_thread(thread):
         raise RuntimeError("can't start new thread")
 
-    _usable_cpus(monkeypatch, 1)
-    alone = one_step()
-    _usable_cpus(monkeypatch, 2)
+    with usable_cpus(1):
+        alone = one_step()
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    for one, two in zip(alone, one_step(), strict=True):
+    with usable_cpus(2):
+        beside = one_step()
+    for one, two in zip(alone, beside, strict=True):
         np.testing.assert_array_equal(one, two)
 
 
