@@ -355,8 +355,11 @@ def save_network(net: Network, prefix: str | Path) -> None:
     }
     with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True)
-    blob = np.concatenate([p.value.ravel() for p in params]).astype("<f8")
-    blob.tofile(prefix.with_suffix(".bin"))
+    # one parameter at a time: a blob of them all would be a copy of every
+    # weight at once, the largest allocation of a training run
+    with open(prefix.with_suffix(".bin"), "wb") as fh:
+        for p in params:
+            np.asarray(p.value, dtype="<f8").tofile(fh)
 
 
 def load_network(prefix: str | Path) -> Network:
